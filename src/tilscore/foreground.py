@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 TILE_SIZE_PX = 512
 TARGET_MPP = 0.5
@@ -122,6 +121,8 @@ def compute_foreground(slide: RasterSlide, params: FesiParams | None = None) -> 
     Deterministic for fixed inputs; raises on images smaller than one mask
     cell.
     """
+    from scipy import ndimage  # imported here: every other stage starts without it
+
     params = params or FesiParams()
     f = params.downsample
     if slide.width_px < f or slide.height_px < f:

@@ -14,8 +14,10 @@ for a fixed seed.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy.special import expit
@@ -28,6 +30,7 @@ ADAM_EPS = 1e-8
 
 CKPT_MAGIC = b"ECTM"
 CKPT_VERSION = 1
+_CKPT_HYPER = "<ddIIIddIII"  # lr, decay, batch, hidden, enc_out, dropouts, epochs, patience, dim
 
 
 class ModelError(ValueError):
@@ -78,6 +81,10 @@ class ModelParams:
 
     def zeros_like(self) -> "ModelParams":
         return ModelParams(**{f: np.zeros_like(getattr(self, f)) for f in PARAM_FIELDS})
+
+    def fill(self, value: float) -> None:
+        for f in PARAM_FIELDS:
+            getattr(self, f).fill(value)
 
     def allclose(self, other: "ModelParams", atol: float = 0.0) -> bool:
         return all(np.allclose(getattr(self, f), getattr(other, f), rtol=0.0, atol=atol)
@@ -237,16 +244,26 @@ def adam_update_array(theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.
     """One bias-corrected ADAM step on a single tensor, in place.
 
     The L2 term weight_decay * theta joins the gradient before the moment
-    update (in-gradient regularisation, not AdamW-style decoupling).
+    update (in-gradient regularisation, not AdamW-style decoupling).  The
+    operations are those of the textbook expression, in its order, so the
+    result is bit-identical to it; only two temporaries are allocated.
     """
     g = grad + weight_decay * theta
+    tmp = np.multiply(g, 1.0 - ADAM_BETA1)
     m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * g
+    m += tmp
+    np.square(g, out=tmp)
+    tmp *= 1.0 - ADAM_BETA2
     v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * np.square(g)
-    m_hat = m / (1.0 - ADAM_BETA1**t)
-    v_hat = v / (1.0 - ADAM_BETA2**t)
-    theta -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    v += tmp
+    # theta -= lr * m_hat / (sqrt(v_hat) + eps)
+    np.divide(m, 1.0 - ADAM_BETA1**t, out=g)
+    g *= lr
+    np.divide(v, 1.0 - ADAM_BETA2**t, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += ADAM_EPS
+    g /= tmp
+    theta -= g
 
 
 def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
@@ -318,6 +335,7 @@ def train(bags: list[FeatureBag], labels, train_idx, val_idx,
     dim = bags[train_idx[0]].dim
     params = init_params(seed, hyper, dim)
     state = AdamState.for_params(params)
+    grad_mean = params.zeros_like()  # the batch-mean gradient, reused every batch
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
 
     def val_predictions(p: ModelParams) -> np.ndarray:
@@ -331,15 +349,16 @@ def train(bags: list[FeatureBag], labels, train_idx, val_idx,
         epoch_loss = 0.0
         for start in range(0, order.size, hyper.batch_size):
             batch = order[start : start + hyper.batch_size]
-            grad_sum = params.zeros_like()
+            grad_mean.fill(0.0)
             for i in batch:
                 trace = forward(params, bags[i], hyper, train=True, rng=rng)
                 epoch_loss += loss(trace.prediction, labels[i])
-                g = backward(trace, params, loss_grad(trace.prediction, labels[i]))
+                # backward is linear in d_prediction: scaling it averages the batch
+                g = backward(trace, params, loss_grad(trace.prediction, labels[i]) / batch.size)
                 for name in PARAM_FIELDS:
-                    acc = getattr(grad_sum, name)
-                    acc += getattr(g, name) / batch.size
-            adam_step(params, grad_sum, state, hyper)
+                    acc = getattr(grad_mean, name)
+                    acc += getattr(g, name)
+            adam_step(params, grad_mean, state, hyper)
         preds = val_predictions(params)
         ev = explained_variance(preds, labels[val_idx])
         history.append(EpochRecord(epoch=epoch, train_loss=epoch_loss / order.size, val_ev=ev))
@@ -365,7 +384,7 @@ def save_checkpoint(params: ModelParams, hyper: HyperParams, path) -> None:
         fh.write(CKPT_MAGIC)
         fh.write(struct.pack("<H", CKPT_VERSION))
         fh.write(struct.pack(
-            "<ddIIIddIII", hyper.lr, hyper.weight_decay, hyper.batch_size,
+            _CKPT_HYPER, hyper.lr, hyper.weight_decay, hyper.batch_size,
             hyper.attn_hidden, hyper.enc_out, hyper.dropout_feature,
             hyper.dropout_tile, hyper.max_epochs, hyper.patience, params.dim))
         for name in PARAM_FIELDS:
@@ -373,18 +392,23 @@ def save_checkpoint(params: ModelParams, hyper: HyperParams, path) -> None:
 
 
 def load_checkpoint(path) -> tuple[ModelParams, HyperParams]:
-    data = open(path, "rb").read()
+    """Read a checkpoint written by `save_checkpoint`; a bad magic, version
+    or length raises ModelError naming the file."""
+    data = Path(path).read_bytes()
+    header = 6 + struct.calcsize(_CKPT_HYPER)
     if data[:4] != CKPT_MAGIC:
-        raise ModelError(f"bad checkpoint magic {data[:4]!r}")
+        raise ModelError(f"{path}: bad checkpoint magic {data[:4]!r}")
+    if len(data) < header:
+        raise ModelError(f"{path}: checkpoint truncated in its header "
+                         f"({len(data)} of {header} bytes)")
     (version,) = struct.unpack_from("<H", data, 4)
     if version != CKPT_VERSION:
-        raise ModelError(f"unsupported checkpoint version {version}")
-    block = struct.unpack_from("<ddIIIddIII", data, 6)
+        raise ModelError(f"{path}: unsupported checkpoint version {version}")
+    block = struct.unpack_from(_CKPT_HYPER, data, 6)
     hyper = HyperParams(lr=block[0], weight_decay=block[1], batch_size=block[2],
                         attn_hidden=block[3], enc_out=block[4], dropout_feature=block[5],
                         dropout_tile=block[6], max_epochs=block[7], patience=block[8])
     dim = block[9]
-    offset = 6 + struct.calcsize("<ddIIIddIII")
     shapes = {
         "enc_w": (hyper.enc_out, dim), "enc_b": (hyper.enc_out,),
         "attn_v": (hyper.attn_hidden, hyper.enc_out), "attn_v_b": (hyper.attn_hidden,),
@@ -392,12 +416,16 @@ def load_checkpoint(path) -> tuple[ModelParams, HyperParams]:
         "attn_w": (hyper.attn_hidden,), "score_w": (hyper.enc_out,), "score_b": (1,),
     }
     tensors = {}
+    offset = header
     for name in PARAM_FIELDS:
         shape = shapes[name]
-        count = int(np.prod(shape))
+        count = math.prod(shape)
+        if offset + 8 * count > len(data):
+            raise ModelError(f"{path}: checkpoint truncated in tensor {name} "
+                             f"({len(data) - offset} of {8 * count} bytes)")
         arr = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
         offset += count * 8
         tensors[name] = arr.reshape(shape).astype(np.float64)
     if offset != len(data):
-        raise ModelError("checkpoint has trailing bytes")
+        raise ModelError(f"{path}: checkpoint has {len(data) - offset} trailing bytes")
     return ModelParams(**tensors), hyper

@@ -13,11 +13,19 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import chi2 as chi2_dist
-from scipy.stats import norm as norm_dist
+from scipy.special import chdtrc, ndtr
 
 MAX_NEWTON_ITER = 25
+# Newton stops when every |score_j| is below SCORE_TOL times the sum of
+# |x_ij| over the events and every next step |d beta_j| is at most
+# STEP_RTOL * (1 + |beta_j|).  A step is kept unless it lowers the
+# log-likelihood by more than LOGLIK_RTOL times |null log-likelihood|.
+# The score and log-likelihood scales are floored at 1, so small data are
+# held to the absolute bounds; at n in the thousands with covariates in the
+# tens, the rounding noise of the sums alone exceeds any fixed bound.
 SCORE_TOL = 1e-9
+STEP_RTOL = 1e-6
+LOGLIK_RTOL = 1e-12
 BETA_DIVERGENCE_LIMIT = 20.0
 WALD_Z = 1.96
 
@@ -36,6 +44,11 @@ class NonConvergenceError(RuntimeError):
 
 class DegenerateSplitError(SurvivalError):
     """A score split produced an empty group."""
+
+
+def _chi2_sf(x: float, df: int) -> float:
+    """Chi-square upper tail, 1 below the support (as scipy.stats.chi2.sf)."""
+    return float(chdtrc(df, max(x, 0.0)))
 
 
 def _safe_exp(x: float) -> float:
@@ -303,29 +316,35 @@ def cox_fit(data: SurvivalDataset, scales=None, ties: str = "efron") -> CoxFit:
     beta = np.zeros(p)
     loglik, score, info = cox_loglik_score_info(data.times, data.events, X, beta, ties)
     null_loglik = loglik
+    score_tol = SCORE_TOL * np.maximum(np.abs(X[data.events == 1]).sum(axis=0), 1.0)
+    ll_margin = LOGLIK_RTOL * max(abs(null_loglik), 1.0)
     iterations = 0
-    converged = float(np.max(np.abs(score))) < SCORE_TOL
-    while not converged and iterations < MAX_NEWTON_ITER:
-        iterations += 1
+    while True:
         try:
             step = np.linalg.solve(info, score)
         except np.linalg.LinAlgError as exc:
             raise RankDeficiencyError(f"singular information matrix: {exc}") from exc
+        # far out on a monotone likelihood the score is small as well, but
+        # the Newton step is not: convergence needs both to be small
+        if (np.all(np.abs(score) < score_tol)
+                and np.all(np.abs(step) <= STEP_RTOL * (1.0 + np.abs(beta)))):
+            break
+        if iterations == MAX_NEWTON_ITER:
+            raise NonConvergenceError(
+                f"Newton-Raphson did not converge in {MAX_NEWTON_ITER} iterations")
+        iterations += 1
         # step halving keeps Newton from overshooting on near-flat likelihoods
         for _ in range(6):
             cand = beta + step
             new_ll, new_score, new_info = cox_loglik_score_info(
                 data.times, data.events, X, cand, ties)
-            if new_ll >= loglik - 1e-12 or np.max(np.abs(step)) < 1e-12:
+            if new_ll >= loglik - ll_margin or np.max(np.abs(step)) < 1e-12:
                 break
             step = step / 2.0
         beta, loglik, score, info = cand, new_ll, new_score, new_info
         if float(np.max(np.abs(beta))) > BETA_DIVERGENCE_LIMIT:
             raise NonConvergenceError(
                 "coefficient diverged (|beta| > 20); likelihood is likely monotone")
-        converged = float(np.max(np.abs(score))) < SCORE_TOL
-    if not converged:
-        raise NonConvergenceError(f"Newton-Raphson did not converge in {MAX_NEWTON_ITER} iterations")
 
     try:
         cov = np.linalg.inv(info)
@@ -339,12 +358,12 @@ def cox_fit(data: SurvivalDataset, scales=None, ties: str = "efron") -> CoxFit:
         coefs.append(CoxCoef(
             name=name, beta=b, se=s, hr=_safe_exp(b),
             ci_low=_safe_exp(b - WALD_Z * s), ci_high=_safe_exp(b + WALD_Z * s),
-            p=float(2.0 * norm_dist.sf(abs(z))),
+            p=float(2.0 * ndtr(-abs(z))),
         ))
     risk = X @ beta
     c_index = harrell_c(data.times, data.events, risk)
     lr_stat = 2.0 * (loglik - null_loglik)
-    lr_p = float(chi2_dist.sf(max(lr_stat, 0.0), df=p))
+    lr_p = _chi2_sf(lr_stat, p)
     return CoxFit(coefs=coefs, loglik=loglik, null_loglik=null_loglik, lr_p=lr_p,
                   concordance=c_index, iterations=iterations, converged=True,
                   beta=beta, info=info, ties=ties)
@@ -459,7 +478,7 @@ def logrank(times, events, group_ids) -> tuple[float, float]:
         sol = np.linalg.pinv(v) @ diff
     chi2 = float(diff @ sol)
     df = g_count - 1
-    return chi2, float(chi2_dist.sf(chi2, df=df))
+    return chi2, _chi2_sf(chi2, df)
 
 
 # ---------------------------------------------------------------------------
@@ -523,10 +542,10 @@ def schoenfeld_test(fit: CoxFit, data: SurvivalDataset, scales=None) -> Schoenfe
     v_bar_inv = np.linalg.inv(v_bar)
     vu = v_bar_inv @ u
     global_chi2 = float((u @ vu) / ss_g)
-    global_p = float(chi2_dist.sf(global_chi2, df=X.shape[1]))
+    global_p = _chi2_sf(global_chi2, X.shape[1])
     per = {}
     for j, name in enumerate(data.columns):
         t_j = vu[j] ** 2 / (v_bar_inv[j, j] * ss_g)
-        per[name] = (float(t_j), float(chi2_dist.sf(t_j, df=1)))
+        per[name] = (float(t_j), _chi2_sf(t_j, 1))
     return SchoenfeldResult(per_covariate=per, global_chi2=global_chi2, global_p=global_p,
                             residuals=residuals, event_times=ev_times)

@@ -1,11 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import noisy_disc_slide
+import tilscore
 from tilscore import bagio, survstats
 from tilscore.cli import main
 from tilscore.foreground import read_manifest
@@ -28,6 +32,19 @@ def write_synth_config(path, **over):
     cfg.update(over)
     Path(path).write_text(json.dumps(cfg))
     return cfg
+
+
+def test_import_skips_unused_scipy_subpackages():
+    # scipy.stats and scipy.ndimage cost most of the start-up of every
+    # stage; only `tile` needs ndimage, and it imports it when it runs
+    src = str(Path(tilscore.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    code = ("import sys, tilscore.cli; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.ndimage') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestTile:

@@ -87,6 +87,45 @@ def max_rel_error(analytic, numeric, floor=1e-3):
     return worst
 
 
+def textbook_adam(theta, grad, m, v, t, lr, weight_decay):
+    """ADAM with in-gradient L2 decay, written as the plain expression."""
+    g = grad + weight_decay * theta
+    m *= 0.9
+    m += (1.0 - 0.9) * g
+    v *= 0.999
+    v += (1.0 - 0.999) * np.square(g)
+    m_hat = m / (1.0 - 0.9**t)
+    v_hat = v / (1.0 - 0.999**t)
+    theta -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+
+
+def reference_train(bags, labels, train_idx, hyper, seed):
+    """The training loop in its first form: a fresh gradient per bag,
+    divided by the batch size and summed into a fresh container, then the
+    textbook ADAM expression.  Returns the parameters after every epoch."""
+    params = init_params(seed, hyper, bags[train_idx[0]].dim)
+    m, v = params.zeros_like(), params.zeros_like()
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
+    snapshots, t = [], 0
+    for _ in range(hyper.max_epochs):
+        order = rng.permutation(train_idx)
+        for start in range(0, order.size, hyper.batch_size):
+            batch = order[start : start + hyper.batch_size]
+            grad_sum = params.zeros_like()
+            for i in batch:
+                trace = forward(params, bags[i], hyper, train=True, rng=rng)
+                g = backward(trace, params, loss_grad(trace.prediction, labels[i]))
+                for name in PARAM_FIELDS:
+                    acc = getattr(grad_sum, name)
+                    acc += getattr(g, name) / batch.size
+            t += 1
+            for name in PARAM_FIELDS:
+                textbook_adam(getattr(params, name), getattr(grad_sum, name), getattr(m, name),
+                              getattr(v, name), t, hyper.lr, hyper.weight_decay)
+        snapshots.append(params.copy())
+    return snapshots
+
+
 class TestInit:
     def test_deterministic(self):
         a = init_params(7, SMALL, dim=12)
@@ -291,6 +330,33 @@ class TestAdam:
             if getattr(before, name).any():
                 assert not np.array_equal(getattr(params, name), getattr(before, name))
 
+    def test_in_place_bit_identical_to_textbook_expression(self):
+        rng = np.random.default_rng(15)
+        theta = rng.normal(size=(64, 97))
+        m, v = np.zeros_like(theta), np.zeros_like(theta)
+        ref_theta, ref_m, ref_v = theta.copy(), m.copy(), v.copy()
+        for t in range(1, 6):
+            grad = rng.normal(size=theta.shape) * 10.0 ** rng.integers(-6, 2)
+            adam_update_array(theta, grad, m, v, t, lr=3e-3, weight_decay=6e-4)
+            textbook_adam(ref_theta, grad, ref_m, ref_v, t, lr=3e-3, weight_decay=6e-4)
+            assert np.array_equal(theta, ref_theta)
+            assert np.array_equal(m, ref_m) and np.array_equal(v, ref_v)
+
+    def test_adam_step_matches_textbook_over_all_tensors(self):
+        params = init_params(2, SMALL, dim=6)
+        ref = params.copy()
+        state = AdamState.for_params(params)
+        m, v = ref.zeros_like(), ref.zeros_like()
+        hyper = HyperParams(lr=1e-3)
+        for t in range(1, 6):
+            grads = init_params(100 + t, SMALL, dim=6)
+            adam_step(params, grads, state, hyper)
+            for name in PARAM_FIELDS:
+                textbook_adam(getattr(ref, name), getattr(grads, name), getattr(m, name),
+                              getattr(v, name), t, hyper.lr, hyper.weight_decay)
+        for name in PARAM_FIELDS:
+            assert np.array_equal(getattr(params, name), getattr(ref, name))
+
 
 class TestExplainedVariance:
     def test_perfect(self):
@@ -348,6 +414,29 @@ class TestTrain:
         result = train(bags, labels, np.arange(45), np.arange(45, 60), hyper, seed=2)
         assert result.best_val_ev > 0.8
 
+    @pytest.mark.parametrize("n_train,batch_size,exact", [
+        (16, 4, True), (16, 16, True), (15, 4, False), (16, 6, False)])
+    def test_matches_reference_loop(self, n_train, batch_size, exact):
+        # backward scales d_prediction by 1/batch instead of dividing each
+        # gradient: exact for power-of-two batch sizes, within rounding else.
+        # Where |g| is below ADAM_EPS the step carries gradient rounding
+        # times lr / ADAM_EPS, so the bound holds at lr 1e-3 (the benchmark
+        # rate; the paper's is 1e-4) and not at arbitrarily large rates.
+        rng = np.random.default_rng(16)
+        bags, labels = quick_cohort(rng, n=n_train + 8, tiles=(2, 11))
+        hyper = HyperParams(lr=1e-3, enc_out=8, attn_hidden=4, max_epochs=3, patience=3,
+                            batch_size=batch_size)
+        result = train(bags, labels, np.arange(n_train), np.arange(n_train, n_train + 8),
+                       hyper, seed=7)
+        want = reference_train(bags, labels, np.arange(n_train), hyper, seed=7)
+        got_params, want_params = result.params, want[result.best_epoch - 1]
+        for name in PARAM_FIELDS:
+            got, ref = getattr(got_params, name), getattr(want_params, name)
+            if exact:
+                assert np.array_equal(got, ref), name
+            else:
+                assert np.allclose(got, ref, rtol=0.0, atol=1e-12), name
+
     def test_errors(self):
         rng = np.random.default_rng(14)
         bags, labels = quick_cohort(rng, n=6)
@@ -383,4 +472,30 @@ class TestCheckpoint:
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"XXXX" + b"\x00" * 64)
         with pytest.raises(ModelError):
+            load_checkpoint(path)
+
+    def test_truncated_header_named(self, tmp_path):
+        path = tmp_path / "short.ckpt"
+        save_checkpoint(init_params(5, SMALL, dim=7), SMALL, path)
+        path.write_bytes(path.read_bytes()[:20])
+        with pytest.raises(ModelError, match="short.ckpt.*truncated in its header"):
+            load_checkpoint(path)
+
+    def test_truncated_tensor_named(self, tmp_path):
+        path = tmp_path / "cut.ckpt"
+        save_checkpoint(init_params(5, SMALL, dim=7), SMALL, path)
+        data = path.read_bytes()
+        # enc_w (16 x 7 doubles) starts right after the 62-byte header
+        path.write_bytes(data[:62 + 8 * 50 + 3])
+        with pytest.raises(ModelError, match="cut.ckpt.*truncated in tensor enc_w"):
+            load_checkpoint(path)
+        path.write_bytes(data[:-5])
+        with pytest.raises(ModelError, match="truncated in tensor score_b"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_named(self, tmp_path):
+        path = tmp_path / "long.ckpt"
+        save_checkpoint(init_params(5, SMALL, dim=7), SMALL, path)
+        path.write_bytes(path.read_bytes() + b"\x00" * 3)
+        with pytest.raises(ModelError, match="long.ckpt.*3 trailing bytes"):
             load_checkpoint(path)

@@ -234,7 +234,36 @@ class TestCoxLikelihood:
         assert ll_e != ll_b
 
 
+def years_cohort(seed, n):
+    """Benchmark-style cohort: TIL per 10 points, age in years, a 3-level
+    grade, about 40 % events, times rounded to 1e-4 months."""
+    rng = np.random.default_rng([seed, 11])
+    til = rng.uniform(1.0, 99.0, n)
+    age = np.round(rng.normal(60.0, 12.0, n).clip(25.0, 95.0), 1)
+    grade = rng.choice([1, 2, 3], size=n, p=[0.2, 0.45, 0.35])
+    hazard = 0.01 * np.exp(-0.15 * til / 10.0 + 0.03 * (age - 60.0) + 0.4 * (grade - 1))
+    t_event = rng.exponential(1.0 / hazard)
+    t_censor = rng.uniform(24.0, 120.0, n)
+    times = np.maximum(np.round(np.minimum(t_event, t_censor), 4), 0.001)
+    design = np.column_stack([til / 10.0, age, grade == 2, grade == 3]).astype(np.float64)
+    return SurvivalDataset(times=times, events=(t_event <= t_censor).astype(int),
+                           design=design, columns=["til_per_10", "age", "grade=2", "grade=3"])
+
+
 class TestCoxFit:
+    def test_converges_at_n_3000_with_age_in_years(self):
+        # the score sums ~1,200 event terms near 60, so its rounding noise
+        # at the optimum is above an absolute 1e-9; with absolute tolerances
+        # this seed crept through halved steps and failed after 25 iterations
+        ds = years_cohort(seed=57, n=3000)
+        fit = cox_fit(ds)
+        assert fit.iterations <= 6
+        _, score, info = cox_loglik_score_info(ds.times, ds.events, ds.design, fit.beta)
+        # the remaining Newton step is negligible against the standard errors
+        step = np.linalg.solve(info, score)
+        assert np.all(np.abs(step) < 1e-6 * np.sqrt(np.diag(np.linalg.inv(info))))
+        assert fit.coefs[1].beta == pytest.approx(0.03, abs=0.005)  # generating age effect
+
     def test_no_variation_is_rank_error(self):
         ds = SurvivalDataset(times=[1.0, 2.0, 3.0], events=[1, 1, 0],
                              design=np.ones((3, 1)), columns=["flat"])
