@@ -506,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tile-size", type=int, default=foreground.TILE_SIZE_PX, dest="tile_size")
     p.add_argument("--target-mpp", type=float, default=foreground.TARGET_MPP, dest="target_mpp")
     p.add_argument("--out", required=True)
-    common(p)
+    p.add_argument("--config", help='JSON file with "fesi" masking overrides')
     p.set_defaults(func=cmd_tile)
 
     p = sub.add_parser("synth", help="generate a synthetic cohort from a JSON config")

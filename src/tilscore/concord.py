@@ -56,14 +56,12 @@ def rank_average(x) -> np.ndarray:
     """Mid-ranks (1-based); tied values share the average of their ranks."""
     a = _as1d(x)
     order = np.argsort(a, kind="stable")
+    s = a[order]
+    # each run of equal sorted values spans positions [first, end)
+    first = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
+    end = np.r_[first[1:], a.size]
     ranks = np.empty(a.size, dtype=np.float64)
-    i = 0
-    while i < a.size:
-        j = i
-        while j + 1 < a.size and a[order[j + 1]] == a[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (first + end - 1) + 1.0, end - first)
     return ranks
 
 

@@ -8,6 +8,11 @@ structurally uniform images (an all-texture slide maps to all-foreground,
 a flat slide to all-background); a plain global-mean cut systematically
 overshoots sharp tissue boundaries.
 
+Memory: masking holds one uint8 copy of the slide plus its per-channel
+block sums, which take 2/f of the slide's bytes at downsample f <= 16
+(uint16 sums) and 4/f above.  No full-resolution float array is built;
+everything after the block sums works at mask scale.
+
 Tiles are laid on an exact grid in target-resolution space (512 px at
 0.5 mpp by default) and reported as source-pixel coordinates; a tile is
 kept when its footprint holds at least one foreground mask pixel.
@@ -90,15 +95,35 @@ class ForegroundMask:
         write_pgm(path, self.bits.astype(np.uint8) * 255)
 
 
-def _block_mean(img: np.ndarray, factor: int) -> np.ndarray:
-    """Area-average downsample; edge blocks are padded by replication."""
-    h, w = img.shape
-    pad_h = (-h) % factor
-    pad_w = (-w) % factor
-    if pad_h or pad_w:
-        img = np.pad(img, ((0, pad_h), (0, pad_w)), mode="edge")
-    hh, ww = img.shape
-    return img.reshape(hh // factor, factor, ww // factor, factor).mean(axis=(1, 3))
+def _block_sums(a: np.ndarray, f: int, axis: int, acc: np.dtype) -> np.ndarray:
+    """Sums over consecutive groups of f entries along `axis`, exact in the
+    unsigned type `acc`.  A last partial group is completed by repeating the
+    final entry, as edge-replication padding would."""
+    nq, rem = divmod(a.shape[axis], f)
+    shape = list(a.shape)
+    shape[axis] = nq + (rem > 0)
+    out = np.zeros(shape, acc)
+    # views with the groups along the first axis; `out` keeps the layout of
+    # `a`, so each strided add walks both in memory order
+    a, o = a.swapaxes(0, axis), out.swapaxes(0, axis)
+    for i in range(f):
+        o[:nq] += a[i : nq * f : f]
+    if rem:
+        o[nq] += a[nq * f :].sum(axis=0, dtype=acc) + a[-1].astype(acc) * (f - rem)
+    return out
+
+
+def _block_luminance(pixels: np.ndarray, f: int) -> np.ndarray:
+    """Mean luminance of each f x f block of an (h, w, 3) uint8 raster; edge
+    blocks are padded by replication.
+
+    Each channel is summed per block exactly, rows first and then columns,
+    in the smallest unsigned type that holds f*f*255 (uint16 up to f = 16,
+    uint32 above), and only the block sums are weighted in float64.
+    """
+    acc = np.min_scalar_type(f * f * 255)
+    sums = _block_sums(_block_sums(pixels, f, 0, acc), f, 1, acc)
+    return (0.299 * sums[..., 0] + 0.587 * sums[..., 1] + 0.114 * sums[..., 2]) / (f * f)
 
 
 def _isodata_threshold(values: np.ndarray, iters: int) -> float:
@@ -125,13 +150,12 @@ def compute_foreground(slide: RasterSlide, params: FesiParams | None = None) -> 
 
     params = params or FesiParams()
     f = params.downsample
+    if not isinstance(f, int) or f < 1:
+        raise ForegroundError(f"downsample must be a positive integer, got {f!r}")
     if slide.width_px < f or slide.height_px < f:
         raise ForegroundError(
             f"slide {slide.width_px}x{slide.height_px} is smaller than one {f}px mask cell")
-    lum = (0.299 * slide.pixels[:, :, 0].astype(np.float64)
-           + 0.587 * slide.pixels[:, :, 1]
-           + 0.114 * slide.pixels[:, :, 2])
-    small = _block_mean(lum, f)
+    small = _block_luminance(slide.pixels, f)
     structure = np.abs(ndimage.laplace(ndimage.gaussian_filter(small, params.pre_sigma)))
     smooth = ndimage.gaussian_filter(structure, params.smooth_sigma)
 

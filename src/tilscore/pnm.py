@@ -7,6 +7,7 @@ masks and heatmaps go out as P5 with values 0/255.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -16,46 +17,50 @@ class PnmError(ValueError):
     pass
 
 
-def _read_header_tokens(data: bytes, count: int) -> tuple[list[int], int]:
-    """Parse `count` whitespace-separated header integers, skipping comments."""
+def _read_header_tokens(fh, count: int) -> list[int]:
+    """Parse `count` whitespace-separated header integers from a binary
+    stream, skipping comments.  The single byte that ends the last token is
+    consumed, so the stream is left at the first raster byte."""
     tokens: list[int] = []
-    pos = 0
-    while len(tokens) < count:
-        if pos >= len(data):
+    ch = fh.read(1)
+    while True:
+        if not ch:
             raise PnmError("truncated header")
-        ch = data[pos : pos + 1]
         if ch == b"#":
-            eol = data.find(b"\n", pos)
-            pos = len(data) if eol < 0 else eol + 1
+            fh.readline()
+            ch = fh.read(1)
         elif ch.isspace():
-            pos += 1
+            ch = fh.read(1)
         else:
-            end = pos
-            while end < len(data) and not data[end : end + 1].isspace() and data[end : end + 1] != b"#":
-                end += 1
-            try:
-                tokens.append(int(data[pos:end]))
-            except ValueError as exc:
-                raise PnmError(f"bad header token {data[pos:end]!r}") from exc
-            pos = end
-    return tokens, pos + 1  # single whitespace after maxval precedes the raster
+            token = b""
+            while ch and not ch.isspace() and ch != b"#":
+                token += ch
+                ch = fh.read(1)
+            if not token.isdigit():
+                raise PnmError(f"bad header token {token!r}")
+            tokens.append(int(token))
+            if len(tokens) == count:
+                return tokens
 
 
 def _read_raster(path, magic: bytes, channels: int) -> np.ndarray:
-    data = Path(path).read_bytes()
-    if data[:2] != magic:
-        raise PnmError(f"{path}: expected {magic.decode()} file, got {data[:2]!r}")
-    (width, height, maxval), offset = _read_header_tokens(data[2:], 3)
-    offset += 2
-    if maxval != 255:
-        raise PnmError(f"{path}: only maxval 255 supported, got {maxval}")
-    need = width * height * channels
-    raster = data[offset : offset + need]
-    if len(raster) != need:
-        raise PnmError(f"{path}: raster truncated ({len(raster)} of {need} bytes)")
-    arr = np.frombuffer(raster, dtype=np.uint8)
-    shape = (height, width, channels) if channels > 1 else (height, width)
-    return arr.reshape(shape).copy()
+    with open(path, "rb") as fh:
+        head = fh.read(2)
+        if head != magic:
+            raise PnmError(f"{path}: expected {magic.decode()} file, got {head!r}")
+        width, height, maxval = _read_header_tokens(fh, 3)
+        if maxval != 255:
+            raise PnmError(f"{path}: only maxval 255 supported, got {maxval}")
+        need = width * height * channels
+        # the file size bounds the raster before anything is allocated for it
+        got = min(need, os.fstat(fh.fileno()).st_size - fh.tell())
+        if got == need:
+            arr = np.empty((height, width, channels) if channels > 1 else (height, width),
+                           dtype=np.uint8)
+            got = fh.readinto(arr)
+    if got != need:
+        raise PnmError(f"{path}: raster truncated ({got} of {need} bytes)")
+    return arr
 
 
 def read_ppm(path) -> np.ndarray:

@@ -372,21 +372,41 @@ def cox_fit(data: SurvivalDataset, scales=None, ties: str = "efron") -> CoxFit:
 def harrell_c(times, events, risk_scores) -> float:
     """Concordance over usable pairs: the earlier time must be an event and
     times must differ; risk ties count 1/2.  Higher risk should mean
-    shorter survival."""
+    shorter survival.
+
+    O(n log^2 n) time and O(n) memory: with subjects in descending time
+    order, the partners j (t_j > t_i) of event i are a prefix of `later_i`
+    positions.  That prefix splits, one block per set bit of its length, into
+    aligned blocks of 2**k positions, as in a Fenwick tree; each block's risk
+    ranks are sorted once per level and counted with a binary search.
+    """
     t = np.asarray(times, dtype=np.float64)
     e = np.asarray(events, dtype=np.int64)
     r = np.asarray(risk_scores, dtype=np.float64)
     if not (t.shape == e.shape == r.shape):
         raise SurvivalError("times/events/risk length mismatch")
-    # usable pair (i, j): t_i < t_j and subject i had the event
-    earlier = t[:, None] < t[None, :]
-    usable = earlier & (e[:, None] == 1)
-    n_usable = int(usable.sum())
+    if not (np.isfinite(t).all() and np.isfinite(r).all()):
+        raise SurvivalError("times and risk scores must be finite")
+    order = np.argsort(-t, kind="stable")
+    event = e == 1
+    later = np.searchsorted(-t[order], -t[event], side="left")  # partners of each event
+    n_usable = int(later.sum())
     if n_usable == 0:
         raise SurvivalError("no comparable pairs")
-    conc = (r[:, None] > r[None, :]) & usable
-    tied = (r[:, None] == r[None, :]) & usable
-    return float((conc.sum() + 0.5 * tied.sum()) / n_usable)
+    levels, rank = np.unique(r, return_inverse=True)
+    m = levels.size
+    rank_in_order, rank_of_event = rank[order], rank[event]
+    position = np.arange(t.size)
+    conc = conc_or_tied = 0  # partners with lower / lower-or-equal risk
+    for k in range(int(later.max()).bit_length()):
+        keys = np.sort((position >> k) * m + rank_in_order)  # (block, rank), sorted
+        hit = (later >> k) & 1 == 1
+        block = (later[hit] >> k) - 1
+        probe = np.sort(block * m + rank_of_event[hit])  # sorted probes search far faster
+        skipped = int((block << k).sum())  # keys of the blocks before each probe's block
+        conc += int(np.searchsorted(keys, probe, side="left").sum()) - skipped
+        conc_or_tied += int(np.searchsorted(keys, probe, side="right").sum()) - skipped
+    return float((conc + 0.5 * (conc_or_tied - conc)) / n_usable)
 
 
 # ---------------------------------------------------------------------------

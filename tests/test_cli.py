@@ -88,6 +88,24 @@ class TestTile:
         assert rescale == 0.5 and len(tiles) == 1
 
 
+    @pytest.mark.parametrize("flag", [["--seed", "1"], ["--workers", "2"]])
+    def test_ignored_flags_rejected(self, tmp_path, flag):
+        img = tmp_path / "img.ppm"
+        write_ppm(img, np.full((64, 64, 3), 255, dtype=np.uint8))
+        with pytest.raises(SystemExit) as exc:
+            run("tile", img, "--mpp", 0.5, "--out", tmp_path / "o", *flag)
+        assert exc.value.code == 2
+
+    def test_config_sets_masking_params(self, tmp_path):
+        img = tmp_path / "img.ppm"
+        write_ppm(img, np.full((1024, 1024, 3), 255, dtype=np.uint8))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"fesi": {"downsample": 16}}))
+        out = tmp_path / "o"
+        assert run("tile", img, "--mpp", 0.5, "--out", out, "--config", cfg) == 0
+        assert read_pgm(out / "mask.pgm").shape == (64, 64)
+
+
 class TestSynth:
     def test_outputs_and_oracle_labels(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -79,6 +79,23 @@ class TestPearsonSpearman:
     def test_rank_average_ties(self):
         assert rank_average([10.0, 20.0, 20.0, 30.0]).tolist() == [1.0, 2.5, 2.5, 4.0]
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-3, 3), max_size=60), st.sampled_from([1.0, 0.5, -0.25]))
+    def test_rank_average_matches_loop_reference(self, values, scale):
+        # the former run-scanning loop, kept as the reference; mid-ranks are
+        # exact in f64, so the two must agree exactly
+        a = np.asarray(values, dtype=np.float64) * scale
+        order = np.argsort(a, kind="stable")
+        expected = np.empty(a.size, dtype=np.float64)
+        i = 0
+        while i < a.size:
+            j = i
+            while j + 1 < a.size and a[order[j + 1]] == a[order[i]]:
+                j += 1
+            expected[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+            i = j + 1
+        assert np.array_equal(rank_average(a), expected)
+
 
 class TestCcc:
     def test_identity(self):

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import mask_iou, noisy_disc_slide
+from tilscore import foreground
 from tilscore.foreground import (
     FesiParams,
     ForegroundError,
@@ -53,6 +56,70 @@ class TestComputeForeground:
         mask = compute_foreground(uniform_slide(255, 520))
         assert (mask.width, mask.height) == (65, 65)
         assert mask.scale == 1.0 / 8.0
+
+
+def float_block_luminance(pixels, f):
+    """The former full-resolution float64 path, kept as the reference:
+    per-pixel luminance, edge-replication padding, then an f x f area mean."""
+    lum = (0.299 * pixels[:, :, 0].astype(np.float64)
+           + 0.587 * pixels[:, :, 1]
+           + 0.114 * pixels[:, :, 2])
+    lum = np.pad(lum, ((0, (-lum.shape[0]) % f), (0, (-lum.shape[1]) % f)), mode="edge")
+    hh, ww = lum.shape
+    return lum.reshape(hh // f, f, ww // f, f).mean(axis=(1, 3))
+
+
+# disc fixtures: (side, radius, seed); 1001 is not a multiple of any downsample
+DISCS = [(2048, 800.0, 0), (1001, 350.0, 1), (1536, 500.0, 2), (1024, 300.0, 3)]
+
+
+class TestBlockLuminance:
+    @pytest.mark.parametrize("side,radius,seed", DISCS)
+    def test_mask_matches_float_reference(self, side, radius, seed, monkeypatch):
+        slide, _ = noisy_disc_slide(n=side, radius=radius, seed=seed)
+        small = foreground._block_luminance(slide.pixels, 8)
+        np.testing.assert_allclose(small, float_block_luminance(slide.pixels, 8), rtol=1e-12, atol=0)
+        bits = compute_foreground(slide).bits
+        monkeypatch.setattr(foreground, "_block_luminance", float_block_luminance)
+        assert np.array_equal(bits, compute_foreground(slide).bits)
+
+    @pytest.fixture(scope="class")
+    def odd_disc(self):
+        return noisy_disc_slide(n=1203, radius=450.0, seed=4)[0].pixels
+
+    # 16 is the largest f whose block sums (f*f*255) fit uint16; 17 and 300
+    # take uint32
+    @pytest.mark.parametrize("f", [1, 4, 16, 17, 300])
+    @pytest.mark.parametrize("shape", [(1001, 1001), (1001, 777), (640, 1203)])
+    def test_odd_sizes_and_downsamples(self, odd_disc, f, shape):
+        pixels = odd_disc[: shape[0], : shape[1]].copy()
+        pixels[-1] = 255  # saturated edge rows and columns, replicated by the padding
+        pixels[:, -1] = 0
+        np.testing.assert_allclose(foreground._block_luminance(pixels, f),
+                                   float_block_luminance(pixels, f), rtol=1e-12, atol=0)
+
+    def test_saturated_blocks_do_not_wrap(self):
+        for f in (16, 17, 300):
+            pixels = np.full((f + 1, 2 * f - 1, 3), 255, dtype=np.uint8)
+            np.testing.assert_allclose(foreground._block_luminance(pixels, f),
+                                       np.full((2, 2), 255.0), rtol=1e-12, atol=0)
+
+    def test_traced_peak_is_a_fraction_of_the_slide(self, disc_slide):
+        from scipy import ndimage  # noqa: F401  (its import is not the mask's cost)
+
+        slide, _ = disc_slide
+        tracemalloc.start()
+        try:
+            compute_foreground(slide)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < slide.pixels.nbytes / 2, f"peak {peak} of {slide.pixels.nbytes} bytes"
+
+    @pytest.mark.parametrize("f", [0, -8, 8.0])
+    def test_bad_downsample_rejected(self, f):
+        with pytest.raises(ForegroundError, match="downsample"):
+            compute_foreground(uniform_slide(255, 64), FesiParams(downsample=f))
 
 
 class TestGridTiles:
@@ -186,6 +253,32 @@ class TestPnm:
         path = tmp_path / "short.ppm"
         path.write_bytes(b"P6\n4 4\n255\n" + bytes(10))
         with pytest.raises(PnmError):
+            read_ppm(path)
+
+    def test_read_owns_writable_pixels(self, tmp_path):
+        path = tmp_path / "img.ppm"
+        write_ppm(path, np.zeros((3, 5, 3), dtype=np.uint8))
+        img = read_ppm(path)
+        assert img.flags.owndata and img.flags.writeable and img.flags.c_contiguous
+        img[0, 0, 0] = 7  # no read-only buffer underneath
+
+    def test_comment_longer_than_a_page(self, tmp_path):
+        path = tmp_path / "long.ppm"
+        raster = bytes(range(6))
+        path.write_bytes(b"P6\n#" + b"x" * 5000 + b"\n2 # w\n1\n255\n" + raster)
+        img = read_ppm(path)
+        assert img.shape == (1, 2, 3) and img.tobytes() == raster
+
+    def test_truncated_raster_names_file(self, tmp_path):
+        path = tmp_path / "short.ppm"
+        path.write_bytes(b"P6\n4 4\n255\n" + bytes(10))
+        with pytest.raises(PnmError, match=r"short\.ppm: raster truncated \(10 of 48 bytes\)"):
+            read_ppm(path)
+
+    def test_signed_header_token_rejected(self, tmp_path):
+        path = tmp_path / "neg.ppm"
+        path.write_bytes(b"P6\n-4 4\n255\n" + bytes(48))
+        with pytest.raises(PnmError, match="bad header token"):
             read_ppm(path)
 
     def test_mpp_sidecar(self, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -203,6 +204,42 @@ class TestHarrellC:
     def test_no_comparable_pairs(self):
         with pytest.raises(SurvivalError):
             harrell_c([2.0, 2.0], [1, 1], [0.1, 0.9])
+
+    def test_matches_pair_matrix_reference_exactly(self):
+        # the former all-pairs implementation, kept as the reference: the
+        # counts are integers, so C must agree to the last bit
+        def matrix_c(t, e, r):
+            usable = (t[:, None] < t[None, :]) & (e[:, None] == 1)
+            conc = (r[:, None] > r[None, :]) & usable
+            tied = (r[:, None] == r[None, :]) & usable
+            return float((conc.sum() + 0.5 * tied.sum()) / int(usable.sum()))
+
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            n = int(rng.integers(2, 400))
+            times = rng.integers(0, rng.integers(1, 60), n).astype(float)  # heavy time ties
+            events = (rng.random(n) < rng.random()).astype(int)
+            risk = rng.integers(0, rng.integers(1, 40), n) / 8.0  # heavy risk ties
+            if not ((times[:, None] < times[None, :]) & (events[:, None] == 1)).any():
+                continue
+            assert harrell_c(times, events, risk) == matrix_c(times, events, risk)
+
+    def test_hundred_thousand_subjects_under_a_second(self):
+        rng = np.random.default_rng(3)
+        n = 100_000
+        times = rng.exponential(5.0, n).round(2)
+        events = (rng.random(n) < 0.4).astype(int)
+        risk = rng.normal(size=n).round(3)
+        start = time.perf_counter()
+        c = harrell_c(times, events, risk)
+        assert time.perf_counter() - start < 1.0
+        assert 0.45 < c < 0.55  # risk is independent of time
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(SurvivalError, match="finite"):
+            harrell_c([1.0, 2.0, np.nan], [1, 1, 1], [0.1, 0.2, 0.3])
+        with pytest.raises(SurvivalError, match="finite"):
+            harrell_c([1.0, 2.0, 3.0], [1, 1, 1], [0.1, np.inf, 0.3])
 
 
 class TestCoxLikelihood:
