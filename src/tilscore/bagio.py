@@ -3,7 +3,9 @@
 A "bag" is one slide's worth of per-tile feature vectors with their tile
 coordinates.  Bags are stored in a fixed little-endian binary layout
 (magic "ECTB") so files are byte-identical across platforms; features are
-f32 on disk while model arithmetic runs in f64.
+f32 on disk while model arithmetic runs in f64.  `read_bag` is a one-copy
+read: it `readinto`s the coordinates and features straight into the arrays
+it returns, after checking their declared size against the bytes left.
 
 The synthetic generator plants a latent per-tile density d in [0, 1],
 embeds (d, noise) through a fixed random linear map, and labels the slide
@@ -94,21 +96,44 @@ def write_bag(bag: FeatureBag, sink) -> None:
     sink.write(bag.features.astype("<f4").tobytes())
 
 
+def _truncated(what: str, want: int, got: int) -> TruncatedStreamError:
+    return TruncatedStreamError(f"stream ended inside {what} (wanted {want} bytes, got {got})")
+
+
 def _read_exact(stream, n: int, what: str) -> bytes:
     data = stream.read(n)
     if len(data) != n:
-        raise TruncatedStreamError(f"stream ended inside {what} (wanted {n} bytes, got {len(data)})")
+        raise _truncated(what, n, len(data))
     return data
 
 
+def _read_array(stream, shape: tuple[int, int], dtype: str, what: str) -> np.ndarray:
+    """`readinto` one new array, looping over short reads."""
+    arr = np.empty(shape, dtype=dtype)
+    view = memoryview(arr).cast("B")
+    got = 0
+    while got < view.nbytes:
+        n = stream.readinto(view[got:])
+        if not n:
+            raise _truncated(what, view.nbytes, got)
+        got += n
+    return arr
+
+
 def read_bag(source, expect_dim: int | None = None) -> FeatureBag:
-    """Parse a bag; with `expect_dim`, a differing feature width is an error."""
+    """Parse a bag; with `expect_dim`, a differing feature width is an error.
+
+    `source` is a path or a binary stream.  Coordinates and features are
+    each read straight into their own new array, so reading a bag holds one
+    copy of its bytes.  On a seekable source the declared size is checked
+    against the bytes left before anything is allocated for it.  A path
+    must hold exactly one bag.
+    """
     if isinstance(source, (str, Path)):
-        data = Path(source).read_bytes()
-        stream = io.BytesIO(data)
-        bag = read_bag(stream, expect_dim)
-        if stream.read(1):
-            raise BagFormatError(f"trailing bytes after bag in {source}")
+        with open(source, "rb") as fh:
+            bag = read_bag(fh, expect_dim)
+            if fh.read(1):
+                raise BagFormatError(f"trailing bytes after bag in {source}")
         return bag
     magic = _read_exact(source, 4, "magic")
     if magic != BAG_MAGIC:
@@ -122,15 +147,18 @@ def read_bag(source, expect_dim: int | None = None) -> FeatureBag:
         raise BagFormatError(f"invalid bag shape {n_tiles}x{dim}")
     if expect_dim is not None and dim != expect_dim:
         raise DimMismatchError(f"bag {slide_id!r} has dim {dim}, expected {expect_dim}")
-    xy = np.frombuffer(_read_exact(source, 8 * n_tiles, "tile coords"), dtype="<u4")
-    feats = np.frombuffer(_read_exact(source, 4 * n_tiles * dim, "features"), dtype="<f4")
-    return FeatureBag(
-        slide_id=slide_id,
-        features=feats.reshape(n_tiles, dim).copy(),
-        tile_xy=xy.reshape(n_tiles, 2).copy(),
-        mpp=float(mpp),
-        tile_size_px=int(tile_size),
-    )
+    if source.seekable():
+        pos = source.tell()
+        left = source.seek(0, io.SEEK_END) - pos
+        source.seek(pos)
+        for what, want in (("tile coords", 8 * n_tiles), ("features", 4 * n_tiles * dim)):
+            if left < want:
+                raise _truncated(what, want, left)
+            left -= want
+    xy = _read_array(source, (n_tiles, 2), "<u4", "tile coords")
+    feats = _read_array(source, (n_tiles, dim), "<f4", "features")
+    return FeatureBag(slide_id=slide_id, features=feats, tile_xy=xy,
+                      mpp=float(mpp), tile_size_px=int(tile_size))
 
 
 # ---------------------------------------------------------------------------

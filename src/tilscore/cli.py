@@ -138,15 +138,26 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_bag_dir(bag_dir: Path, expect_dim: int | None = None) -> dict[str, bagio.FeatureBag]:
+def _bag_paths(bag_dir: Path) -> list[Path]:
     paths = sorted(bag_dir.glob("*.bag"))
     if not paths:
         raise CliError(f"no .bag files in {bag_dir}")
-    bags = {}
-    for p in paths:
-        bag = bagio.read_bag(p, expect_dim=expect_dim)
-        bags[bag.slide_id] = bag
-    return bags
+    return paths
+
+
+def _check_unique_ids(paths: list[Path], slide_ids: list[str]) -> None:
+    first: dict[str, Path] = {}
+    for path, sid in zip(paths, slide_ids):
+        other = first.setdefault(sid, path)
+        if other != path:
+            raise CliError(f"{other} and {path} both hold slide_id {sid!r}")
+
+
+def _load_bag_dir(bag_dir: Path) -> dict[str, bagio.FeatureBag]:
+    paths = _bag_paths(bag_dir)
+    bags = [bagio.read_bag(p) for p in paths]
+    _check_unique_ids(paths, [bag.slide_id for bag in bags])
+    return {bag.slide_id: bag for bag in bags}
 
 
 def _parse_plan(spec: str):
@@ -226,17 +237,21 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     ensemble = load_ensemble(args.model)
-    bags_by_id = _load_bag_dir(Path(args.bags), expect_dim=ensemble.members[0].dim)
-    slide_ids = sorted(bags_by_id)
+    paths = _bag_paths(Path(args.bags))
+    dim = ensemble.members[0].dim
 
-    def score(sid: str) -> tuple[str, float]:
-        return sid, ensemble_predict(ensemble, bags_by_id[sid])
+    def score(path: Path) -> tuple[str, float]:
+        # one bag per worker is in memory at a time; only its score is kept
+        bag = bagio.read_bag(path, expect_dim=dim)
+        return bag.slide_id, ensemble_predict(ensemble, bag)
 
     if args.workers > 1:
         with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            pairs = list(pool.map(score, slide_ids))
+            pairs = list(pool.map(score, paths))
     else:
-        pairs = [score(sid) for sid in slide_ids]
+        pairs = [score(p) for p in paths]
+    _check_unique_ids(paths, [sid for sid, _ in pairs])
+    pairs.sort(key=lambda pair: pair[0])
     out = _out_dir(args)
     bagio.write_predictions(pairs, out / "predictions.csv")
     _echo_config(out, "predict", args, {"n_slides": len(pairs),

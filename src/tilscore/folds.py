@@ -122,7 +122,8 @@ class Ensemble:
 
 def ensemble_predict(ensemble: Ensemble, bag: FeatureBag) -> float:
     """Arithmetic mean of member predictions."""
-    preds = [forward(m, bag).prediction for m in ensemble.members]
+    features = bag.features.astype(np.float64)  # cast once, shared by every member
+    preds = [forward(m, features).prediction for m in ensemble.members]
     return float(np.mean(preds))
 
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 from .bagio import FeatureBag
 
@@ -150,6 +149,8 @@ def forward(params: ModelParams, bag: FeatureBag | np.ndarray, hyper: HyperParam
     masks from `rng`; the attention path always sees undropped embeddings.
     An explicit `dropout_mask` replays fixed masks (gradient checks).
     """
+    from scipy.special import expit  # imported here: stages that run no model start without it
+
     h = np.asarray(bag.features if isinstance(bag, FeatureBag) else bag, dtype=np.float64)
     if h.ndim != 2:
         raise ModelError("bag features must be 2-d")

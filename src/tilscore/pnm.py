@@ -80,7 +80,7 @@ def write_ppm(path, pixels: np.ndarray) -> None:
     h, w, _ = pixels.shape
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode())
-        fh.write(pixels.tobytes())
+        fh.write(memoryview(pixels))
 
 
 def write_pgm(path, pixels: np.ndarray) -> None:
@@ -90,7 +90,7 @@ def write_pgm(path, pixels: np.ndarray) -> None:
     h, w = pixels.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode())
-        fh.write(pixels.tobytes())
+        fh.write(memoryview(pixels))
 
 
 def read_mpp_sidecar(image_path) -> float | None:

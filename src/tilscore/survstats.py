@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import chdtrc, ndtr
 
 MAX_NEWTON_ITER = 25
 # Newton stops when every |score_j| is below SCORE_TOL times the sum of
@@ -48,6 +47,8 @@ class DegenerateSplitError(SurvivalError):
 
 def _chi2_sf(x: float, df: int) -> float:
     """Chi-square upper tail, 1 below the support (as scipy.stats.chi2.sf)."""
+    from scipy.special import chdtrc  # imported here: stages that fit no model start without it
+
     return float(chdtrc(df, max(x, 0.0)))
 
 
@@ -299,6 +300,8 @@ def cox_fit(data: SurvivalDataset, scales=None, ties: str = "efron") -> CoxFit:
     `scales` optionally rescales design columns before fitting so hazard
     ratios are reported per chosen increment (e.g. 10 TIL percentage points).
     """
+    from scipy.special import ndtr  # imported here, as chdtrc in _chi2_sf
+
     if ties not in ("efron", "breslow"):
         raise SurvivalError(f"unknown tie correction {ties!r}")
     X = data.design.copy()

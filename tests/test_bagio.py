@@ -1,5 +1,7 @@
 import hashlib
 import io
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,6 +139,111 @@ class TestBagFormat:
         with pytest.raises(ValueError, match="unsigned"):
             FeatureBag(slide_id="bad", features=np.ones((1, 2), dtype=np.float32),
                        tile_xy=np.array([[-1, 0]]), mpp=0.5)
+
+
+def bag_bytes(bag: FeatureBag) -> bytes:
+    buf = io.BytesIO()
+    write_bag(bag, buf)
+    return buf.getvalue()
+
+
+def wide_bag(n_tiles=1000, dim=2048) -> FeatureBag:
+    rng = np.random.default_rng(3)
+    return FeatureBag(slide_id="wide", features=rng.standard_normal((n_tiles, dim), dtype=np.float32),
+                      tile_xy=rng.integers(0, 50_000, size=(n_tiles, 2)), mpp=0.5)
+
+
+class DribbleStream(io.RawIOBase):
+    """A non-seekable stream whose `readinto` hands out at most 7 bytes."""
+
+    def __init__(self, data: bytes):
+        self._data, self._pos = data, 0
+
+    def readable(self):
+        return True
+
+    def read(self, n=-1):
+        chunk = self._data[self._pos:] if n < 0 else self._data[self._pos:self._pos + n]
+        self._pos += len(chunk)
+        return chunk
+
+    def readinto(self, buf):
+        chunk = self._data[self._pos:self._pos + min(7, len(buf))]
+        buf[:len(chunk)] = chunk
+        self._pos += len(chunk)
+        return len(chunk)
+
+
+class TestOneCopyRead:
+    def test_traced_peak_is_one_copy(self, tmp_path):
+        bag = wide_bag()
+        path = tmp_path / "wide.bag"
+        write_bag(bag, path)
+        tracemalloc.start()
+        try:
+            read_bag(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the arrays themselves plus the isfinite mask (a quarter of the features)
+        assert peak <= 1.3 * bag.features.nbytes, f"peak {peak} of {bag.features.nbytes} bytes"
+
+    def test_arrays_are_owned_and_writeable(self, tmp_path):
+        path = tmp_path / "g.bag"
+        write_bag(golden_bag(), path)
+        for out in (read_bag(path), read_bag(io.BytesIO(bag_bytes(golden_bag())))):
+            for arr in (out.features, out.tile_xy):
+                assert arr.flags.owndata and arr.flags.writeable
+            out.features[0, 0] = 7.0
+
+    def test_stream_and_path_give_equal_bags(self, tmp_path):
+        path = tmp_path / "g.bag"
+        write_bag(golden_bag(), path)
+        a, b = read_bag(path), read_bag(io.BytesIO(bag_bytes(golden_bag())))
+        assert (a.slide_id, a.mpp, a.tile_size_px) == (b.slide_id, b.mpp, b.tile_size_px)
+        assert np.array_equal(a.features, b.features)
+        assert np.array_equal(a.tile_xy, b.tile_xy)
+        assert a.features.dtype == b.features.dtype == np.float32
+        assert a.tile_xy.dtype == b.tile_xy.dtype == np.uint32
+
+    def test_short_reads_are_retried(self):
+        out = read_bag(DribbleStream(bag_bytes(golden_bag())))
+        assert np.array_equal(out.features, golden_bag().features)
+        assert np.array_equal(out.tile_xy, golden_bag().tile_xy)
+
+    @staticmethod
+    def _header(n_tiles, dim, sid=b"huge"):
+        return (b"ECTB" + struct.pack("<HH", 1, len(sid)) + sid
+                + struct.pack("<IIIf", n_tiles, dim, 512, 0.5))
+
+    def test_huge_declared_shape_is_truncation(self, tmp_path):
+        data = self._header(2**32 - 1, 2**32 - 1) + b"\0" * 100
+        path = tmp_path / "huge.bag"
+        path.write_bytes(data)
+        for source in (io.BytesIO(data), path):
+            with pytest.raises(TruncatedStreamError, match="inside tile coords"):
+                read_bag(source)
+
+    def test_declared_size_checked_before_allocating(self):
+        # 64 tiles whose features would take 1 GiB; only the coordinates are there
+        data = self._header(64, 2**22) + b"\0" * (8 * 64 + 12)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedStreamError, match="inside features"):
+                read_bag(io.BytesIO(data))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"peak {peak} bytes"
+
+    @pytest.mark.parametrize("cut, what", [(-4 * 12 * 7 - 3, "tile coords"), (-5, "features")])
+    def test_truncation_names_the_part(self, tmp_path, cut, what):
+        data = bag_bytes(golden_bag())[:cut]
+        path = tmp_path / "cut.bag"
+        path.write_bytes(data)
+        for source in (io.BytesIO(data), path, DribbleStream(data)):
+            with pytest.raises(TruncatedStreamError, match=f"inside {what} \\(wanted"):
+                read_bag(source)
 
 
 class TestSynthCohort:

@@ -1,8 +1,10 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,7 @@ import tilscore
 from tilscore import bagio, survstats
 from tilscore.cli import main
 from tilscore.foreground import read_manifest
-from tilscore.milnet import ModelParams, save_checkpoint, HyperParams
+from tilscore.milnet import ModelParams, save_checkpoint, HyperParams, init_params
 from tilscore.pnm import read_pgm, write_ppm
 
 
@@ -35,13 +37,13 @@ def write_synth_config(path, **over):
 
 
 def test_import_skips_unused_scipy_subpackages():
-    # scipy.stats and scipy.ndimage cost most of the start-up of every
-    # stage; only `tile` needs ndimage, and it imports it when it runs
+    # scipy.stats, scipy.ndimage and scipy.special cost most of the start-up
+    # of every stage; the stages that need one import it when they run
     src = str(Path(tilscore.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     code = ("import sys, tilscore.cli; "
-            "print(sorted(m for m in ('scipy.stats', 'scipy.ndimage') if m in sys.modules))")
+            "print(sorted(m for m in ('scipy.stats', 'scipy.ndimage', 'scipy.special') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
@@ -217,6 +219,92 @@ class TestTrainPredict:
         assert run(*args, "--out", out_a, "--workers", 1) == 0
         assert run(*args, "--out", out_b, "--workers", 2) == 0
         assert (out_a / "fold000.ckpt").read_bytes() == (out_b / "fold000.ckpt").read_bytes()
+
+
+def write_bags(bag_dir: Path, n: int, dim: int, n_tiles: int = 300, seed: int = 0) -> None:
+    bag_dir.mkdir(parents=True, exist_ok=True)
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        bag = bagio.FeatureBag(slide_id=f"s{i:03d}",
+                               features=rng.standard_normal((n_tiles, dim), dtype=np.float32),
+                               tile_xy=np.zeros((n_tiles, 2)), mpp=0.5)
+        bagio.write_bag(bag, bag_dir / f"{bag.slide_id}.bag")
+
+
+class TestPredictStreaming:
+    DIM = 256
+
+    @pytest.fixture
+    def model(self, tmp_path):
+        hyper = HyperParams(enc_out=8, attn_hidden=4)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(init_params(1, hyper, dim=self.DIM), hyper, path)
+        return path
+
+    def test_peak_memory_flat_in_cohort_size(self, model, tmp_path):
+        def predict(n):
+            return run("predict", "--model", model, "--bags", tmp_path / f"bags{n}",
+                       "--out", tmp_path / f"out{n}")
+
+        def traced_peak(n):
+            tracemalloc.start()
+            try:
+                assert predict(n) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        for n in (8, 32):
+            write_bags(tmp_path / f"bags{n}", n, self.DIM)
+        assert predict(8) == 0  # imports the model's lazy dependencies untraced
+        small, large = traced_peak(8), traced_peak(32)
+        assert large <= 1.5 * small, f"32 bags peak {large} B, 8 bags peak {small} B"
+
+    def test_workers_output_byte_identical(self, model, tmp_path):
+        write_bags(tmp_path / "bags", 9, self.DIM, n_tiles=20)
+        for w in (1, 2):
+            assert run("predict", "--model", model, "--bags", tmp_path / "bags",
+                       "--out", tmp_path / f"w{w}", "--workers", w) == 0
+        serial = (tmp_path / "w1" / "predictions.csv").read_bytes()
+        assert serial == (tmp_path / "w2" / "predictions.csv").read_bytes()
+        assert serial.decode().splitlines()[1].startswith("s000,")
+
+    def test_rows_sorted_by_slide_id_not_file_name(self, model, tmp_path):
+        write_bags(tmp_path / "bags", 3, self.DIM, n_tiles=5)
+        (tmp_path / "bags" / "s000.bag").rename(tmp_path / "bags" / "z.bag")
+        assert run("predict", "--model", model, "--bags", tmp_path / "bags",
+                   "--out", tmp_path / "o") == 0
+        rows = (tmp_path / "o" / "predictions.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == ["s000", "s001", "s002"]
+
+    def test_bad_bag_writes_nothing(self, model, tmp_path, capsys):
+        write_bags(tmp_path / "bags", 4, self.DIM, n_tiles=5)
+        data = (tmp_path / "bags" / "s003.bag").read_bytes()
+        (tmp_path / "bags" / "s003.bag").write_bytes(data[:-3])
+        out = tmp_path / "o"
+        assert run("predict", "--model", model, "--bags", tmp_path / "bags", "--out", out) == 2
+        assert "inside features" in capsys.readouterr().err
+        assert not (out / "predictions.csv").exists()
+
+    def test_duplicate_slide_id_is_usage_error(self, model, tmp_path, capsys):
+        write_bags(tmp_path / "bags", 3, self.DIM, n_tiles=5)
+        shutil.copy(tmp_path / "bags" / "s001.bag", tmp_path / "bags" / "t.bag")
+        out = tmp_path / "o"
+        assert run("predict", "--model", model, "--bags", tmp_path / "bags", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "s001.bag" in err and "t.bag" in err and "'s001'" in err
+        assert not (out / "predictions.csv").exists()
+
+
+def test_train_duplicate_slide_id_is_usage_error(small_cohort, tmp_path, capsys):
+    bags = tmp_path / "bags"
+    shutil.copytree(small_cohort / "bags", bags)
+    shutil.copy(bags / "synth0003.bag", bags / "zz.bag")
+    assert run("train", "--bags", bags, "--clinical", small_cohort / "clinical.csv",
+               "--plan", "loco", "--out", tmp_path / "run", *TRAIN_FLAGS) == 2
+    err = capsys.readouterr().err
+    assert "synth0003.bag" in err and "zz.bag" in err and "'synth0003'" in err
+    assert not (tmp_path / "run" / "ensemble.json").exists()
 
 
 class TestEvaluate:

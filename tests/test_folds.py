@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tilscore import folds
 from tilscore.bagio import FeatureBag, SlideRecord
 from tilscore.concord import UndefinedMetricError
 from tilscore.folds import (
@@ -162,6 +163,23 @@ class TestEnsemble:
         y2 = forward(m2, bag).prediction
         ens = Ensemble(members=[m1, m2], hyper=SMALL)
         assert ensemble_predict(ens, bag) == pytest.approx((y1 + y2) / 2.0, abs=1e-15)
+
+    def test_members_share_one_f64_cast(self, monkeypatch):
+        members = [init_params(s, SMALL, dim=8) for s in range(3)]
+        bag = make_bag(5)
+        seen = []
+
+        def spy(params, features, *args, **kwargs):
+            seen.append(features)
+            return forward(params, features, *args, **kwargs)
+
+        monkeypatch.setattr(folds, "forward", spy)
+        got = ensemble_predict(Ensemble(members=members, hyper=SMALL), bag)
+        assert len(seen) == len(members)  # one forward per member
+        assert isinstance(seen[0], np.ndarray) and seen[0].dtype == np.float64
+        assert all(f is seen[0] for f in seen)
+        # bit-identical to casting inside each member's forward
+        assert got == float(np.mean([forward(m, bag).prediction for m in members]))
 
     def test_five_random_members_manual_average(self):
         members = [init_params(s, SMALL, dim=8) for s in range(5)]

@@ -281,6 +281,24 @@ class TestPnm:
         with pytest.raises(PnmError, match="bad header token"):
             read_ppm(path)
 
+    def test_write_streams_the_array_buffer(self, tmp_path):
+        img = np.random.default_rng(1).integers(0, 256, size=(2048, 2048, 3), dtype=np.uint8)
+        path = tmp_path / "big.ppm"
+        tracemalloc.start()
+        try:
+            write_ppm(path, img)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * img.nbytes, f"peak {peak} of {img.nbytes} bytes"
+        assert path.read_bytes() == b"P6\n2048 2048\n255\n" + img.tobytes()
+
+    def test_write_pgm_of_a_strided_view(self, tmp_path):
+        img = (np.arange(60, dtype=np.uint8) * 4).reshape(6, 10)[:, ::3]
+        path = tmp_path / "view.pgm"
+        write_pgm(path, img)
+        assert path.read_bytes() == b"P5\n4 6\n255\n" + img.copy().tobytes()
+
     def test_mpp_sidecar(self, tmp_path):
         img_path = tmp_path / "img.ppm"
         write_ppm(img_path, np.zeros((2, 2, 3), dtype=np.uint8))
