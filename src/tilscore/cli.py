@@ -510,11 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--config", help="JSON file with parameter overrides")
-
     p = sub.add_parser("tile", help="foreground mask and tile manifest for one PPM slide")
     p.add_argument("image")
     p.add_argument("--mpp", type=float, help="microns per pixel (else <image>.mpp sidecar)")
@@ -527,10 +522,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic cohort from a JSON config")
     p.add_argument("config_file")
     p.add_argument("--out", required=True)
+    p.add_argument("--seed", type=int, help="overrides the config file's seed")
     p.set_defaults(func=cmd_synth)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--config", default=None)
 
     p = sub.add_parser("train", help="grouped cross-validation training")
     p.add_argument("--bags", required=True)
@@ -544,14 +537,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patience", type=int)
     p.add_argument("--enc-out", type=int, dest="enc_out")
     p.add_argument("--attn-hidden", type=int, dest="attn_hidden")
-    common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--workers", type=int, default=1, help="folds trained in parallel")
+    p.add_argument("--config", help='JSON file with "hyper" overrides')
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="score bags with an ensemble or checkpoint")
     p.add_argument("--model", required=True, help="ensemble directory or .ckpt file")
     p.add_argument("--bags", required=True)
     p.add_argument("--out", required=True)
-    common(p)
+    p.add_argument("--workers", type=int, default=1, help="bags scored in parallel")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="concordance and calibration panel")
@@ -559,7 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clinical", required=True)
     p.add_argument("--cutoffs", default="10,30,50,75")
     p.add_argument("--out", required=True)
-    common(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("survival", help="Cox regression and Kaplan-Meier protocol")
@@ -571,14 +565,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--norm-max", type=float, dest="norm_max")
     p.add_argument("--cutoffs", default="30,75", help="pathologist KM cutoffs")
     p.add_argument("--out", required=True)
-    common(p)
     p.set_defaults(func=cmd_survival)
 
     p = sub.add_parser("heatmap", help="attention and score heatmaps for one bag")
     p.add_argument("--model", required=True)
     p.add_argument("--bag", required=True)
     p.add_argument("--out", required=True)
-    common(p)
     p.set_defaults(func=cmd_heatmap)
     return parser
 

@@ -1,4 +1,4 @@
-"""Grouped data splits, per-fold champion selection, and ensemble inference.
+"""Grouped data splits and ensemble inference.
 
 Slides are split by an opaque group column (medical centre or cohort) so
 that no group ever straddles two folds.  Centre-based k-fold uses greedy
@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .bagio import FeatureBag, SlideRecord
-from .concord import pearson
+# not called here: kept as `folds.pearson`, which perfbench's tracer test rebinds
+from .concord import pearson  # noqa: F401
 from .milnet import HyperParams, ModelParams, forward, load_checkpoint, save_checkpoint
 
 GROUP_KEYS = ("centre", "cohort")
@@ -85,26 +86,6 @@ def leave_one_cohort_out(records: list[SlideRecord]) -> FoldPlan:
     index = {c: i for i, c in enumerate(cohorts)}
     return FoldPlan(k=len(cohorts), group_key="cohort",
                     assignment={r.slide_id: index[r.cohort] for r in records})
-
-
-@dataclass
-class Candidate:
-    """One trained model with its validation predictions."""
-
-    params: ModelParams
-    val_preds: np.ndarray
-    val_labels: np.ndarray
-    order: int = 0  # e.g. best epoch; earliest wins ties
-
-
-def select_champion(candidates: list[Candidate]) -> Candidate:
-    """Highest validation Pearson wins; exact ties go to the earliest order."""
-    if not candidates:
-        raise FoldError("no candidates")
-    scored = [(pearson(c.val_preds, c.val_labels), c) for c in candidates]
-    best_r = max(r for r, _ in scored)
-    contenders = [c for r, c in scored if r == best_r]
-    return min(contenders, key=lambda c: c.order)
 
 
 @dataclass

@@ -1,9 +1,12 @@
 """Outcome analysis: Cox proportional hazards, Kaplan-Meier, and friends.
 
-The Cox fitter maximises the Efron-tie partial likelihood by Newton-Raphson
-(Breslow available behind a flag for cross-checks).  Confidence intervals
-are Wald intervals exp(beta +/- 1.96*se); the proportional-hazards check
-regresses scaled Schoenfeld residuals on Kaplan-Meier-transformed time.
+The Cox fitter maximises the Efron-tie partial likelihood by Newton-Raphson.
+Confidence intervals are Wald intervals exp(beta +/- 1.96*se); the
+proportional-hazards check regresses scaled Schoenfeld residuals on
+Kaplan-Meier-transformed time.  Cox, Schoenfeld, Kaplan-Meier and log-rank
+all read one risk-set table (`_risk_sets`): a stable descending-time sort in
+which the risk set at each distinct event time is a prefix, so every
+risk-set sum is a prefix sum.  Harrell's C keeps its own sorted count.
 All subjects enter at t=0; no delayed entry or time-dependent covariates.
 """
 
@@ -11,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -190,69 +194,77 @@ def build_dataset(rows: list[dict], specs: list[CovariateSpec],
 # ---------------------------------------------------------------------------
 
 
-def _event_blocks(times: np.ndarray, events: np.ndarray):
-    """Yield (risk_index_end, tied_event_indices) per distinct event time.
+class _RiskSets(NamedTuple):
+    """Risk sets at the distinct event times, latest time first.
 
-    Subjects are processed in descending-time order, so the risk set at a
-    distinct time is the prefix order[:end].
+    Block b's risk set is order[:n_risk[b]] and its tied events are
+    events[first[b]:first[b] + n_event[b]]; each event has its block and its
+    tie_rank, counted from 0 within the block.
     """
+
+    order: np.ndarray
+    times: np.ndarray
+    n_risk: np.ndarray
+    n_event: np.ndarray
+    events: np.ndarray
+    block: np.ndarray
+    first: np.ndarray
+    tie_rank: np.ndarray
+
+
+def _risk_sets(times: np.ndarray, events: np.ndarray) -> _RiskSets:
     order = np.argsort(-times, kind="stable")
-    t_sorted = times[order]
-    i = 0
-    n = times.size
-    blocks = []
-    while i < n:
-        j = i
-        while j + 1 < n and t_sorted[j + 1] == t_sorted[i]:
-            j += 1
-        tied = [order[k] for k in range(i, j + 1) if events[order[k]] == 1]
-        if tied:
-            blocks.append((j + 1, np.array(tied), t_sorted[i]))
-        i = j + 1
-    return order, blocks
+    ev = order[events[order] == 1]
+    t_ev = times[ev]
+    new = np.ones(ev.size, dtype=bool)
+    new[1:] = t_ev[1:] != t_ev[:-1]
+    first = np.flatnonzero(new)
+    n_event = np.diff(np.append(first, ev.size))
+    block = np.repeat(np.arange(first.size), n_event)
+    # subjects with t >= u, the prefix of the descending order
+    n_risk = np.searchsorted(-times[order], -t_ev[first], side="right")
+    return _RiskSets(order=order, times=t_ev[first], n_risk=n_risk, n_event=n_event,
+                     events=ev, block=block, first=first,
+                     tie_rank=np.arange(ev.size) - first[block])
 
 
-def cox_loglik_score_info(times, events, X, beta, ties: str = "efron"):
-    """Efron (or Breslow) partial log-likelihood with its gradient and
-    observed information at `beta`."""
-    times = np.asarray(times, dtype=np.float64)
-    events = np.asarray(events, dtype=np.int64)
-    X = np.asarray(X, dtype=np.float64)
-    beta = np.asarray(beta, dtype=np.float64)
-    n, p = X.shape
+def _event_means(rs: _RiskSets, X: np.ndarray, beta: np.ndarray, second: bool = False):
+    """Efron terms, one row per event of `rs.events`: the event's centred
+    linear predictor eta, its risk-set weight phi, the weighted covariate
+    mean mu and, if `second`, the weighted second moments.
+
+    Each sum over the risk set is a prefix sum over `rs.order` read at
+    n_risk - 1, less tie_rank / n_event times the sum over the tied block.
+    """
     eta = X @ beta
     eta = eta - eta.max()  # guards exp overflow; partial likelihood is shift-invariant
     w = np.exp(eta)
-    wx = w[:, None] * X
-    wxx = np.einsum("i,ij,ik->ijk", w, X, X)
+    frac = rs.tie_rank / rs.n_event[rs.block]
 
-    order, blocks = _event_blocks(times, events)
-    # prefix sums over descending-time order give risk-set aggregates
-    cw = np.cumsum(w[order])
-    cwx = np.cumsum(wx[order], axis=0)
-    cwxx = np.cumsum(wxx[order], axis=0)
+    def efron(v):
+        risk = np.cumsum(v[rs.order], axis=0)[rs.n_risk - 1]
+        tied = np.add.reduceat(v[rs.events], rs.first, axis=0)
+        return risk[rs.block] - frac.reshape((-1,) + (1,) * (v.ndim - 1)) * tied[rs.block]
 
-    loglik = 0.0
-    score = np.zeros(p)
-    info = np.zeros((p, p))
-    for end, tied, _t in blocks:
-        d = len(tied)
-        s_r = cw[end - 1]
-        a_r = cwx[end - 1]
-        b_r = cwxx[end - 1]
-        s_d = w[tied].sum()
-        a_d = wx[tied].sum(axis=0)
-        b_d = wxx[tied].sum(axis=0)
-        loglik += float(eta[tied].sum())
-        score += X[tied].sum(axis=0)
-        for l in range(d):
-            frac = l / d if ties == "efron" else 0.0
-            phi = s_r - frac * s_d
-            mu = (a_r - frac * a_d) / phi
-            m2 = (b_r - frac * b_d) / phi
-            loglik -= math.log(phi)
-            score -= mu
-            info += m2 - np.outer(mu, mu)
+    phi = efron(w)
+    mu = efron(w[:, None] * X) / phi[:, None]
+    if not second:
+        return eta[rs.events], phi, mu
+    m2 = efron(np.einsum("i,ij,ik->ijk", w, X, X)) / phi[:, None, None]
+    return eta[rs.events], phi, mu, m2
+
+
+def cox_loglik_score_info(times, events, X, beta):
+    """Efron partial log-likelihood with its gradient and observed
+    information at `beta`."""
+    times = np.asarray(times, dtype=np.float64)
+    events = np.asarray(events, dtype=np.int64)
+    X = np.asarray(X, dtype=np.float64)
+    rs = _risk_sets(times, events)
+    eta, phi, mu, m2 = _event_means(rs, X, np.asarray(beta, dtype=np.float64), second=True)
+    loglik = float(eta.sum() - np.log(phi).sum())
+    score = X[rs.events].sum(axis=0) - mu.sum(axis=0)
+    info = m2.sum(axis=0) - mu.T @ mu
     return loglik, score, info
 
 
@@ -278,7 +290,6 @@ class CoxFit:
     converged: bool
     beta: np.ndarray = field(repr=False, default=None)
     info: np.ndarray = field(repr=False, default=None)
-    ties: str = "efron"
 
 
 def _check_design(X: np.ndarray, columns: list[str]) -> None:
@@ -294,7 +305,7 @@ def _check_design(X: np.ndarray, columns: list[str]) -> None:
             raise RankDeficiencyError(f"design is rank deficient (involves {columns[j]!r})")
 
 
-def cox_fit(data: SurvivalDataset, scales=None, ties: str = "efron") -> CoxFit:
+def cox_fit(data: SurvivalDataset, scales=None) -> CoxFit:
     """Newton-Raphson fit of the Cox model.
 
     `scales` optionally rescales design columns before fitting so hazard
@@ -302,8 +313,6 @@ def cox_fit(data: SurvivalDataset, scales=None, ties: str = "efron") -> CoxFit:
     """
     from scipy.special import ndtr  # imported here, as chdtrc in _chi2_sf
 
-    if ties not in ("efron", "breslow"):
-        raise SurvivalError(f"unknown tie correction {ties!r}")
     X = data.design.copy()
     if scales is not None:
         scales = np.asarray(scales, dtype=np.float64)
@@ -317,7 +326,7 @@ def cox_fit(data: SurvivalDataset, scales=None, ties: str = "efron") -> CoxFit:
 
     p = X.shape[1]
     beta = np.zeros(p)
-    loglik, score, info = cox_loglik_score_info(data.times, data.events, X, beta, ties)
+    loglik, score, info = cox_loglik_score_info(data.times, data.events, X, beta)
     null_loglik = loglik
     score_tol = SCORE_TOL * np.maximum(np.abs(X[data.events == 1]).sum(axis=0), 1.0)
     ll_margin = LOGLIK_RTOL * max(abs(null_loglik), 1.0)
@@ -340,7 +349,7 @@ def cox_fit(data: SurvivalDataset, scales=None, ties: str = "efron") -> CoxFit:
         for _ in range(6):
             cand = beta + step
             new_ll, new_score, new_info = cox_loglik_score_info(
-                data.times, data.events, X, cand, ties)
+                data.times, data.events, X, cand)
             if new_ll >= loglik - ll_margin or np.max(np.abs(step)) < 1e-12:
                 break
             step = step / 2.0
@@ -369,7 +378,7 @@ def cox_fit(data: SurvivalDataset, scales=None, ties: str = "efron") -> CoxFit:
     lr_p = _chi2_sf(lr_stat, p)
     return CoxFit(coefs=coefs, loglik=loglik, null_loglik=null_loglik, lr_p=lr_p,
                   concordance=c_index, iterations=iterations, converged=True,
-                  beta=beta, info=info, ties=ties)
+                  beta=beta, info=info)
 
 
 def harrell_c(times, events, risk_scores) -> float:
@@ -433,36 +442,38 @@ class KmCurve:
         return 1.0 if idx < 0 else float(self.survival[idx])
 
 
+def _group_counts(times, events, group_ids):
+    """Group names (sorted as strings), each group's size, the pooled risk
+    sets, and the at-risk and event counts per (distinct event time, group)."""
+    gids = np.zeros(times.size, dtype=np.int64) if group_ids is None else group_ids
+    keys = np.asarray(gids).astype(str)
+    if keys.shape != times.shape:
+        raise SurvivalError("one group id per subject required")
+    names, gidx = np.unique(keys, return_inverse=True)
+    k = names.size
+    rs = _risk_sets(times, events)
+    member = gidx[rs.order][:, None] == np.arange(k)
+    n_risk = np.cumsum(member, axis=0)[rs.n_risk - 1]
+    n_event = np.bincount(rs.block * k + gidx[rs.events],
+                          minlength=rs.times.size * k).reshape(-1, k)
+    return names.tolist(), np.bincount(gidx, minlength=k), rs, n_risk, n_event
+
+
 def km_curve(times, events, group_ids=None) -> list[KmCurve]:
     """Kaplan-Meier curves, one per group (single pooled group if ids omitted)."""
     t = np.asarray(times, dtype=np.float64)
     e = np.asarray(events, dtype=np.int64)
     if t.size == 0:
         raise SurvivalError("empty survival data")
-    gids = np.zeros(t.size, dtype=object) if group_ids is None else np.asarray(group_ids, dtype=object)
+    names, sizes, rs, n_risk, n_event = _group_counts(t, e, group_ids)
+    # ascending time; cumprod multiplies the factors in time order
+    ut, n_risk, n_event = rs.times[::-1], n_risk[::-1], n_event[::-1]
     curves = []
-    for g in sorted(set(gids.tolist()), key=str):
-        sel = gids == g
-        tg, eg = t[sel], e[sel]
-        order = np.argsort(tg, kind="stable")
-        tg, eg = tg[order], eg[order]
-        uniq = np.unique(tg)
-        at_risk = tg.size
-        s = 1.0
-        out_t, out_r, out_d, out_s = [], [], [], []
-        for ut in uniq:
-            mask = tg == ut
-            d = int(eg[mask].sum())
-            if d > 0:
-                s *= 1.0 - d / at_risk
-                out_t.append(float(ut))
-                out_r.append(at_risk)
-                out_d.append(d)
-                out_s.append(s)
-            at_risk -= int(mask.sum())
-        curves.append(KmCurve(
-            group=str(g), times=np.array(out_t), n_risk=np.array(out_r, dtype=np.int64),
-            n_event=np.array(out_d, dtype=np.int64), survival=np.array(out_s), n=int(tg.size)))
+    for k, name in enumerate(names):
+        hit = n_event[:, k] > 0
+        r, d = n_risk[hit, k], n_event[hit, k]
+        curves.append(KmCurve(group=name, times=ut[hit], n_risk=r, n_event=d,
+                              survival=np.cumprod(1.0 - d / r), n=int(sizes[k])))
     return curves
 
 
@@ -470,29 +481,18 @@ def logrank(times, events, group_ids) -> tuple[float, float]:
     """Log-rank test across >= 2 groups: chi-square on groups-1 df."""
     t = np.asarray(times, dtype=np.float64)
     e = np.asarray(events, dtype=np.int64)
-    gids = np.asarray(group_ids, dtype=object)
-    groups = sorted(set(gids.tolist()), key=str)
-    g_count = len(groups)
+    names, _, rs, n_g, d_g = _group_counts(t, e, group_ids)
+    g_count = len(names)
     if g_count < 2:
         raise SurvivalError("log-rank needs at least 2 groups")
-    if e.sum() < 1:
+    if rs.times.size == 0:
         raise SurvivalError("log-rank needs at least 1 event")
-    gidx = np.array([groups.index(g) for g in gids])
-
-    observed = np.zeros(g_count)
-    expected = np.zeros(g_count)
-    var = np.zeros((g_count, g_count))
-    for ut in np.unique(t[e == 1]):
-        at_risk = t >= ut
-        n_tot = int(at_risk.sum())
-        d_tot = int(((t == ut) & (e == 1)).sum())
-        n_g = np.bincount(gidx[at_risk], minlength=g_count).astype(np.float64)
-        d_g = np.bincount(gidx[(t == ut) & (e == 1)], minlength=g_count).astype(np.float64)
-        observed += d_g
-        expected += d_tot * n_g / n_tot
-        if n_tot > 1:
-            scale = d_tot * (n_tot - d_tot) / (n_tot**2 * (n_tot - 1.0))
-            var += scale * (np.diag(n_g * n_tot) - np.outer(n_g, n_g))
+    n, d = rs.n_risk.astype(np.float64), rs.n_event.astype(np.float64)
+    observed = d_g.sum(axis=0)
+    expected = (d / n) @ n_g
+    # hypergeometric covariance per event time (zero where one is at risk)
+    scale = d * (n - d) / (n**2 * np.maximum(n - 1.0, 1.0))
+    var = np.diag((scale * n) @ n_g) - (n_g.T * scale) @ n_g
     diff = (observed - expected)[: g_count - 1]
     v = var[: g_count - 1, : g_count - 1]
     try:
@@ -532,29 +532,13 @@ def schoenfeld_test(fit: CoxFit, data: SurvivalDataset, scales=None) -> Schoenfe
     if scales is not None:
         X = X * np.asarray(scales, dtype=np.float64)
 
-    eta = X @ fit.beta
-    eta = eta - eta.max()
-    w = np.exp(eta)
-    wx = w[:, None] * X
-    order, blocks = _event_blocks(data.times, data.events)
-    cw = np.cumsum(w[order])
-    cwx = np.cumsum(wx[order], axis=0)
-
-    residuals, ev_times = [], []
-    for end, tied, t_val in blocks:
-        d = len(tied)
-        s_r, a_r = cw[end - 1], cwx[end - 1]
-        s_d, a_d = w[tied].sum(), wx[tied].sum(axis=0)
-        for l, i in enumerate(tied):
-            frac = l / d if fit.ties == "efron" else 0.0
-            mu = (a_r - frac * a_d) / (s_r - frac * s_d)
-            residuals.append(X[i] - mu)
-            ev_times.append(t_val)
-    residuals = np.array(residuals)
-    ev_times = np.array(ev_times)
-
-    km = km_curve(data.times, data.events)[0]
-    g = np.array([1.0 - km.survival_at(t) for t in ev_times])
+    rs = _risk_sets(data.times, data.events)
+    _, _, mu = _event_means(rs, X, fit.beta)
+    residuals = X[rs.events] - mu
+    ev_times = rs.times[rs.block]
+    # g(t) = 1 - KM(t) of the pooled data, at each event's time
+    km = np.cumprod((1.0 - rs.n_event / rs.n_risk)[::-1])[::-1]
+    g = 1.0 - km[rs.block]
     gc = g - g.mean()
     ss_g = float(gc @ gc)
     if ss_g == 0.0:

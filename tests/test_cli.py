@@ -13,7 +13,7 @@ import pytest
 from conftest import noisy_disc_slide
 import tilscore
 from tilscore import bagio, survstats
-from tilscore.cli import main
+from tilscore.cli import build_parser, main
 from tilscore.foreground import read_manifest
 from tilscore.milnet import ModelParams, save_checkpoint, HyperParams, init_params
 from tilscore.pnm import read_pgm, write_ppm
@@ -47,6 +47,37 @@ def test_import_skips_unused_scipy_subpackages():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# every required argument is present, so exit 2 can only come from the flag
+COMMAND_ARGS = {
+    "synth": ["cfg.json", "--out", "o"],
+    "train": ["--bags", "b", "--clinical", "c.csv", "--plan", "loco", "--out", "o"],
+    "predict": ["--model", "m", "--bags", "b", "--out", "o"],
+    "evaluate": ["--predictions", "p.csv", "--clinical", "c.csv", "--out", "o"],
+    "survival": ["--predictions", "p.csv", "--clinical", "c.csv", "--out", "o"],
+    "heatmap": ["--model", "m.ckpt", "--bag", "a.bag", "--out", "o"],
+}
+FLAG_VALUES = {"--seed": "1", "--workers": "2", "--config": "cfg.json"}
+KEPT_FLAGS = {"synth": {"--seed"}, "train": {"--seed", "--workers", "--config"},
+              "predict": {"--workers"}}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command in COMMAND_ARGS for flag in FLAG_VALUES
+    if flag not in KEPT_FLAGS.get(command, set())])
+def test_flags_a_command_ignores_are_rejected(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(command, *COMMAND_ARGS[command], flag, FLAG_VALUES[flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, flags in KEPT_FLAGS.items() for flag in sorted(flags)])
+def test_flags_a_command_uses_still_parse(command, flag):
+    args = build_parser().parse_args([command, *COMMAND_ARGS[command], flag, FLAG_VALUES[flag]])
+    assert str(getattr(args, flag[2:])) == FLAG_VALUES[flag]
 
 
 class TestTile:

@@ -3,16 +3,13 @@ import pytest
 
 from tilscore import folds
 from tilscore.bagio import FeatureBag, SlideRecord
-from tilscore.concord import UndefinedMetricError
 from tilscore.folds import (
-    Candidate,
     Ensemble,
     FoldError,
     ensemble_predict,
     leave_one_cohort_out,
     load_ensemble,
     save_ensemble,
-    select_champion,
     split_by_group,
 )
 from tilscore.milnet import HyperParams, forward, init_params
@@ -102,42 +99,6 @@ class TestLeaveOneCohortOut:
         recs = records_with({"only": 4}, key="cohort")
         with pytest.raises(FoldError):
             leave_one_cohort_out(recs)
-
-
-class TestChampion:
-    def _candidate(self, r_target, order, seed):
-        rng = np.random.default_rng(seed)
-        labels = np.linspace(0.0, 1.0, 10)
-        preds = r_target * labels + (1 - abs(r_target)) * rng.normal(size=10)
-        return Candidate(params=init_params(seed, SMALL, dim=4), val_preds=preds,
-                         val_labels=labels, order=order)
-
-    def test_single_candidate(self):
-        c = self._candidate(0.9, 0, 1)
-        assert select_champion([c]) is c
-
-    def test_higher_pearson_wins(self):
-        lo = self._candidate(0.2, 0, 2)
-        hi = self._candidate(0.95, 1, 3)
-        assert select_champion([lo, hi]) is hi
-
-    def test_tie_goes_to_earliest(self):
-        labels = np.linspace(0.0, 1.0, 8)
-        a = Candidate(params=init_params(1, SMALL, dim=4), val_preds=labels * 2.0,
-                      val_labels=labels, order=7)
-        b = Candidate(params=init_params(2, SMALL, dim=4), val_preds=labels * 3.0,
-                      val_labels=labels, order=3)  # also Pearson exactly 1
-        assert select_champion([a, b]) is b
-
-    def test_constant_labels_error(self):
-        c = Candidate(params=init_params(1, SMALL, dim=4),
-                      val_preds=np.arange(4.0), val_labels=np.full(4, 0.5), order=0)
-        with pytest.raises(UndefinedMetricError):
-            select_champion([c])
-
-    def test_empty(self):
-        with pytest.raises(FoldError):
-            select_champion([])
 
 
 def make_bag(seed, n_tiles=6, dim=8):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tilscore.survstats import (
+    CoxFit,
     CovariateSpec,
     DegenerateSplitError,
     NonConvergenceError,
@@ -35,6 +36,23 @@ def naive_partial_loglik(times, events, x, beta):
             continue
         denom = sum(math.exp(beta * x[j]) for j in range(len(times)) if times[j] >= times[i])
         ll += beta * x[i] - math.log(denom)
+    return ll
+
+
+def naive_efron_loglik(times, events, x, beta):
+    """Straight-line Efron partial log-likelihood: a loop over the distinct
+    event times, with the risk set and the tied events found by scanning
+    every subject."""
+    n = len(times)
+    eta = [float(np.dot(x[j], beta)) for j in range(n)]
+    ll = 0.0
+    for u in sorted({times[i] for i in range(n) if events[i] == 1}):
+        s_r = sum(math.exp(eta[j]) for j in range(n) if times[j] >= u)
+        tied = [j for j in range(n) if times[j] == u and events[j] == 1]
+        s_d = sum(math.exp(eta[j]) for j in tied)
+        d = len(tied)
+        for l, j in enumerate(tied):
+            ll += eta[j] - math.log(s_r - l / d * s_d)
     return ll
 
 
@@ -262,13 +280,35 @@ class TestCoxLikelihood:
             ll, _, _ = cox_loglik_score_info(times, events, x[:, None], np.array([beta]))
             assert ll == pytest.approx(naive_partial_loglik(times, events, x, beta), abs=1e-10)
 
-    def test_efron_vs_breslow_differ_with_ties(self):
-        times = np.array([1.0, 1.0, 2.0, 3.0])
-        events = np.array([1, 1, 1, 0])
-        x = np.array([[1.0], [0.0], [1.0], [0.0]])
-        ll_e, _, _ = cox_loglik_score_info(times, events, x, np.array([0.5]), ties="efron")
-        ll_b, _, _ = cox_loglik_score_info(times, events, x, np.array([0.5]), ties="breslow")
-        assert ll_e != ll_b
+    def test_efron_ties_match_straight_line_oracle(self):
+        rng = np.random.default_rng(37)
+        for _ in range(40):
+            n = int(rng.integers(3, 40))
+            times = rng.integers(1, rng.integers(2, 8), n).astype(float)  # heavy ties
+            events = (rng.random(n) < 0.7).astype(int)
+            x = rng.normal(size=(n, int(rng.integers(1, 4))))
+            beta = rng.normal(scale=0.5, size=x.shape[1])
+            ll, _, _ = cox_loglik_score_info(times, events, x, beta)
+            assert ll == pytest.approx(naive_efron_loglik(times, events, x, beta),
+                                       rel=1e-10, abs=1e-10)
+
+    def test_score_and_info_are_derivatives_with_ties(self):
+        rng = np.random.default_rng(41)
+        h = 1e-5
+        for _ in range(20):
+            n = int(rng.integers(5, 60))
+            times = rng.integers(1, 6, n).astype(float)
+            events = (rng.random(n) < 0.7).astype(int)
+            x = rng.normal(size=(n, 2))
+            beta = rng.normal(scale=0.5, size=2)
+            _, score, info = cox_loglik_score_info(times, events, x, beta)
+            for j in range(2):
+                step = h * np.eye(2)[j]
+                ll_p, score_p, _ = cox_loglik_score_info(times, events, x, beta + step)
+                ll_m, score_m, _ = cox_loglik_score_info(times, events, x, beta - step)
+                assert score[j] == pytest.approx((ll_p - ll_m) / (2 * h), rel=1e-6, abs=1e-6)
+                np.testing.assert_allclose(info[:, j], -(score_p - score_m) / (2 * h),
+                                           rtol=1e-6, atol=1e-6)
 
 
 def years_cohort(seed, n):
@@ -444,3 +484,231 @@ class TestBuildDataset:
     def test_default_ref_is_smallest_level(self):
         ds = build_dataset(self.ROWS, [CovariateSpec("grade", kind="factor")])
         assert ds.columns == ["grade=3"]
+
+
+# ---------------------------------------------------------------------------
+# The former per-time loops, kept as references for the risk-set table
+# ---------------------------------------------------------------------------
+
+
+def loop_event_blocks(times, events):
+    order = np.argsort(-times, kind="stable")
+    t_sorted = times[order]
+    i, n, blocks = 0, times.size, []
+    while i < n:
+        j = i
+        while j + 1 < n and t_sorted[j + 1] == t_sorted[i]:
+            j += 1
+        tied = [order[k] for k in range(i, j + 1) if events[order[k]] == 1]
+        if tied:
+            blocks.append((j + 1, np.array(tied), t_sorted[i]))
+        i = j + 1
+    return order, blocks
+
+
+def loop_cox(times, events, X, beta):
+    eta = X @ beta
+    eta = eta - eta.max()
+    w = np.exp(eta)
+    wx = w[:, None] * X
+    wxx = np.einsum("i,ij,ik->ijk", w, X, X)
+    order, blocks = loop_event_blocks(times, events)
+    cw, cwx, cwxx = (np.cumsum(a[order], axis=0) for a in (w, wx, wxx))
+    loglik, score, info = 0.0, np.zeros(X.shape[1]), np.zeros((X.shape[1],) * 2)
+    for end, tied, _t in blocks:
+        d = len(tied)
+        s_d, a_d, b_d = w[tied].sum(), wx[tied].sum(axis=0), wxx[tied].sum(axis=0)
+        loglik += float(eta[tied].sum())
+        score += X[tied].sum(axis=0)
+        for l in range(d):
+            phi = cw[end - 1] - l / d * s_d
+            mu = (cwx[end - 1] - l / d * a_d) / phi
+            loglik -= math.log(phi)
+            score -= mu
+            info += (cwxx[end - 1] - l / d * b_d) / phi - np.outer(mu, mu)
+    return loglik, score, info
+
+
+def loop_schoenfeld_residuals(times, events, X, beta):
+    eta = X @ beta
+    w = np.exp(eta - eta.max())
+    wx = w[:, None] * X
+    order, blocks = loop_event_blocks(times, events)
+    cw, cwx = np.cumsum(w[order]), np.cumsum(wx[order], axis=0)
+    residuals, ev_times = [], []
+    for end, tied, t_val in blocks:
+        d = len(tied)
+        s_d, a_d = w[tied].sum(), wx[tied].sum(axis=0)
+        for l, i in enumerate(tied):
+            residuals.append(X[i] - (cwx[end - 1] - l / d * a_d) / (cw[end - 1] - l / d * s_d))
+            ev_times.append(t_val)
+    return np.array(residuals), np.array(ev_times)
+
+
+def loop_km(times, events, gids):
+    curves = []
+    for g in sorted(set(gids.tolist()), key=str):
+        sel = gids == g
+        order = np.argsort(times[sel], kind="stable")
+        tg, eg = times[sel][order], events[sel][order]
+        at_risk, s = tg.size, 1.0
+        out_t, out_r, out_d, out_s = [], [], [], []
+        for ut in np.unique(tg):
+            mask = tg == ut
+            d = int(eg[mask].sum())
+            if d > 0:
+                s *= 1.0 - d / at_risk
+                out_t.append(float(ut))
+                out_r.append(at_risk)
+                out_d.append(d)
+                out_s.append(s)
+            at_risk -= int(mask.sum())
+        curves.append((str(g), out_t, out_r, out_d, out_s, int(tg.size)))
+    return curves
+
+
+def loop_logrank(times, events, gids):
+    groups = sorted(set(gids.tolist()), key=str)
+    g_count = len(groups)
+    gidx = np.array([groups.index(g) for g in gids])
+    observed, expected = np.zeros(g_count), np.zeros(g_count)
+    var = np.zeros((g_count, g_count))
+    for ut in np.unique(times[events == 1]):
+        at_risk = times >= ut
+        n_tot = int(at_risk.sum())
+        hit = (times == ut) & (events == 1)
+        d_tot = int(hit.sum())
+        n_g = np.bincount(gidx[at_risk], minlength=g_count).astype(np.float64)
+        d_g = np.bincount(gidx[hit], minlength=g_count).astype(np.float64)
+        observed += d_g
+        expected += d_tot * n_g / n_tot
+        if n_tot > 1:
+            scale = d_tot * (n_tot - d_tot) / (n_tot**2 * (n_tot - 1.0))
+            var += scale * (np.diag(n_g * n_tot) - np.outer(n_g, n_g))
+    diff = (observed - expected)[: g_count - 1]
+    v = var[: g_count - 1, : g_count - 1]
+    return float(diff @ np.linalg.solve(v, diff))
+
+
+def tied_case(rng, n_max=300):
+    """Heavy time ties, 2 or 3 groups, 1-3 covariates, a modest beta."""
+    n = int(rng.integers(2, n_max))
+    times = rng.integers(1, rng.integers(2, 30), n).astype(float)
+    events = (rng.random(n) < rng.uniform(0.2, 1.0)).astype(np.int64)
+    gids = np.array(["lo", "mid", "hi"])[rng.integers(0, rng.integers(2, 4), n)]
+    X = rng.normal(size=(n, int(rng.integers(1, 4)))).round(2)
+    beta = rng.normal(scale=0.5, size=X.shape[1])
+    return times, events, gids, X, beta
+
+
+def assert_rel(got, want, rtol=1e-12):
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    assert np.max(np.abs(got - want), initial=0.0) <= rtol * max(1.0, np.max(np.abs(want), initial=0.0))
+
+
+class TestRiskSetTable:
+    CASES = 200
+
+    def test_km_equals_loop_exactly(self):
+        rng = np.random.default_rng(53)
+        for _ in range(self.CASES):
+            times, events, gids, _, _ = tied_case(rng)
+            got = km_curve(times, events, gids)
+            want = loop_km(times, events, gids)
+            assert [c.group for c in got] == [w[0] for w in want]
+            for c, (_, t, r, d, s, n) in zip(got, want):
+                assert c.times.tolist() == t
+                assert c.n_risk.tolist() == r
+                assert c.n_event.tolist() == d
+                assert c.survival.tolist() == s
+                assert c.n == n
+
+    def test_logrank_matches_loop(self):
+        rng = np.random.default_rng(59)
+        checked = 0
+        for _ in range(self.CASES):
+            times, events, gids, _, _ = tied_case(rng)
+            if len(set(gids.tolist())) < 2 or events.sum() < 1:
+                continue
+            try:
+                want = loop_logrank(times, events, gids)
+            except np.linalg.LinAlgError:
+                continue
+            assert_rel(logrank(times, events, gids)[0], want)
+            checked += 1
+        assert checked > 150
+
+    def test_cox_matches_loop(self):
+        rng = np.random.default_rng(61)
+        for _ in range(self.CASES):
+            times, events, _, X, beta = tied_case(rng)
+            ll, score, info = cox_loglik_score_info(times, events, X, beta)
+            ll_w, score_w, info_w = loop_cox(times, events, X, beta)
+            assert_rel(ll, ll_w)
+            assert_rel(score, score_w)
+            assert_rel(info, info_w)
+
+    def test_schoenfeld_residuals_match_loop(self):
+        rng = np.random.default_rng(67)
+        checked = 0
+        for _ in range(self.CASES):
+            times, events, _, X, beta = tied_case(rng)
+            if events.sum() < 2 or np.unique(times[events == 1]).size < 2:
+                continue
+            _, _, info = cox_loglik_score_info(times, events, X, beta)
+            fit = CoxFit(coefs=[], loglik=0.0, null_loglik=0.0, lr_p=1.0, concordance=0.5,
+                         iterations=0, converged=True, beta=beta, info=info)
+            ds = SurvivalDataset(times=times, events=events, design=X,
+                                 columns=[f"x{j}" for j in range(X.shape[1])])
+            res = schoenfeld_test(fit, ds)
+            want, want_t = loop_schoenfeld_residuals(times, events, X, beta)
+            assert res.event_times.tolist() == want_t.tolist()
+            assert_rel(res.residuals, want)
+            checked += 1
+        assert checked > 150
+
+    def test_scipy_logrank_oracle(self):
+        import scipy.stats
+
+        if not hasattr(scipy.stats, "logrank"):
+            pytest.skip("scipy.stats.logrank needs scipy >= 1.11")
+        rng = np.random.default_rng(71)
+        for _ in range(50):
+            times, events, gids, _, _ = tied_case(rng)
+            gids = np.where(gids == "lo", "lo", "rest")
+            if len(set(gids.tolist())) < 2 or events.sum() < 1:
+                continue
+            samples = [scipy.stats.CensoredData(uncensored=times[(gids == g) & (events == 1)],
+                                                right=times[(gids == g) & (events == 0)])
+                       for g in ("lo", "rest")]
+            want = scipy.stats.logrank(*samples).statistic ** 2
+            assert logrank(times, events, gids)[0] == pytest.approx(want, rel=1e-10, abs=1e-12)
+
+    def test_scipy_ecdf_oracle(self):
+        import scipy.stats
+
+        if not hasattr(scipy.stats, "ecdf"):
+            pytest.skip("scipy.stats.ecdf needs scipy >= 1.11")
+        rng = np.random.default_rng(73)
+        for _ in range(50):
+            times, events, _, _, _ = tied_case(rng)
+            (curve,) = km_curve(times, events)
+            sf = scipy.stats.ecdf(scipy.stats.CensoredData(
+                uncensored=times[events == 1], right=times[events == 0])).sf
+            for t in np.unique(times):
+                assert curve.survival_at(t) == pytest.approx(float(sf.evaluate(t)), abs=1e-12)
+
+    def test_hundred_thousand_subjects_under_a_second(self):
+        rng = np.random.default_rng(5)
+        n = 100_000
+        x = rng.normal(size=n)
+        times = np.maximum(rng.exponential(10.0 * np.exp(-0.3 * x)).round(2), 0.01)
+        events = (rng.random(n) < 0.6).astype(int)
+        ds = SurvivalDataset(times=times, events=events, design=x[:, None], columns=["x"])
+        fit = cox_fit(ds)
+        groups = median_split(x)
+        start = time.perf_counter()
+        km_curve(times, events, groups)
+        logrank(times, events, groups)
+        schoenfeld_test(fit, ds)
+        assert time.perf_counter() - start < 1.0
