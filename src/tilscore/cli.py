@@ -193,7 +193,10 @@ def cmd_train(args) -> int:
     def run_fold(fold: int):
         val_idx = np.flatnonzero(fold_of == fold)
         train_idx = np.flatnonzero(fold_of != fold)
-        result = milnet.train(bags, labels, train_idx, val_idx, hyper, seed=args.seed + fold)
+        try:
+            result = milnet.train(bags, labels, train_idx, val_idx, hyper, seed=args.seed + fold)
+        except milnet.ModelError as exc:
+            raise milnet.ModelError(f"fold {fold}: {exc}") from exc
         r = concord.pearson(result.val_preds, labels[val_idx])
         return fold, result, r, val_idx.size, train_idx.size
 

@@ -6,10 +6,11 @@ logit_k = w . (tanh(V e_k + c) * sigmoid(U e_k + d)) and softmax-normalises
 over the bag; a sigmoid score head maps each tile to s_k in (0, 1); the
 slide prediction is the attention-weighted mean of the tile scores.
 
-Training uses per-bag analytic gradients (verified against central finite
+Training uses analytic gradients (verified against central finite
 differences), ADAM with in-gradient L2 weight decay, and early stopping on
-validation explained variance.  Everything is float64 and deterministic
-for a fixed seed.
+validation explained variance.  Every gradient is formed per bag except
+that of the encoder weight, which is one GEMM over the stacked tiles of a
+batch.  Everything is float64 and deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -26,6 +27,11 @@ from .bagio import FeatureBag
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+ADAM_BLOCK = 1 << 15  # elements per ADAM pass: its scratch stays cache-sized
+
+# Row cap of the stacked tile buffers in `train` (64 MiB of f64 at 2048-d):
+# a batch with more tiles folds its encoder weight gradient in several GEMMs.
+STACK_ROWS = 4096
 
 CKPT_MAGIC = b"ECTM"
 CKPT_VERSION = 1
@@ -186,9 +192,17 @@ def loss_grad(prediction: float, label: float) -> float:
     return 2.0 * (prediction - label)
 
 
-def backward(trace: ForwardTrace, params: ModelParams, d_prediction: float) -> ModelParams:
+def backward(trace: ForwardTrace, params: ModelParams, d_prediction: float, *,
+             acc: ModelParams | None = None, d_pre: np.ndarray | None = None) -> ModelParams:
     """Exact gradients of d_prediction * prediction w.r.t. every parameter,
-    under the dropout masks realised in `trace`."""
+    under the dropout masks realised in `trace`.
+
+    With `acc` and `d_pre` (a K x enc_out array), the gradients of every
+    tensor but `enc_w` are added into `acc` in place, the gradient at the
+    encoder pre-activations is written to `d_pre`, and `acc` is returned:
+    the caller forms the `enc_w` gradient as d_pre.T @ features, once over
+    the stacked tiles of a batch.
+    """
     if trace.embeddings.shape[1] != params.enc_out or trace.features.shape[1] != params.dim:
         raise ModelError("trace does not match parameter shapes")
     a = trace.attention
@@ -216,12 +230,17 @@ def backward(trace: ForwardTrace, params: ModelParams, d_prediction: float) -> M
     g_attn_u_b = d_uv.sum(axis=0)
     d_emb = d_emb + d_tv @ params.attn_v + d_uv @ params.attn_u
 
-    d_pre = d_emb * (trace.embeddings > 0.0)
-    g_enc_w = d_pre.T @ trace.features
-    g_enc_b = d_pre.sum(axis=0)
-    return ModelParams(enc_w=g_enc_w, enc_b=g_enc_b, attn_v=g_attn_v, attn_v_b=g_attn_v_b,
-                       attn_u=g_attn_u, attn_u_b=g_attn_u_b, attn_w=g_attn_w,
-                       score_w=g_score_w, score_b=g_score_b)
+    d_pre = np.multiply(d_emb, trace.embeddings > 0.0, out=d_pre)
+    g = ModelParams(enc_w=None, enc_b=d_pre.sum(axis=0), attn_v=g_attn_v,
+                    attn_v_b=g_attn_v_b, attn_u=g_attn_u, attn_u_b=g_attn_u_b,
+                    attn_w=g_attn_w, score_w=g_score_w, score_b=g_score_b)
+    if acc is None:
+        g.enc_w = d_pre.T @ trace.features
+        return g
+    for name in PARAM_FIELDS[1:]:  # every tensor after enc_w
+        total = getattr(acc, name)
+        total += getattr(g, name)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +288,20 @@ def adam_update_array(theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.
 
 def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
               hyper: HyperParams) -> None:
-    """Apply one optimizer step over every tensor (mutates params and state)."""
+    """Apply one optimizer step over every tensor (mutates params and state).
+
+    Each tensor is walked in flat blocks of ADAM_BLOCK elements, so the
+    scratch of `adam_update_array` stays in cache; the update is
+    elementwise, so the result is bit-identical to one whole-tensor pass.
+    """
     state.t += 1
     for name in PARAM_FIELDS:
-        adam_update_array(getattr(params, name), getattr(grads, name),
-                          getattr(state.m, name), getattr(state.v, name),
-                          state.t, hyper.lr, hyper.weight_decay)
+        theta, grad, m, v = (getattr(x, name).reshape(-1, copy=False)
+                             for x in (params, grads, state.m, state.v))
+        for lo in range(0, theta.size, ADAM_BLOCK):
+            block = slice(lo, lo + ADAM_BLOCK)
+            adam_update_array(theta[block], grad[block], m[block], v[block],
+                              state.t, hyper.lr, hyper.weight_decay)
 
 
 def explained_variance(preds, labels) -> float:
@@ -315,8 +342,12 @@ def train(bags: list[FeatureBag], labels, train_idx, val_idx,
     """Fit on train bags, early-stop on validation explained variance.
 
     Labels are fractions in [0, 1].  Gradients are averaged per batch of
-    bags (no padding; bag sizes vary freely).  Returns the snapshot from
-    the best validation epoch.  Deterministic for a fixed seed.
+    bags (no padding; bag sizes vary freely).  Each bag's features are cast
+    into rows of one f64 buffer and its d_pre into rows of a second, so the
+    `enc_w` gradient is one GEMM per batch (more only when a batch
+    overflows STACK_ROWS rows).  A non-finite loss raises ModelError naming
+    the epoch and slide.  Returns the snapshot from the best validation
+    epoch.  Deterministic for a fixed seed.
     """
     hyper = hyper or HyperParams()
     labels = np.asarray(labels, dtype=np.float64)
@@ -334,10 +365,19 @@ def train(bags: list[FeatureBag], labels, train_idx, val_idx,
         raise ModelError("empty validation set")
 
     dim = bags[train_idx[0]].dim
+    for i in train_idx:
+        if bags[i].dim != dim:
+            raise ModelError(f"bag {bags[i].slide_id!r} has dim {bags[i].dim}, "
+                             f"the first training bag {dim}")
     params = init_params(seed, hyper, dim)
     state = AdamState.for_params(params)
     grad_mean = params.zeros_like()  # the batch-mean gradient, reused every batch
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
+    # the stacked rows of one batch, capped, but never fewer than the largest bag
+    sizes = sorted(bags[i].n_tiles for i in train_idx)
+    rows = max(sizes[-1], min(STACK_ROWS, sum(sizes[-hyper.batch_size:])))
+    feats = np.empty((rows, dim))
+    d_pre = np.empty((rows, hyper.enc_out))
 
     def val_predictions(p: ModelParams) -> np.ndarray:
         return np.array([forward(p, bags[i]).prediction for i in val_idx])
@@ -351,14 +391,28 @@ def train(bags: list[FeatureBag], labels, train_idx, val_idx,
         for start in range(0, order.size, hyper.batch_size):
             batch = order[start : start + hyper.batch_size]
             grad_mean.fill(0.0)
+            used, flushed = 0, False
             for i in batch:
-                trace = forward(params, bags[i], hyper, train=True, rng=rng)
-                epoch_loss += loss(trace.prediction, labels[i])
+                k = bags[i].n_tiles
+                if used + k > rows:  # buffer full: fold its rows into enc_w
+                    grad_mean.enc_w += d_pre[:used].T @ feats[:used]
+                    used, flushed = 0, True
+                h = feats[used : used + k]
+                np.copyto(h, bags[i].features)
+                trace = forward(params, h, hyper, train=True, rng=rng)
+                bag_loss = loss(trace.prediction, labels[i])
+                if not math.isfinite(bag_loss):
+                    raise ModelError(f"non-finite loss {bag_loss} in epoch {epoch} "
+                                     f"on slide {bags[i].slide_id!r}")
+                epoch_loss += bag_loss
                 # backward is linear in d_prediction: scaling it averages the batch
-                g = backward(trace, params, loss_grad(trace.prediction, labels[i]) / batch.size)
-                for name in PARAM_FIELDS:
-                    acc = getattr(grad_mean, name)
-                    acc += getattr(g, name)
+                backward(trace, params, loss_grad(trace.prediction, labels[i]) / batch.size,
+                         acc=grad_mean, d_pre=d_pre[used : used + k])
+                used += k
+            if flushed:
+                grad_mean.enc_w += d_pre[:used].T @ feats[:used]
+            else:
+                np.matmul(d_pre[:used].T, feats[:used], out=grad_mean.enc_w)
             adam_step(params, grad_mean, state, hyper)
         preds = val_predictions(params)
         ev = explained_variance(preds, labels[val_idx])

@@ -445,11 +445,15 @@ class KmCurve:
 def _group_counts(times, events, group_ids):
     """Group names (sorted as strings), each group's size, the pooled risk
     sets, and the at-risk and event counts per (distinct event time, group)."""
-    gids = np.zeros(times.size, dtype=np.int64) if group_ids is None else group_ids
-    keys = np.asarray(gids).astype(str)
-    if keys.shape != times.shape:
+    gids = np.asarray(np.zeros(times.size, dtype=np.int64) if group_ids is None else group_ids)
+    if gids.shape != times.shape:
         raise SurvivalError("one group id per subject required")
-    names, gidx = np.unique(keys, return_inverse=True)
+    # the distinct ids first, in their own dtype; then only those become
+    # strings, which set the group names and their order
+    distinct, inverse = np.unique(gids.astype(str) if gids.dtype == object else gids,
+                                  return_inverse=True)
+    names, rank = np.unique(distinct.astype(str), return_inverse=True)
+    gidx = rank[inverse]
     k = names.size
     rs = _risk_sets(times, events)
     member = gidx[rs.order][:, None] == np.arange(k)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -335,6 +336,18 @@ def test_train_duplicate_slide_id_is_usage_error(small_cohort, tmp_path, capsys)
                "--plan", "loco", "--out", tmp_path / "run", *TRAIN_FLAGS) == 2
     err = capsys.readouterr().err
     assert "synth0003.bag" in err and "zz.bag" in err and "'synth0003'" in err
+    assert not (tmp_path / "run" / "ensemble.json").exists()
+
+
+def test_train_non_finite_loss_names_fold_epoch_and_slide(small_cohort, tmp_path, capsys):
+    flags = ["--enc-out", 8, "--attn-hidden", 4, "--lr", 1e200, "--batch-size", 8,
+             "--max-epochs", 3, "--patience", 3]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run("train", "--bags", small_cohort / "bags", "--clinical",
+                   small_cohort / "clinical.csv", "--plan", "loco", "--out", tmp_path / "run",
+                   *flags) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"error: fold 0: non-finite loss nan in epoch 1 on slide 'synth\d+'", err)
     assert not (tmp_path / "run" / "ensemble.json").exists()
 
 

@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from tilscore import milnet
 from tilscore.bagio import FeatureBag
 from tilscore.milnet import (
+    ADAM_BLOCK,
     ADAM_EPS,
     PARAM_FIELDS,
     AdamState,
@@ -282,6 +285,23 @@ class TestBackward:
         numeric = fd_gradients(params, bag, label, mask=mask)
         assert max_rel_error(analytic, numeric) <= 1e-6
 
+    def test_accumulating_form_adds_all_but_enc_w(self):
+        rng = np.random.default_rng(11)
+        params = init_params(32, SMALL, dim=9)
+        for train_mode in (False, True):
+            bag = make_bag(rng, 7, 9)
+            trace = forward(params, bag, SMALL, train=train_mode, rng=np.random.default_rng(4))
+            full = backward(trace, params, 0.3)
+            acc = init_params(33, SMALL, dim=9)  # nonzero: backward must add, not write
+            start = acc.copy()
+            d_pre = np.empty((7, SMALL.enc_out))
+            assert backward(trace, params, 0.3, acc=acc, d_pre=d_pre) is acc
+            assert np.array_equal(acc.enc_w, start.enc_w)
+            for name in PARAM_FIELDS[1:]:
+                assert np.array_equal(getattr(acc, name),
+                                      getattr(start, name) + getattr(full, name)), name
+            assert np.array_equal(d_pre.T @ trace.features, full.enc_w)
+
     def test_stale_trace_rejected(self):
         rng = np.random.default_rng(10)
         params = init_params(1, SMALL, dim=10)
@@ -343,19 +363,24 @@ class TestAdam:
             assert np.array_equal(m, ref_m) and np.array_equal(v, ref_v)
 
     def test_adam_step_matches_textbook_over_all_tensors(self):
-        params = init_params(2, SMALL, dim=6)
+        # enc_w holds 16 x 2100 = 33600 entries: adam_step walks it as one
+        # full block and a ragged tail; every other tensor is one short block
+        params = init_params(2, SMALL, dim=2100)
+        assert ADAM_BLOCK < params.enc_w.size < 2 * ADAM_BLOCK
         ref = params.copy()
         state = AdamState.for_params(params)
         m, v = ref.zeros_like(), ref.zeros_like()
         hyper = HyperParams(lr=1e-3)
         for t in range(1, 6):
-            grads = init_params(100 + t, SMALL, dim=6)
+            grads = init_params(100 + t, SMALL, dim=2100)
             adam_step(params, grads, state, hyper)
             for name in PARAM_FIELDS:
                 textbook_adam(getattr(ref, name), getattr(grads, name), getattr(m, name),
                               getattr(v, name), t, hyper.lr, hyper.weight_decay)
         for name in PARAM_FIELDS:
-            assert np.array_equal(getattr(params, name), getattr(ref, name))
+            assert np.array_equal(getattr(params, name), getattr(ref, name)), name
+            assert np.array_equal(getattr(state.m, name), getattr(m, name)), name
+            assert np.array_equal(getattr(state.v, name), getattr(v, name)), name
 
 
 class TestExplainedVariance:
@@ -415,10 +440,12 @@ class TestTrain:
         assert result.best_val_ev > 0.8
 
     @pytest.mark.parametrize("n_train,batch_size,exact", [
-        (16, 4, True), (16, 16, True), (15, 4, False), (16, 6, False)])
+        (16, 1, True), (16, 4, False), (16, 16, False), (15, 4, False), (16, 6, False)])
     def test_matches_reference_loop(self, n_train, batch_size, exact):
-        # backward scales d_prediction by 1/batch instead of dividing each
-        # gradient: exact for power-of-two batch sizes, within rounding else.
+        # One bag per batch is the reference arithmetic bit for bit.  Larger
+        # batches differ by rounding: backward scales d_prediction by 1/batch
+        # instead of dividing each gradient, and the enc_w gradient is one
+        # GEMM over the stacked batch, which sums in another order.
         # Where |g| is below ADAM_EPS the step carries gradient rounding
         # times lr / ADAM_EPS, so the bound holds at lr 1e-3 (the benchmark
         # rate; the paper's is 1e-4) and not at arbitrarily large rates.
@@ -437,6 +464,95 @@ class TestTrain:
             else:
                 assert np.allclose(got, ref, rtol=0.0, atol=1e-12), name
 
+    @pytest.mark.parametrize("stack_rows", [None, 12, 1])
+    def test_stacked_encoder_gradient_is_the_sum_of_bag_gradients(self, monkeypatch,
+                                                                  stack_rows):
+        # Every batch-mean gradient handed to ADAM equals the sum of the full
+        # per-bag `backward` gradients under the same parameters and dropout
+        # masks.  A small STACK_ROWS makes train fold enc_w in several GEMMs
+        # per batch (at 1, the buffer holds only the largest bag, so nearly
+        # every bag flushes it).
+        rng = np.random.default_rng(17)
+        bags, labels = quick_cohort(rng, n=24, tiles=(2, 11))
+        hyper = HyperParams(lr=1e-3, enc_out=8, attn_hidden=4, max_epochs=2, patience=2,
+                            batch_size=6)
+        if stack_rows is not None:
+            monkeypatch.setattr(milnet, "STACK_ROWS", stack_rows)
+        steps = []
+        real_step = milnet.adam_step
+
+        def recording_step(params, grads, state, hyper):
+            steps.append((params.copy(), grads.copy()))
+            real_step(params, grads, state, hyper)
+
+        monkeypatch.setattr(milnet, "adam_step", recording_step)
+        train_idx = np.arange(16)
+        train(bags, labels, train_idx, np.arange(16, 24), hyper, seed=3)
+
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=3, spawn_key=(1,)))
+        largest = max(bag.n_tiles for bag in bags[:16])
+        assert len(steps) == 2 * 3  # 2 epochs of batches 6, 6 and 4
+        for b, (params, got) in enumerate(steps):
+            if b % 3 == 0:
+                order = rng.permutation(train_idx)
+            batch = order[(b % 3) * 6 : (b % 3) * 6 + 6]
+            if stack_rows is not None:  # the batch overflows the buffer
+                assert sum(bags[i].n_tiles for i in batch) > max(stack_rows, largest)
+            want = params.zeros_like()
+            for i in batch:
+                trace = forward(params, bags[i], hyper, train=True, rng=rng)
+                g = backward(trace, params, loss_grad(trace.prediction, labels[i]) / batch.size)
+                for name in PARAM_FIELDS:
+                    total = getattr(want, name)
+                    total += getattr(g, name)
+            for name in PARAM_FIELDS:
+                assert np.allclose(getattr(got, name), getattr(want, name),
+                                   rtol=0.0, atol=1e-12), (b, name)
+
+    def test_a_training_step_allocates_no_enc_w_sized_array(self, monkeypatch):
+        # enc_w is 64 x 2048 doubles (1 MiB, four ADAM blocks); the bags are a
+        # few tiles each.  Between ADAM steps (one batch of forward/backward
+        # plus the stacked GEMM) and inside one, traced allocations may not
+        # rise by an enc_w-sized array above where they started.
+        rng = np.random.default_rng(18)
+        bags = [make_bag(rng, int(rng.integers(2, 9)), 2048, slide_id=f"b{i}")
+                for i in range(24)]
+        labels = rng.uniform(0.1, 0.9, 24)
+        hyper = HyperParams(lr=1e-3, enc_out=64, attn_hidden=8, max_epochs=1, batch_size=4)
+        enc_w_bytes = 64 * 2048 * 8
+        assert enc_w_bytes >= 4 * ADAM_BLOCK * 8
+        rises = []
+        mark = []
+        real_step = milnet.adam_step
+
+        def measured_step(*args):
+            if mark:  # the bag loop since the previous step
+                rises.append(tracemalloc.get_traced_memory()[1] - mark[0])
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            real_step(*args)
+            rises.append(tracemalloc.get_traced_memory()[1] - start)
+            tracemalloc.reset_peak()
+            mark[:] = [tracemalloc.get_traced_memory()[0]]
+
+        monkeypatch.setattr(milnet, "adam_step", measured_step)
+        tracemalloc.start()
+        try:
+            train(bags, labels, np.arange(16), np.arange(16, 24), hyper, seed=1)
+        finally:
+            tracemalloc.stop()
+        assert len(rises) == 4 + 3  # four ADAM steps, three bag loops between them
+        assert max(rises) < enc_w_bytes, rises
+
+    def test_non_finite_loss_aborts_naming_epoch_and_slide(self):
+        rng = np.random.default_rng(14)
+        bags, labels = quick_cohort(rng, n=24)
+        hyper = HyperParams(lr=1e200, enc_out=8, attn_hidden=4, max_epochs=5, batch_size=4)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ModelError,
+                               match=r"non-finite loss nan in epoch 1 on slide 'synth\d+'"):
+                train(bags, labels, np.arange(16), np.arange(16, 24), hyper, seed=0)
+
     def test_errors(self):
         rng = np.random.default_rng(14)
         bags, labels = quick_cohort(rng, n=6)
@@ -448,6 +564,9 @@ class TestTrain:
             train(bags, const, np.arange(3), np.arange(3, 6), seed=0)
         with pytest.raises(ModelError):
             train(bags, labels, np.arange(4), np.arange(3, 6), seed=0)  # overlap
+        odd = bags[:2] + [make_bag(rng, 4, bags[0].dim + 1, slide_id="odd")] + bags[3:]
+        with pytest.raises(ModelError, match="bag 'odd' has dim"):
+            train(odd, labels, np.arange(4), np.arange(4, 6), seed=0)
 
 
 class TestCheckpoint:

@@ -12,6 +12,7 @@ from tilscore.survstats import (
     RankDeficiencyError,
     SurvivalDataset,
     SurvivalError,
+    _group_counts,
     build_dataset,
     cox_fit,
     cox_loglik_score_info,
@@ -666,6 +667,33 @@ class TestRiskSetTable:
             assert_rel(res.residuals, want)
             checked += 1
         assert checked > 150
+
+    def test_group_counts_match_a_string_sort_of_every_id(self):
+        # the former form: every id made a string, then one string np.unique
+        rng = np.random.default_rng(79)
+        id_sets = [
+            np.array([2, 10, 1, 33, -4, 7]),  # string order differs from numeric
+            np.array([2, 10], dtype=np.uint8),
+            np.array([1.5, 10.0, 2.0, -0.25, 1e-7]),
+            np.array([True, False]),
+            np.array(["lo", "hi", "Mid", "10", "2"]),
+            np.array([2, "a", 10, 1.5, None], dtype=object),
+        ]
+        for ids in id_sets:
+            for _ in range(10):
+                n = int(rng.integers(len(ids), 200))
+                times = rng.integers(1, 20, n).astype(float)
+                events = (rng.random(n) < 0.6).astype(np.int64)
+                gids = ids[rng.integers(0, len(ids), n)]
+                want_names, want_idx = np.unique(gids.astype(str), return_inverse=True)
+                names, sizes, _, n_risk, n_event = _group_counts(times, events, gids)
+                assert names == want_names.tolist()
+                assert sizes.tolist() == np.bincount(want_idx, minlength=len(names)).tolist()
+                for k in range(len(names)):
+                    member = want_idx == k
+                    for j, t in enumerate(np.unique(times[events == 1])[::-1]):
+                        assert n_risk[j, k] == (member & (times >= t)).sum()
+                        assert n_event[j, k] == (member & (times == t) & (events == 1)).sum()
 
     def test_scipy_logrank_oracle(self):
         import scipy.stats
