@@ -2,7 +2,7 @@
 
 Every run validates its inputs up front, writes a `run_config.json` echo of
 the effective configuration into the output directory, and is byte-for-byte
-reproducible for a fixed seed with workers=1.  Exit codes: 0 success,
+reproducible for a fixed seed.  Exit codes: 0 success,
 2 usage/validation error, 3 numeric non-convergence.
 """
 
@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -190,39 +189,26 @@ def cmd_train(args) -> int:
     fold_of = np.array([plan.fold_of(r.slide_id) for r in ordered])
     hyper = _hyper_from(args, _load_config_overrides(args.config))
 
-    def run_fold(fold: int):
+    members, champions, history = [], [], {}
+    for fold in range(plan.k):
         val_idx = np.flatnonzero(fold_of == fold)
         train_idx = np.flatnonzero(fold_of != fold)
         try:
             result = milnet.train(bags, labels, train_idx, val_idx, hyper, seed=args.seed + fold)
         except milnet.ModelError as exc:
             raise milnet.ModelError(f"fold {fold}: {exc}") from exc
-        r = concord.pearson(result.val_preds, labels[val_idx])
-        return fold, result, r, val_idx.size, train_idx.size
-
-    folds = list(range(plan.k))
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            outcomes = list(pool.map(run_fold, folds))
-    else:
-        outcomes = [run_fold(f) for f in folds]
-    outcomes.sort(key=lambda t: t[0])
+        members.append(result.params)
+        champions.append(
+            {"fold": fold, "checkpoint": f"fold{fold:03d}.ckpt",
+             "best_epoch": result.best_epoch, "val_explained_variance": result.best_val_ev,
+             "val_pearson": concord.pearson(result.val_preds, labels[val_idx]),
+             "n_train": train_idx.size, "n_val": val_idx.size})
+        history[str(fold)] = [dataclasses.asdict(e) for e in result.history]
 
     out = _out_dir(args)
     plan.to_csv(out / "fold_plan.csv")
-    members = [res.params for _, res, _, _, _ in outcomes]
-    champions = [
-        {"fold": fold, "checkpoint": f"fold{fold:03d}.ckpt", "best_epoch": res.best_epoch,
-         "val_explained_variance": res.best_val_ev, "val_pearson": r,
-         "n_train": n_train, "n_val": n_val}
-        for fold, res, r, n_val, n_train in outcomes
-    ]
     save_ensemble(Ensemble(members=members, hyper=hyper), out,
                   extra={"plan": args.plan, "champions": champions})
-    history = {
-        str(fold): [dataclasses.asdict(e) for e in res.history]
-        for fold, res, _, _, _ in outcomes
-    }
     with open(out / "history.json", "w") as fh:
         json.dump(history, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -243,16 +229,13 @@ def cmd_predict(args) -> int:
     paths = _bag_paths(Path(args.bags))
     dim = ensemble.members[0].dim
 
-    def score(path: Path) -> tuple[str, float]:
-        # one bag per worker is in memory at a time; only its score is kept
+    pairs = []
+    for path in paths:
+        # only the slide id and score are kept; the del frees this bag before
+        # the next is read, so two bags are never held at once
         bag = bagio.read_bag(path, expect_dim=dim)
-        return bag.slide_id, ensemble_predict(ensemble, bag)
-
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            pairs = list(pool.map(score, paths))
-    else:
-        pairs = [score(p) for p in paths]
+        pairs.append((bag.slide_id, ensemble_predict(ensemble, bag)))
+        del bag
     _check_unique_ids(paths, [sid for sid, _ in pairs])
     pairs.sort(key=lambda pair: pair[0])
     out = _out_dir(args)
@@ -541,7 +524,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--enc-out", type=int, dest="enc_out")
     p.add_argument("--attn-hidden", type=int, dest="attn_hidden")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1, help="folds trained in parallel")
+    p.add_argument("--workers", type=int, default=1, choices=[1],
+                   help="accepted only as 1: folds are trained one after another")
     p.add_argument("--config", help='JSON file with "hyper" overrides')
     p.set_defaults(func=cmd_train)
 
@@ -549,7 +533,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="ensemble directory or .ckpt file")
     p.add_argument("--bags", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=1, help="bags scored in parallel")
+    p.add_argument("--workers", type=int, default=1, choices=[1],
+                   help="accepted only as 1: bags are scored one after another")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="concordance and calibration panel")

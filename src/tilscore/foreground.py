@@ -206,9 +206,6 @@ class TileGrid:
         """Tile edge length in source pixels."""
         return self.tile_size_px / self.rescale
 
-    def kept_tiles(self) -> np.ndarray:
-        return self.tiles[self.kept]
-
 
 def grid_tiles(slide_width_px: int, slide_height_px: int, mpp: float,
                tile_size_px: int = TILE_SIZE_PX, target_mpp: float = TARGET_MPP) -> TileGrid:

@@ -305,20 +305,15 @@ def _check_design(X: np.ndarray, columns: list[str]) -> None:
             raise RankDeficiencyError(f"design is rank deficient (involves {columns[j]!r})")
 
 
-def cox_fit(data: SurvivalDataset, scales=None) -> CoxFit:
+def cox_fit(data: SurvivalDataset) -> CoxFit:
     """Newton-Raphson fit of the Cox model.
 
-    `scales` optionally rescales design columns before fitting so hazard
-    ratios are reported per chosen increment (e.g. 10 TIL percentage points).
+    Hazard ratios are per unit of each design column; `CovariateSpec.scale`
+    sets that unit (e.g. 10 TIL percentage points) when the design is built.
     """
     from scipy.special import ndtr  # imported here, as chdtrc in _chi2_sf
 
-    X = data.design.copy()
-    if scales is not None:
-        scales = np.asarray(scales, dtype=np.float64)
-        if scales.shape != (X.shape[1],):
-            raise SurvivalError("one scale per design column required")
-        X = X * scales
+    X = data.design
     n_events = int(data.events.sum())
     if n_events < 1:
         raise SurvivalError("at least one event is required")
@@ -522,7 +517,7 @@ class SchoenfeldResult:
     event_times: np.ndarray
 
 
-def schoenfeld_test(fit: CoxFit, data: SurvivalDataset, scales=None) -> SchoenfeldResult:
+def schoenfeld_test(fit: CoxFit, data: SurvivalDataset) -> SchoenfeldResult:
     """Grambsch-Therneau score test of proportional hazards.
 
     Schoenfeld residuals at the fitted beta are correlated against the
@@ -532,10 +527,7 @@ def schoenfeld_test(fit: CoxFit, data: SurvivalDataset, scales=None) -> Schoenfe
     n_events = int(data.events.sum())
     if n_events < 2:
         raise SurvivalError("Schoenfeld test needs at least 2 events")
-    X = data.design.copy()
-    if scales is not None:
-        X = X * np.asarray(scales, dtype=np.float64)
-
+    X = data.design
     rs = _risk_sets(data.times, data.events)
     _, _, mu = _event_means(rs, X, fit.beta)
     residuals = X[rs.events] - mu

@@ -378,15 +378,6 @@ class TestCoxFit:
         assert fit_scaled.loglik == pytest.approx(fit.loglik, abs=1e-8)
         assert fit_scaled.concordance == pytest.approx(fit.concordance, abs=1e-12)
 
-    def test_scales_argument_equals_prescaled_design(self):
-        rng = np.random.default_rng(16)
-        ds, _ = make_random_cox_dataset(rng)
-        fit_a = cox_fit(ds, scales=[10.0])
-        pre = SurvivalDataset(times=ds.times, events=ds.events,
-                              design=ds.design * 10.0, columns=ds.columns)
-        fit_b = cox_fit(pre)
-        assert fit_a.coefs[0].beta == pytest.approx(fit_b.coefs[0].beta, abs=1e-12)
-
     def test_ci_brackets_hr(self):
         rng = np.random.default_rng(19)
         ds, fit = make_random_cox_dataset(rng)
