@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -187,12 +188,19 @@ def _parse_covariate(raw: str):
         return raw
 
 
+def _check_repeat(line_of: dict, sid: str, lineno: int) -> None:
+    first = line_of.setdefault(sid, lineno)
+    if first != lineno:
+        raise ClinicalSchemaError(f"slide_id {sid!r} repeats on lines {first} and {lineno}")
+
+
 def load_clinical(source) -> list[SlideRecord]:
     """Read the clinical CSV schema into typed records.
 
     When two pathologist score columns are present, the record stores their
     mean.  Unknown columns become covariates (numeric when parseable,
-    verbatim strings otherwise); empty cells are missing values.
+    verbatim strings otherwise); empty cells are missing values.  A slide id
+    may appear on one line only.
     """
     if isinstance(source, (str, Path)):
         with open(source, newline="") as fh:
@@ -203,11 +211,12 @@ def load_clinical(source) -> list[SlideRecord]:
         if col not in header:
             raise ClinicalSchemaError(f"missing mandatory column {col!r}")
     has_second = "til_score_pct_2" in header
-    records = []
+    records, line_of = [], {}
     for lineno, row in enumerate(reader, start=2):
         sid = (row.get("slide_id") or "").strip()
         if not sid:
             raise ClinicalSchemaError(f"line {lineno}: empty slide_id")
+        _check_repeat(line_of, sid, lineno)
         raw_score = (row.get("til_score_pct") or "").strip()
         if not raw_score:
             raise ClinicalSchemaError(f"line {lineno}: missing til_score_pct")
@@ -221,6 +230,8 @@ def load_clinical(source) -> list[SlideRecord]:
         if bool(raw_months) != bool(raw_event):
             raise ClinicalSchemaError(f"line {lineno}: os_months and os_event must both be present or both absent")
         os_months = float(raw_months) if raw_months else None
+        if os_months is not None and not math.isfinite(os_months):
+            raise ClinicalSchemaError(f"line {lineno}: os_months {raw_months!r} is not finite")
         os_event = int(raw_event) if raw_event else None
         if os_event not in (None, 0, 1):
             raise ClinicalSchemaError(f"line {lineno}: os_event must be 0 or 1")
@@ -275,8 +286,9 @@ def read_predictions(path) -> dict[str, float]:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not {"slide_id", "ectil_score"} <= set(reader.fieldnames):
             raise ClinicalSchemaError("predictions CSV needs slide_id and ectil_score columns")
-        out = {}
-        for row in reader:
+        out, line_of = {}, {}
+        for lineno, row in enumerate(reader, start=2):
+            _check_repeat(line_of, row["slide_id"], lineno)
             score = float(row["ectil_score"])
             if not 0.0 <= score <= 1.0:
                 raise ClinicalSchemaError(f"prediction {score} outside [0, 1] for {row['slide_id']!r}")

@@ -50,25 +50,47 @@ def _echo_config(out_dir: Path, command: str, args: argparse.Namespace, extra: d
         fh.write("\n")
 
 
-def _load_config_overrides(path: str | None) -> dict:
+def _load_config(path: str | None, flag: str, key: str) -> dict:
+    """The JSON object in `path`, whose only key may be `key`."""
     if not path:
         return {}
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
-        raise CliError("--config must hold a JSON object")
+        raise CliError(f"{flag} must hold a JSON object, not {type(data).__name__}")
+    unknown = sorted(set(data) - {key})
+    if unknown:
+        raise CliError(f"{flag}: unknown key {unknown[0]!r}; expected {key!r}")
     return data
 
 
-def _hyper_from(args: argparse.Namespace, overrides: dict) -> milnet.HyperParams:
-    hyper = milnet.HyperParams(**overrides.get("hyper", {}))
-    for flag, attr in (("lr", "lr"), ("weight_decay", "weight_decay"),
-                       ("batch_size", "batch_size"), ("max_epochs", "max_epochs"),
-                       ("patience", "patience"), ("enc_out", "enc_out"),
-                       ("attn_hidden", "attn_hidden")):
-        val = getattr(args, flag, None)
-        if val is not None:
-            setattr(hyper, attr, val)
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,)}
+
+
+def _dataclass_from(cls, obj, what: str):
+    """`cls(**obj)` for a JSON object; a bad key or value type exits 2 by name."""
+    if not isinstance(obj, dict):
+        raise CliError(f"{what} must be a JSON object, not {type(obj).__name__}")
+    fields = {f.name: f.type for f in dataclasses.fields(cls)}
+    for key, val in obj.items():
+        if key not in fields:
+            raise CliError(f"{what}: unknown key {key!r}")
+        want = _JSON_TYPES.get(fields[key])
+        if want and (not isinstance(val, want) or isinstance(val, bool) != (bool in want)):
+            raise CliError(f"{what}: {key!r} must be {fields[key]}, not {type(val).__name__}")
+    try:
+        return cls(**obj)
+    except TypeError as exc:  # a required key is missing
+        raise CliError(f"{what}: {exc}") from exc
+
+
+def _hyper_from(args: argparse.Namespace) -> milnet.HyperParams:
+    overrides = _load_config(args.config, "--config", "hyper")
+    hyper = _dataclass_from(milnet.HyperParams, overrides.get("hyper", {}), '"hyper"')
+    for name in ("lr", "weight_decay", "batch_size", "max_epochs", "patience", "enc_out",
+                 "attn_hidden"):
+        if getattr(args, name) is not None:
+            setattr(hyper, name, getattr(args, name))
     return hyper
 
 
@@ -84,14 +106,14 @@ def _out_dir(args) -> Path:
 
 
 def cmd_tile(args) -> int:
+    overrides = _load_config(args.config, "--config", "fesi")
+    params = _dataclass_from(foreground.FesiParams, overrides.get("fesi", {}), '"fesi"')
     image = Path(args.image)
     pixels = pnm.read_ppm(image)
     mpp = args.mpp if args.mpp is not None else pnm.read_mpp_sidecar(image)
     if mpp is None:
         raise CliError(f"no --mpp given and no sidecar {image}.mpp found")
     slide = foreground.RasterSlide(slide_id=image.stem, pixels=pixels, mpp=float(mpp))
-    overrides = _load_config_overrides(args.config)
-    params = foreground.FesiParams(**overrides.get("fesi", {}))
     mask = foreground.compute_foreground(slide, params)
     grid = foreground.grid_tiles(slide.width_px, slide.height_px, slide.mpp,
                                  args.tile_size, args.target_mpp)
@@ -112,11 +134,7 @@ def cmd_tile(args) -> int:
 
 def cmd_synth(args) -> int:
     with open(args.config_file) as fh:
-        raw = json.load(fh)
-    try:
-        cfg = bagio.SynthConfig(**raw)
-    except TypeError as exc:
-        raise CliError(f"bad synth config: {exc}") from exc
+        cfg = _dataclass_from(bagio.SynthConfig, json.load(fh), "synth config")
     if args.seed is not None:
         cfg.seed = args.seed
     cfg.validate()
@@ -171,6 +189,7 @@ def _parse_plan(spec: str):
 
 
 def cmd_train(args) -> int:
+    hyper = _hyper_from(args)
     records = bagio.load_clinical(args.clinical)
     bags_by_id = _load_bag_dir(Path(args.bags))
     records = [r for r in records if r.slide_id in bags_by_id]
@@ -187,7 +206,6 @@ def cmd_train(args) -> int:
     bags = [bags_by_id[r.slide_id] for r in ordered]
     labels = np.array([r.til_score_pct for r in ordered]) / 100.0
     fold_of = np.array([plan.fold_of(r.slide_id) for r in ordered])
-    hyper = _hyper_from(args, _load_config_overrides(args.config))
 
     members, champions, history = [], [], {}
     for fold in range(plan.k):
@@ -284,21 +302,13 @@ def cmd_evaluate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _km_rows(curves) -> list[dict]:
-    rows = []
-    for curve in curves:
-        rows.append({"group": curve.group, "t": 0.0, "survival": 1.0, "at_risk": curve.n})
-        for t, s, r in zip(curve.times, curve.survival, curve.n_risk):
-            rows.append({"group": curve.group, "t": float(t), "survival": float(s),
-                         "at_risk": int(r)})
-    return rows
-
-
 def _write_km_csv(path, curves) -> None:
     with open(path, "w") as fh:
         fh.write("group,t,survival,at_risk\n")
-        for row in _km_rows(curves):
-            fh.write(f"{row['group']},{row['t']:.10g},{row['survival']:.10g},{row['at_risk']}\n")
+        for curve in curves:
+            fh.write(f"{curve.group},0,1,{curve.n}\n")
+            for t, s, r in zip(curve.times, curve.survival, curve.n_risk):
+                fh.write(f"{curve.group},{t:.10g},{s:.10g},{r}\n")
 
 
 def _km_split(out, name, times, events, group_ids, summary) -> None:
@@ -313,29 +323,27 @@ def _km_split(out, name, times, events, group_ids, summary) -> None:
     summary[name] = entry
 
 
-def _fit_block(name, dataset, summary, out_rows):
+def _fit_block(name, dataset) -> dict:
     fit = survstats.cox_fit(dataset)
     block = {"model": name, "n": int(dataset.times.size), "events": int(dataset.events.sum()),
              "concordance": fit.concordance, "loglik": fit.loglik, "lr_p": fit.lr_p,
-             "rows": []}
-    for coef in fit.coefs:
-        row = {"variable": coef.name, "hr": coef.hr, "ci_low": coef.ci_low,
-               "ci_high": coef.ci_high, "p": coef.p, "beta": coef.beta, "se": coef.se}
-        block["rows"].append(row)
-        out_rows.append({"model": name, **row})
+             "rows": [{"variable": c.name, "hr": c.hr, "ci_low": c.ci_low, "ci_high": c.ci_high,
+                       "p": c.p, "beta": c.beta, "se": c.se} for c in fit.coefs]}
     try:
         ph = survstats.schoenfeld_test(fit, dataset)
         block["schoenfeld"] = {"global_p": ph.global_p,
                                "per_covariate": {k: v[1] for k, v in ph.per_covariate.items()}}
     except survstats.SurvivalError as exc:
         block["schoenfeld"] = {"error": str(exc)}
-    summary.append(block)
-    return fit
+    return block
 
 
 def cmd_survival(args) -> int:
-    records = bagio.load_clinical(args.clinical)
-    rows = _join_predictions(args.predictions, records)
+    covs = _load_config(args.spec, "--spec", "covariates").get("covariates", [])
+    if not isinstance(covs, list):
+        raise CliError(f'--spec "covariates" must be a JSON list, not {type(covs).__name__}')
+    cov_specs = [_dataclass_from(survstats.CovariateSpec, c, "--spec covariate") for c in covs]
+    rows = _join_predictions(args.predictions, bagio.load_clinical(args.clinical))
     usable = [(r, p) for r, p in rows if r.os_months is not None]
     if not usable:
         raise CliError("no subjects with survival data")
@@ -349,35 +357,18 @@ def cmd_survival(args) -> int:
     norm_max = args.norm_max if args.norm_max is not None else float(scores.max())
     normed = survstats.minmax_normalize(scores, norm_min, norm_max)
 
-    spec_cfg = _load_config_overrides(args.spec) if args.spec else {}
-    cov_specs = [survstats.CovariateSpec(**c) for c in spec_cfg.get("covariates", [])]
-
-    row_dicts = []
-    for rec, score_norm in zip(recs, normed):
-        d = {"os_months": rec.os_months, "os_event": rec.os_event,
-             "model_tils_per_10pct": float(score_norm) * 10.0,
-             "pathologist_tils_per_10pct": rec.til_score_pct / 10.0}
-        d.update(rec.covariates)
-        row_dicts.append(d)
-
-    score_spec = survstats.CovariateSpec("model_tils_per_10pct", kind="numeric")
-    path_spec = survstats.CovariateSpec("pathologist_tils_per_10pct", kind="numeric")
-
-    cox_blocks: list[dict] = []
-    flat_rows: list[dict] = []
-    variants = [
-        ("model_univariable", [score_spec]),
-        ("pathologist_univariable", [path_spec]),
-    ]
+    columns = {s.column: [rec.covariates.get(s.column) for rec in recs] for s in cov_specs}
+    columns["model_tils_per_10pct"] = normed * 10.0
+    columns["pathologist_tils_per_10pct"] = labels_pct / 10.0
+    score_spec = survstats.CovariateSpec("model_tils_per_10pct")
+    path_spec = survstats.CovariateSpec("pathologist_tils_per_10pct")
+    variants = [("model_univariable", [score_spec]), ("pathologist_univariable", [path_spec])]
     if cov_specs:
-        variants += [
-            ("model_multivariable", [score_spec] + cov_specs),
-            ("pathologist_multivariable", [path_spec] + cov_specs),
-            ("no_tils", list(cov_specs)),
-        ]
-    for name, specs in variants:
-        dataset = survstats.build_dataset(row_dicts, specs)
-        _fit_block(name, dataset, cox_blocks, flat_rows)
+        variants += [("model_multivariable", [score_spec, *cov_specs]),
+                     ("pathologist_multivariable", [path_spec, *cov_specs]),
+                     ("no_tils", cov_specs)]
+    cox_blocks = [_fit_block(name, survstats.build_dataset(times, events, columns, specs))
+                  for name, specs in variants]
 
     out = _out_dir(args)
     km_summary: dict = {}
@@ -403,9 +394,10 @@ def cmd_survival(args) -> int:
         fh.write("\n")
     with open(out / "cox_report.csv", "w") as fh:
         fh.write("model,variable,hr,ci_low,ci_high,p\n")
-        for row in flat_rows:
-            fh.write(f"{row['model']},{row['variable']},{row['hr']:.10g},"
-                     f"{row['ci_low']:.10g},{row['ci_high']:.10g},{row['p']:.10g}\n")
+        for block in cox_blocks:
+            for row in block["rows"]:
+                fh.write(f"{block['model']},{row['variable']},{row['hr']:.10g},"
+                         f"{row['ci_low']:.10g},{row['ci_high']:.10g},{row['p']:.10g}\n")
     _echo_config(out, "survival", args, {"n": len(recs)})
     for block in cox_blocks:
         tils_rows = [r for r in block["rows"] if r["variable"].endswith("per_10pct")]

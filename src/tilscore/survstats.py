@@ -128,65 +128,47 @@ class SurvivalDataset:
             raise SurvivalError("design shape does not match columns")
 
 
-def build_dataset(rows: list[dict], specs: list[CovariateSpec],
-                  time_key: str = "os_months", event_key: str = "os_event") -> SurvivalDataset:
-    """Complete-case design matrix from clinical-style row dicts.
+def build_dataset(times, events, columns: dict, specs: list[CovariateSpec]) -> SurvivalDataset:
+    """Complete-case design matrix from per-subject columns.
 
-    Rows missing the time, the event, or any requested covariate are dropped.
+    `columns` maps a column name to one value per subject, None where the
+    value is missing.  Subjects missing any requested covariate are dropped.
     """
-    levels: dict[str, list[str]] = {}
+    times, events = np.asarray(times), np.asarray(events)
+    n = times.size
+    names: list[str] = []
+    blocks, keep = [np.empty((n, 0))], np.ones(n, dtype=bool)
     for spec in specs:
-        if spec.kind == "factor":
-            seen = sorted({str(r[spec.column]) for r in rows
-                           if r.get(spec.column) is not None})
-            ref = spec.ref if spec.ref is not None else (seen[0] if seen else None)
-            if ref is None:
-                raise SurvivalError(f"factor column {spec.column!r} has no observed levels")
-            if spec.ref is not None and spec.ref not in seen:
-                raise SurvivalError(f"reference level {spec.ref!r} not observed in {spec.column!r}")
-            levels[spec.column] = [lv for lv in seen if lv != ref]
-        elif spec.kind != "numeric":
+        if spec.kind not in ("numeric", "factor"):
             raise SurvivalError(f"unknown covariate kind {spec.kind!r}")
-
-    columns: list[str] = []
-    for spec in specs:
+        vals = np.asarray(columns.get(spec.column, [None] * n), dtype=object)
+        present = vals != None  # noqa: E711 -- elementwise on an object array
+        if not present.any():
+            raise SurvivalError(f"column {spec.column!r} has no value for any subject")
+        keep &= present
         if spec.kind == "numeric":
-            columns.append(spec.column)
+            block = np.zeros((n, 1))
+            try:
+                block[present, 0] = vals[present].astype(np.float64) * spec.scale
+            except ValueError as exc:
+                raise SurvivalError(f"numeric column {spec.column!r}: {exc}") from exc
+            names.append(spec.column)
         else:
-            columns.extend(f"{spec.column}={lv}" for lv in levels[spec.column])
+            strs = vals[present].astype(str)
+            seen = np.unique(strs)
+            ref = spec.ref if spec.ref is not None else seen[0]
+            if ref not in seen:
+                raise SurvivalError(f"reference level {spec.ref!r} not observed in {spec.column!r}")
+            levels = seen[seen != ref]
+            block = np.zeros((n, levels.size))
+            block[present] = strs[:, None] == levels
+            names.extend(f"{spec.column}={lv}" for lv in levels)
+        blocks.append(block)
 
-    times, events, design = [], [], []
-    dropped = 0
-    for r in rows:
-        t, e = r.get(time_key), r.get(event_key)
-        if t is None or e is None:
-            dropped += 1
-            continue
-        row_vals: list[float] = []
-        ok = True
-        for spec in specs:
-            v = r.get(spec.column)
-            if v is None:
-                ok = False
-                break
-            if spec.kind == "numeric":
-                row_vals.append(float(v) * spec.scale)
-            else:
-                row_vals.extend(1.0 if str(v) == lv else 0.0 for lv in levels[spec.column])
-        if not ok:
-            dropped += 1
-            continue
-        times.append(float(t))
-        events.append(int(e))
-        design.append(row_vals)
-
-    if not times:
+    if not keep.any():
         raise SurvivalError("no usable rows after complete-case filtering")
-    return SurvivalDataset(
-        times=np.array(times), events=np.array(events),
-        design=np.array(design, dtype=np.float64).reshape(len(times), len(columns)),
-        columns=columns, n_dropped=dropped,
-    )
+    return SurvivalDataset(times=times[keep], events=events[keep], design=np.hstack(blocks)[keep],
+                           columns=names, n_dropped=int(n - keep.sum()))
 
 
 # ---------------------------------------------------------------------------

@@ -347,6 +347,17 @@ class TestClinicalCsv:
         assert "age" not in out[1].covariates
         assert out[1].covariates["histology"] == "BC NST"
 
+    def test_repeated_slide_id_names_id_and_lines(self):
+        csv_text = "slide_id,til_score_pct\na,10\nb,20\na,30\n"
+        with pytest.raises(ClinicalSchemaError, match="slide_id 'a' repeats on lines 2 and 4"):
+            load_clinical(io.StringIO(csv_text))
+
+    @pytest.mark.parametrize("months", ["nan", "inf", "-inf"])
+    def test_non_finite_os_months_names_line(self, months):
+        csv_text = f"slide_id,til_score_pct,os_months,os_event\na,10,12.0,1\nb,20,{months},0\n"
+        with pytest.raises(ClinicalSchemaError, match=f"line 3: os_months '{months}' is not finite"):
+            load_clinical(io.StringIO(csv_text))
+
 
 class TestPredictionsCsv:
     def test_round_trip(self, tmp_path):
@@ -359,4 +370,10 @@ class TestPredictionsCsv:
         path = tmp_path / "preds.csv"
         path.write_text("slide_id,ectil_score\na,1.5\n")
         with pytest.raises(ClinicalSchemaError):
+            read_predictions(path)
+
+    def test_repeated_slide_id_names_id_and_lines(self, tmp_path):
+        path = tmp_path / "preds.csv"
+        path.write_text("slide_id,ectil_score\na,0.1\nb,0.2\na,0.3\n")
+        with pytest.raises(ClinicalSchemaError, match="slide_id 'a' repeats on lines 2 and 4"):
             read_predictions(path)

@@ -92,6 +92,41 @@ def test_workers_other_than_one_rejected(command, workers, capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
+BAD_CONFIGS = {
+    "survival-unknown-key": ("survival", {"covariates": [{"col": "age"}]}, "unknown key 'col'"),
+    "survival-not-a-list": ("survival", {"covariates": {"a": 1}},
+                            '"covariates" must be a JSON list, not dict'),
+    "survival-value-type": ("survival", {"covariates": [{"column": "age", "scale": "ten"}]},
+                            "'scale' must be float, not str"),
+    "survival-missing-key": ("survival", {"covariates": [{"kind": "numeric"}]}, "'column'"),
+    "tile-unknown-key": ("tile", {"fesi": {"bogus": 1}}, "unknown key 'bogus'"),
+    "tile-not-an-object": ("tile", {"fesi": [8]}, '"fesi" must be a JSON object, not list'),
+    "train-unknown-key": ("train", {"hyper": {"lrate": 1e-3}}, "unknown key 'lrate'"),
+    "train-value-type": ("train", {"hyper": {"max_epochs": 2.5}},
+                         "'max_epochs' must be int, not float"),
+    "train-top-level-key": ("train", {"hyperr": {}}, "unknown key 'hyperr'"),
+    "synth-unknown-key": ("synth", {"n_slide": 3}, "unknown key 'n_slide'"),
+    "synth-value-type": ("synth", {"survival": 1}, "'survival' must be bool, not int"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_CONFIGS)
+def test_bad_json_config_exits_2_by_name(case, tmp_path, capsys):
+    command, config, message = BAD_CONFIGS[case]
+    cfg, out = tmp_path / "cfg.json", tmp_path / "o"
+    cfg.write_text(json.dumps(config))
+    # the configuration is read before any input, so the inputs need not exist
+    argv = {"synth": [cfg],
+            "tile": [tmp_path / "img.ppm", "--mpp", 0.5, "--config", cfg],
+            "train": ["--bags", tmp_path, "--clinical", tmp_path / "c.csv", "--plan", "loco",
+                      "--config", cfg],
+            "survival": ["--predictions", tmp_path / "p.csv", "--clinical", tmp_path / "c.csv",
+                         "--spec", cfg]}[command]
+    assert run(command, *argv, "--out", out) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestTile:
     def test_white_image_keeps_zero_tiles(self, tmp_path):
         img = tmp_path / "white.ppm"
@@ -402,6 +437,18 @@ class TestEvaluate:
             concord.average_precision(p, concord.binarize(y, 30)), abs=1e-15)
 
 
+    def test_repeated_clinical_slide_id_is_usage_error(self, tmp_path, capsys):
+        clinical = tmp_path / "clinical.csv"
+        clinical.write_text("slide_id,til_score_pct\n" +
+                            "".join(f"s{i},{10 * i + 5}\n" for i in range(4)) + "s0,50\n")
+        preds = tmp_path / "preds.csv"
+        bagio.write_predictions([(f"s{i}", 0.1 * i + 0.05) for i in range(4)], preds)
+        out = tmp_path / "out"
+        assert run("evaluate", "--predictions", preds, "--clinical", clinical, "--out", out) == 2
+        assert "slide_id 's0' repeats on lines 2 and 6" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def make_survival_inputs(tmp_path, n=120, seed=11):
     rng = np.random.default_rng(seed)
     tils = rng.uniform(0, 100, n).round(1)
@@ -473,6 +520,35 @@ class TestSurvival:
         model_a = next(b for b in rep_a["cox"] if b["model"] == "model_univariable")
         model_b = next(b for b in rep_b["cox"] if b["model"] == "model_univariable")
         assert model_a["concordance"] == pytest.approx(model_b["concordance"], abs=1e-9)
+
+    def test_subject_without_survival_data_left_out(self, tmp_path):
+        clinical, preds, *_ = make_survival_inputs(tmp_path)
+        lines = clinical.read_text().splitlines()
+        sid, til, _months, _event, marker = lines[1].split(",")
+        lines[1] = f"{sid},{til},,,{marker}"
+        clinical.write_text("\n".join(lines) + "\n")
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"covariates": [{"column": "biomarker", "kind": "factor"}]}))
+        out = tmp_path / "out"
+        assert run("survival", "--predictions", preds, "--clinical", clinical,
+                   "--spec", spec, "--out", out) == 0
+        report = json.loads((out / "survival.json").read_text())
+        assert report["n"] == 119
+        assert [b["n"] for b in report["cox"]] == [119] * 5
+        assert all(sum(g.values()) == 119 for g in
+                   (report["km"][k]["groups"] for k in ("pathologist_cutoffs", "model_median")))
+
+    @pytest.mark.parametrize("column", ["stage", "empty"])
+    def test_spec_column_without_values_named(self, tmp_path, column, capsys):
+        clinical, preds, *_ = make_survival_inputs(tmp_path, n=30)
+        lines = clinical.read_text().splitlines()
+        clinical.write_text("\n".join([lines[0] + ",empty"] + [ln + "," for ln in lines[1:]]) + "\n")
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"covariates": [{"column": "biomarker", "kind": "factor"},
+                                                   {"column": column}]}))
+        assert run("survival", "--predictions", preds, "--clinical", clinical,
+                   "--spec", spec, "--out", tmp_path / "o") == 2
+        assert f"column {column!r} has no value for any subject" in capsys.readouterr().err
 
     def test_no_survival_rows_is_error(self, tmp_path):
         clinical = tmp_path / "clinical.csv"

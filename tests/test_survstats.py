@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import numpy as np
@@ -450,32 +451,140 @@ class TestSchoenfeld:
 
 
 class TestBuildDataset:
-    ROWS = [
-        {"os_months": 12.0, "os_event": 1, "grade": "3", "tils": 0.4},
-        {"os_months": 30.0, "os_event": 0, "grade": "1or2", "tils": 0.8},
-        {"os_months": 7.0, "os_event": 1, "grade": "3", "tils": 0.1},
-        {"os_months": 9.0, "os_event": 1, "grade": None, "tils": 0.2},
-        {"os_months": None, "os_event": None, "grade": "3", "tils": 0.5},
-    ]
+    TIMES = [12.0, 30.0, 7.0, 9.0]
+    EVENTS = [1, 0, 1, 1]
+    COLUMNS = {"grade": ["3", "1or2", "3", None], "tils": [0.4, 0.8, 0.1, 0.2]}
 
     def test_factor_expansion_and_dropping(self):
-        ds = build_dataset(self.ROWS, [
+        ds = build_dataset(self.TIMES, self.EVENTS, self.COLUMNS, [
             CovariateSpec("tils", kind="numeric", scale=10.0),
             CovariateSpec("grade", kind="factor", ref="1or2"),
         ])
         assert ds.columns == ["tils", "grade=3"]
-        assert ds.times.size == 3  # two rows dropped: missing grade, missing survival
-        assert ds.n_dropped == 2
+        assert ds.times.size == 3  # the row missing grade is dropped
+        assert ds.n_dropped == 1
         assert ds.design[:, 0].tolist() == [4.0, 8.0, 1.0]
         assert ds.design[:, 1].tolist() == [1.0, 0.0, 1.0]
 
     def test_unknown_ref_rejected(self):
         with pytest.raises(SurvivalError):
-            build_dataset(self.ROWS, [CovariateSpec("grade", kind="factor", ref="9")])
+            build_dataset(self.TIMES, self.EVENTS, self.COLUMNS,
+                          [CovariateSpec("grade", kind="factor", ref="9")])
 
     def test_default_ref_is_smallest_level(self):
-        ds = build_dataset(self.ROWS, [CovariateSpec("grade", kind="factor")])
+        ds = build_dataset(self.TIMES, self.EVENTS, self.COLUMNS,
+                           [CovariateSpec("grade", kind="factor")])
         assert ds.columns == ["grade=3"]
+
+    @pytest.mark.parametrize("grade", [{}, {"grade": [None] * 4}], ids=["absent", "empty"])
+    def test_column_without_values_named(self, grade):
+        columns = {"tils": self.COLUMNS["tils"], **grade}
+        with pytest.raises(SurvivalError, match="column 'grade' has no value for any subject"):
+            build_dataset(self.TIMES, self.EVENTS, columns,
+                          [CovariateSpec("tils"), CovariateSpec("grade", kind="factor")])
+
+    def test_matches_row_loop_reference(self):
+        rng = np.random.default_rng(43)
+        for _ in range(200):
+            times, events, columns, specs = random_clinical_table(rng)
+            rows = [{"os_months": float(t), "os_event": int(e),
+                     **{c: vals[i] for c, vals in columns.items()}}
+                    for i, (t, e) in enumerate(zip(times, events))]
+            try:
+                want = loop_build_dataset(rows, specs)
+            except SurvivalError as exc:
+                with pytest.raises(SurvivalError, match=f"^{re.escape(str(exc))}$"):
+                    build_dataset(times, events, columns, specs)
+                continue
+            got = build_dataset(times, events, columns, specs)
+            assert got.columns == want.columns
+            assert got.n_dropped == want.n_dropped
+            for attr in ("times", "events", "design"):
+                a, b = getattr(got, attr), getattr(want, attr)
+                assert a.dtype == b.dtype and np.array_equal(a, b), attr
+
+
+def random_clinical_table(rng):
+    """Per-subject columns with missing cells, as `load_clinical` types them:
+    numeric cells are floats, factor cells floats ("1.0") or strings."""
+    n = int(rng.integers(1, 30))
+    times = rng.uniform(0.1, 100.0, n).round(1)
+    events = (rng.random(n) < 0.6).astype(np.int64)
+    columns, specs = {}, []
+    for j in range(int(rng.integers(1, 5))):
+        name = f"c{j}"
+        if rng.random() < 0.4:
+            vals = [float(v) for v in rng.normal(50.0, 10.0, n).round(2)]
+            spec = CovariateSpec(name, scale=float(rng.choice([1.0, 0.1, 2.5, 10.0])))
+        else:
+            pool = [[1.0, 2.0, 3.0], ["G1", "G2", "G3", "g0"], [1.0, "x", "10", 2.5]][j % 3]
+            vals = [pool[k] for k in rng.integers(0, len(pool), n)]
+            spec = CovariateSpec(name, kind="factor")
+        missing = rng.random(n) < rng.uniform(0.0, 0.3)
+        missing[rng.integers(n)] = False  # every column keeps a value
+        vals = [None if m else v for v, m in zip(vals, missing)]
+        if spec.kind == "factor" and rng.random() < 0.5:
+            spec.ref = str(vals[rng.choice(np.flatnonzero(~missing))])
+        columns[name] = vals
+        specs.append(spec)
+    return times, events, columns, [specs[k] for k in rng.permutation(len(specs))]
+
+
+def loop_build_dataset(rows, specs, time_key="os_months", event_key="os_event"):
+    """The former row-dict `build_dataset`, kept as a reference."""
+    levels = {}
+    for spec in specs:
+        if spec.kind == "factor":
+            seen = sorted({str(r[spec.column]) for r in rows
+                           if r.get(spec.column) is not None})
+            ref = spec.ref if spec.ref is not None else (seen[0] if seen else None)
+            if ref is None:
+                raise SurvivalError(f"factor column {spec.column!r} has no observed levels")
+            if spec.ref is not None and spec.ref not in seen:
+                raise SurvivalError(f"reference level {spec.ref!r} not observed in {spec.column!r}")
+            levels[spec.column] = [lv for lv in seen if lv != ref]
+        elif spec.kind != "numeric":
+            raise SurvivalError(f"unknown covariate kind {spec.kind!r}")
+
+    columns = []
+    for spec in specs:
+        if spec.kind == "numeric":
+            columns.append(spec.column)
+        else:
+            columns.extend(f"{spec.column}={lv}" for lv in levels[spec.column])
+
+    times, events, design = [], [], []
+    dropped = 0
+    for r in rows:
+        t, e = r.get(time_key), r.get(event_key)
+        if t is None or e is None:
+            dropped += 1
+            continue
+        row_vals = []
+        ok = True
+        for spec in specs:
+            v = r.get(spec.column)
+            if v is None:
+                ok = False
+                break
+            if spec.kind == "numeric":
+                row_vals.append(float(v) * spec.scale)
+            else:
+                row_vals.extend(1.0 if str(v) == lv else 0.0 for lv in levels[spec.column])
+        if not ok:
+            dropped += 1
+            continue
+        times.append(float(t))
+        events.append(int(e))
+        design.append(row_vals)
+
+    if not times:
+        raise SurvivalError("no usable rows after complete-case filtering")
+    return SurvivalDataset(
+        times=np.array(times), events=np.array(events),
+        design=np.array(design, dtype=np.float64).reshape(len(times), len(columns)),
+        columns=columns, n_dropped=dropped,
+    )
 
 
 # ---------------------------------------------------------------------------
