@@ -232,6 +232,8 @@ def load_clinical(source) -> list[SlideRecord]:
         os_months = float(raw_months) if raw_months else None
         if os_months is not None and not math.isfinite(os_months):
             raise ClinicalSchemaError(f"line {lineno}: os_months {raw_months!r} is not finite")
+        if os_months is not None and os_months <= 0.0:
+            raise ClinicalSchemaError(f"line {lineno}: os_months {raw_months!r} is not positive")
         os_event = int(raw_event) if raw_event else None
         if os_event not in (None, 0, 1):
             raise ClinicalSchemaError(f"line {lineno}: os_event must be 0 or 1")
@@ -241,7 +243,10 @@ def load_clinical(source) -> list[SlideRecord]:
                 continue
             val = (val or "").strip()
             if val:
-                covariates[key] = _parse_covariate(val)
+                value = covariates[key] = _parse_covariate(val)
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ClinicalSchemaError(
+                        f"line {lineno}: covariate {key!r} value {val!r} is not finite")
         records.append(SlideRecord(
             slide_id=sid,
             cohort=(row.get("cohort") or "").strip(),

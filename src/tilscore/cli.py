@@ -37,6 +37,12 @@ class CliError(ValueError):
     """Validation failure surfaced as exit code 2."""
 
 
+def _write_json(path: Path, obj, sort_keys: bool = True) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=sort_keys)
+        fh.write("\n")
+
+
 def _echo_config(out_dir: Path, command: str, args: argparse.Namespace, extra: dict | None = None) -> None:
     payload = {"command": command, "version": __version__}
     for key, val in sorted(vars(args).items()):
@@ -45,9 +51,7 @@ def _echo_config(out_dir: Path, command: str, args: argparse.Namespace, extra: d
         payload[key] = str(val) if isinstance(val, Path) else val
     if extra:
         payload.update(extra)
-    with open(out_dir / "run_config.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "run_config.json", payload)
 
 
 def _load_config(path: str | None, flag: str, key: str) -> dict:
@@ -91,7 +95,21 @@ def _hyper_from(args: argparse.Namespace) -> milnet.HyperParams:
                  "attn_hidden"):
         if getattr(args, name) is not None:
             setattr(hyper, name, getattr(args, name))
+    hyper.validate()
     return hyper
+
+
+def _parse_cutoffs(text: str) -> list[float]:
+    """The comma-separated --cutoffs, each a finite percentage in [0, 100]."""
+    cutoffs = []
+    for raw in text.split(","):
+        try:
+            cutoffs.append(float(raw))
+        except ValueError:
+            raise CliError(f"--cutoffs: {raw!r} is not a number") from None
+        if not 0.0 <= cutoffs[-1] <= 100.0:
+            raise CliError(f"--cutoffs: {raw!r} is not a finite value in [0, 100]")
+    return cutoffs
 
 
 def _out_dir(args) -> Path:
@@ -177,14 +195,14 @@ def _load_bag_dir(bag_dir: Path) -> dict[str, bagio.FeatureBag]:
     return {bag.slide_id: bag for bag in bags}
 
 
-def _parse_plan(spec: str):
+def _make_plan(spec: str, records: list[bagio.SlideRecord], seed: int) -> FoldPlan:
     if spec == "loco":
-        return ("loco", None)
+        return leave_one_cohort_out(records)
     if spec.startswith("centre:"):
         k = int(spec.split(":", 1)[1])
         if k < 2:
             raise CliError("centre k-fold needs k >= 2")
-        return ("centre", k)
+        return split_by_group(records, "centre", k, seed=seed)
     raise CliError(f"unknown plan {spec!r}; use 'centre:<k>' or 'loco'")
 
 
@@ -195,11 +213,7 @@ def cmd_train(args) -> int:
     records = [r for r in records if r.slide_id in bags_by_id]
     if not records:
         raise CliError("no overlap between clinical slide_ids and bag files")
-    kind, k = _parse_plan(args.plan)
-    if kind == "loco":
-        plan = leave_one_cohort_out(records)
-    else:
-        plan = split_by_group(records, "centre", k, seed=args.seed)
+    plan = _make_plan(args.plan, records, args.seed)
     plan.validate_groups(records)
 
     ordered = sorted(records, key=lambda r: r.slide_id)
@@ -227,9 +241,7 @@ def cmd_train(args) -> int:
     plan.to_csv(out / "fold_plan.csv")
     save_ensemble(Ensemble(members=members, hyper=hyper), out,
                   extra={"plan": args.plan, "champions": champions})
-    with open(out / "history.json", "w") as fh:
-        json.dump(history, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "history.json", history)
     _echo_config(out, "train", args, {"hyper": dataclasses.asdict(hyper), "k": plan.k})
     for c in champions:
         print(f"fold {c['fold']}: epoch {c['best_epoch']} "
@@ -278,22 +290,21 @@ def _join_predictions(pred_path, records):
 
 
 def cmd_evaluate(args) -> int:
+    cutoffs = _parse_cutoffs(args.cutoffs)
     records = bagio.load_clinical(args.clinical)
     rows = _join_predictions(args.predictions, records)
     preds = np.array([p for _, p in rows])
     labels = np.array([r.til_score_pct for r, _ in rows])
-    cutoffs = [float(c) for c in args.cutoffs.split(",")]
     report = concord.evaluate(preds, labels, cutoffs)
     curve = concord.calibration(preds, labels)
     out = _out_dir(args)
-    report.to_json(out / "metrics.json")
+    _write_json(out / "metrics.json", report, sort_keys=False)
     curve.to_csv(out / "calibration.csv")
-    _echo_config(out, "evaluate", args, {"n": report.n})
+    _echo_config(out, "evaluate", args, {"n": report["n"]})
     summary = ", ".join(
-        f"{k}={v:.4f}" if v is not None else f"{k}=NA"
-        for k, v in (("pearson", report.pearson), ("spearman", report.spearman),
-                     ("ccc", report.ccc), ("mse_pct", report.mse_pct)))
-    print(f"n={report.n}: {summary}")
+        f"{k}={report[k]:.4f}" if report[k] is not None else f"{k}=NA"
+        for k in ("pearson", "spearman", "ccc", "mse_pct"))
+    print(f"n={report['n']}: {summary}")
     return EXIT_OK
 
 
@@ -339,6 +350,7 @@ def _fit_block(name, dataset) -> dict:
 
 
 def cmd_survival(args) -> int:
+    cutoffs = sorted(_parse_cutoffs(args.cutoffs))
     covs = _load_config(args.spec, "--spec", "covariates").get("covariates", [])
     if not isinstance(covs, list):
         raise CliError(f'--spec "covariates" must be a JSON list, not {type(covs).__name__}')
@@ -372,7 +384,6 @@ def cmd_survival(args) -> int:
 
     out = _out_dir(args)
     km_summary: dict = {}
-    cutoffs = sorted(float(c) for c in args.cutoffs.split(","))
     edges = [-np.inf] + cutoffs + [np.inf]
     bin_of = np.searchsorted(cutoffs, labels_pct, side="right")
     cut_groups = np.array([_cutoff_label(edges[i], edges[i + 1]) for i in bin_of])
@@ -389,9 +400,7 @@ def cmd_survival(args) -> int:
     report = {"n": len(recs), "events": int(events.sum()),
               "normalization": {"min": norm_min, "max": norm_max},
               "cox": cox_blocks, "km": km_summary}
-    with open(out / "survival.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "survival.json", report)
     with open(out / "cox_report.csv", "w") as fh:
         fh.write("model,variable,hr,ci_low,ci_high,p\n")
         for block in cox_blocks:
@@ -445,12 +454,11 @@ def cmd_heatmap(args) -> int:
     step = step_x
     n_rows, n_cols = int(rows.max()) + 1, int(cols.max()) + 1
 
+    # np.round rounds half to even, as Python's round does
     attn_img = np.zeros((n_rows, n_cols), dtype=np.uint8)
     score_img = np.zeros((n_rows, n_cols), dtype=np.uint8)
-    attn_rel = trace.attention / trace.attention.max()
-    for k in range(bag.n_tiles):
-        attn_img[rows[k], cols[k]] = int(round(255.0 * attn_rel[k]))
-        score_img[rows[k], cols[k]] = int(round(255.0 * trace.tile_scores[k]))
+    attn_img[rows, cols] = np.round(255.0 * (trace.attention / trace.attention.max()))
+    score_img[rows, cols] = np.round(255.0 * trace.tile_scores)
 
     out = _out_dir(args)
     pnm.write_pgm(out / "attention.pgm", attn_img)
@@ -469,9 +477,7 @@ def cmd_heatmap(args) -> int:
             for k in range(bag.n_tiles)
         ],
     }
-    with open(out / "heatmap.json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "heatmap.json", sidecar)
     _echo_config(out, "heatmap", args, {"n_tiles": bag.n_tiles})
     print(f"heatmaps for {bag.slide_id} ({bag.n_tiles} tiles) -> {out}")
     return EXIT_OK

@@ -10,9 +10,8 @@ explicit ``None`` entries instead of aborting.
 from __future__ import annotations
 
 import csv
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -208,43 +207,6 @@ def calibration(preds_fraction, labels_pct, n_bins: int = CALIBRATION_BINS) -> C
     return CalibrationCurve(bins=bins, n=int(p.size))
 
 
-@dataclass
-class CutoffMetrics:
-    auroc: float | None
-    ap: float | None
-    random_ap: float | None
-
-
-@dataclass
-class MetricsReport:
-    """The full concordance panel for one prediction/label set."""
-
-    n: int
-    pearson: float | None
-    spearman: float | None
-    ccc: float | None
-    mse_pct: float | None
-    cutoffs: dict[float, CutoffMetrics] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "pearson": self.pearson,
-            "spearman": self.spearman,
-            "ccc": self.ccc,
-            "mse_pct": self.mse_pct,
-            "cutoffs": {
-                f"{c:g}": {"auroc": m.auroc, "ap": m.ap, "random_ap": m.random_ap}
-                for c, m in self.cutoffs.items()
-            },
-        }
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
-
-
 def _try(fn, *args) -> float | None:
     try:
         return fn(*args)
@@ -252,21 +214,16 @@ def _try(fn, *args) -> float | None:
         return None
 
 
-def evaluate(preds_fraction, labels_pct, cutoffs=DEFAULT_CUTOFFS) -> MetricsReport:
-    """Assemble the whole panel; undefined metrics become None, not errors."""
+def evaluate(preds_fraction, labels_pct, cutoffs=DEFAULT_CUTOFFS) -> dict:
+    """The whole panel as the `metrics.json` document; undefined metrics
+    become None, not errors.  Cutoffs are keyed by their `:g` form; equal
+    cutoffs (0 and -0 too) count once, under the first one's key."""
     p, y = _paired(preds_fraction, labels_pct)
-    report = MetricsReport(
-        n=int(p.size),
-        pearson=_try(pearson, p, y),
-        spearman=_try(spearman, p, y),
-        ccc=_try(ccc, 100.0 * p, y),
-        mse_pct=_try(mse_pct, p, y),
-    )
-    for c in cutoffs:
+    report = {"n": int(p.size), "pearson": _try(pearson, p, y), "spearman": _try(spearman, p, y),
+              "ccc": _try(ccc, 100.0 * p, y), "mse_pct": _try(mse_pct, p, y), "cutoffs": {}}
+    for c in dict.fromkeys(cutoffs):
         pos = binarize(y, c)
-        report.cutoffs[float(c)] = CutoffMetrics(
-            auroc=_try(auroc, p, pos),
-            ap=_try(average_precision, p, pos),
-            random_ap=_try(random_ap, pos),
-        )
+        report["cutoffs"][f"{c:g}"] = {"auroc": _try(auroc, p, pos),
+                                       "ap": _try(average_precision, p, pos),
+                                       "random_ap": _try(random_ap, pos)}
     return report

@@ -125,13 +125,22 @@ def save_ensemble(ensemble: Ensemble, out_dir, extra: dict | None = None) -> Non
 
 
 def load_ensemble(path) -> Ensemble:
-    """Accepts an ensemble directory (with ensemble.json) or one checkpoint file."""
+    """Accepts an ensemble directory (with ensemble.json) or one checkpoint
+    file.  A manifest that does not list its member file names raises
+    FoldError naming it."""
     path = Path(path)
     if path.is_dir():
-        with open(path / "ensemble.json") as fh:
+        manifest_path = path / "ensemble.json"
+        with open(manifest_path) as fh:
             manifest = json.load(fh)
+        if not isinstance(manifest, dict) or "members" not in manifest:
+            raise FoldError(f'{manifest_path}: expected a JSON object with a "members" list')
+        names = manifest["members"]
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise FoldError(f'{manifest_path}: "members" must list checkpoint file names, '
+                            f"not {names!r}")
         members, hyper = [], None
-        for name in manifest["members"]:
+        for name in names:
             params, hyper = load_checkpoint(path / name)
             members.append(params)
         return Ensemble(members=members, hyper=hyper)

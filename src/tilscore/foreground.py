@@ -20,8 +20,7 @@ kept when its footprint holds at least one foreground mask pixel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -241,9 +240,7 @@ def filter_tiles(grid: TileGrid, mask: ForegroundMask) -> TileGrid:
         c1 = min(int(np.ceil((x + span) * mask.scale)), mask.width)
         r1 = min(int(np.ceil((y + span) * mask.scale)), mask.height)
         kept[i] = bool(mask.bits[r0:r1, c0:c1].any())
-    return TileGrid(tile_size_px=grid.tile_size_px, target_mpp=grid.target_mpp,
-                    rescale=grid.rescale, slide_width_px=grid.slide_width_px,
-                    slide_height_px=grid.slide_height_px, tiles=grid.tiles.copy(), kept=kept)
+    return replace(grid, kept=kept)
 
 
 def write_manifest(grid: TileGrid, path) -> None:
@@ -253,20 +250,3 @@ def write_manifest(grid: TileGrid, path) -> None:
         fh.write(f"rescale\t{grid.rescale:.10g}\n")
         for (x, y), k in zip(grid.tiles, grid.kept):
             fh.write(f"{x}\t{y}\t{int(k)}\n")
-
-
-def read_manifest(path) -> tuple[int, float, np.ndarray, np.ndarray]:
-    """Returns (tile_size, rescale, tiles, kept)."""
-    lines = Path(path).read_text().splitlines()
-    if len(lines) < 2 or not lines[0].startswith("tile_size\t") or not lines[1].startswith("rescale\t"):
-        raise ForegroundError(f"bad manifest header in {path}")
-    tile_size = int(lines[0].split("\t")[1])
-    rescale = float(lines[1].split("\t")[1])
-    tiles, kept = [], []
-    for line in lines[2:]:
-        if not line:
-            continue
-        x, y, k = line.split("\t")
-        tiles.append((int(x), int(y)))
-        kept.append(bool(int(k)))
-    return tile_size, rescale, np.array(tiles, dtype=np.int64).reshape(len(tiles), 2), np.array(kept, dtype=bool)

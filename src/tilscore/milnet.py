@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,7 @@ STACK_ROWS = 4096
 
 CKPT_MAGIC = b"ECTM"
 CKPT_VERSION = 1
-_CKPT_HYPER = "<ddIIIddIII"  # lr, decay, batch, hidden, enc_out, dropouts, epochs, patience, dim
+_CKPT_HYPER = "<ddIIIddIII"  # every HyperParams field in declared order, then dim
 
 
 class ModelError(ValueError):
@@ -54,24 +54,33 @@ class HyperParams:
     max_epochs: int = 50
     patience: int = 15
 
-
-PARAM_FIELDS = ("enc_w", "enc_b", "attn_v", "attn_v_b", "attn_u", "attn_u_b",
-                "attn_w", "score_w", "score_b")
+    def validate(self) -> None:
+        """Raise ModelError naming the first field out of its range."""
+        at_least_one = ("batch_size", "max_epochs", "patience", "enc_out", "attn_hidden")
+        rules = [("lr", "finite and above 0", 0.0 < self.lr < math.inf),
+                 ("weight_decay", "finite and not negative", 0.0 <= self.weight_decay < math.inf),
+                 *((name, "at least 1", getattr(self, name) >= 1) for name in at_least_one),
+                 *((name, "in [0, 1)", 0.0 <= getattr(self, name) < 1.0)
+                   for name in ("dropout_feature", "dropout_tile"))]
+        for name, rule, ok in rules:
+            if not ok:
+                raise ModelError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass
 class ModelParams:
-    """All trainable tensors (float64). Also reused as a gradient container."""
+    """All trainable tensors (float64), shaped as `param_shapes` says.
+    Also reused as a gradient container."""
 
-    enc_w: np.ndarray  # (enc_out, dim)
-    enc_b: np.ndarray  # (enc_out,)
-    attn_v: np.ndarray  # (attn_hidden, enc_out)
-    attn_v_b: np.ndarray  # (attn_hidden,)
-    attn_u: np.ndarray  # (attn_hidden, enc_out)
-    attn_u_b: np.ndarray  # (attn_hidden,)
-    attn_w: np.ndarray  # (attn_hidden,)
-    score_w: np.ndarray  # (enc_out,)
-    score_b: np.ndarray  # (1,)
+    enc_w: np.ndarray
+    enc_b: np.ndarray
+    attn_v: np.ndarray
+    attn_v_b: np.ndarray
+    attn_u: np.ndarray
+    attn_u_b: np.ndarray
+    attn_w: np.ndarray
+    score_w: np.ndarray
+    score_b: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -91,30 +100,28 @@ class ModelParams:
         for f in PARAM_FIELDS:
             getattr(self, f).fill(value)
 
-    def allclose(self, other: "ModelParams", atol: float = 0.0) -> bool:
-        return all(np.allclose(getattr(self, f), getattr(other, f), rtol=0.0, atol=atol)
-                   for f in PARAM_FIELDS)
+
+PARAM_FIELDS = tuple(f.name for f in fields(ModelParams))
+
+
+def param_shapes(hyper: HyperParams, dim: int) -> dict[str, tuple[int, ...]]:
+    """Every tensor's shape, in PARAM_FIELDS order (the checkpoint order)."""
+    e, h = hyper.enc_out, hyper.attn_hidden
+    return {"enc_w": (e, dim), "enc_b": (e,), "attn_v": (h, e), "attn_v_b": (h,),
+            "attn_u": (h, e), "attn_u_b": (h,), "attn_w": (h,), "score_w": (e,),
+            "score_b": (1,)}
 
 
 def init_params(seed: int, hyper: HyperParams, dim: int = 2048) -> ModelParams:
-    """Uniform +/- 1/sqrt(fan_in) weights, zero biases; deterministic per seed."""
+    """Uniform +/- 1/sqrt(fan_in) weights, zero biases; deterministic per seed.
+
+    Weights are drawn in field order, and a weight's fan-in is its last axis.
+    """
     rng = np.random.default_rng(seed)
-
-    def uni(shape, fan_in):
-        return rng.uniform(-1.0, 1.0, size=shape) / np.sqrt(fan_in)
-
-    h = hyper
-    return ModelParams(
-        enc_w=uni((h.enc_out, dim), dim),
-        enc_b=np.zeros(h.enc_out),
-        attn_v=uni((h.attn_hidden, h.enc_out), h.enc_out),
-        attn_v_b=np.zeros(h.attn_hidden),
-        attn_u=uni((h.attn_hidden, h.enc_out), h.enc_out),
-        attn_u_b=np.zeros(h.attn_hidden),
-        attn_w=uni(h.attn_hidden, h.attn_hidden),
-        score_w=uni(h.enc_out, h.enc_out),
-        score_b=np.zeros(1),
-    )
+    return ModelParams(**{
+        name: np.zeros(shape) if name.endswith("_b")
+        else rng.uniform(-1.0, 1.0, size=shape) / np.sqrt(shape[-1])
+        for name, shape in param_shapes(hyper, dim).items()})
 
 
 @dataclass
@@ -195,16 +202,19 @@ def loss_grad(prediction: float, label: float) -> float:
 def backward(trace: ForwardTrace, params: ModelParams, d_prediction: float, *,
              acc: ModelParams | None = None, d_pre: np.ndarray | None = None) -> ModelParams:
     """Exact gradients of d_prediction * prediction w.r.t. every parameter,
-    under the dropout masks realised in `trace`.
+    under the dropout masks realised in `trace`, added into `acc` in place
+    (a fresh zero container when none is given), which is returned.
 
-    With `acc` and `d_pre` (a K x enc_out array), the gradients of every
-    tensor but `enc_w` are added into `acc` in place, the gradient at the
-    encoder pre-activations is written to `d_pre`, and `acc` is returned:
-    the caller forms the `enc_w` gradient as d_pre.T @ features, once over
-    the stacked tiles of a batch.
+    Given `d_pre` (a K x enc_out array), the gradient at the encoder
+    pre-activations is written there and `acc.enc_w` is left alone: the
+    caller forms the `enc_w` gradient as d_pre.T @ features, once over the
+    stacked tiles of a batch.
     """
     if trace.embeddings.shape[1] != params.enc_out or trace.features.shape[1] != params.dim:
         raise ModelError("trace does not match parameter shapes")
+    if acc is None:
+        acc = params.zeros_like()
+    stacked = d_pre is not None
     a = trace.attention
     s = trace.tile_scores
 
@@ -213,8 +223,8 @@ def backward(trace: ForwardTrace, params: ModelParams, d_prediction: float, *,
     d_logits = a * (d_a - float(a @ d_a))
 
     d_sv = d_s * s * (1.0 - s)
-    g_score_w = trace.score_input.T @ d_sv
-    g_score_b = np.array([d_sv.sum()])
+    acc.score_w += trace.score_input.T @ d_sv
+    acc.score_b += d_sv.sum()
     d_score_in = np.outer(d_sv, params.score_w)
     d_emb = d_score_in if trace.dropout_mask is None else d_score_in * trace.dropout_mask
 
@@ -223,23 +233,17 @@ def backward(trace: ForwardTrace, params: ModelParams, d_prediction: float, *,
     d_g = d_gate * trace.gate_t
     d_tv = d_t * (1.0 - trace.gate_t**2)
     d_uv = d_g * trace.gate_g * (1.0 - trace.gate_g)
-    g_attn_w = (trace.gate_t * trace.gate_g).T @ d_logits
-    g_attn_v = d_tv.T @ trace.embeddings
-    g_attn_v_b = d_tv.sum(axis=0)
-    g_attn_u = d_uv.T @ trace.embeddings
-    g_attn_u_b = d_uv.sum(axis=0)
+    acc.attn_w += (trace.gate_t * trace.gate_g).T @ d_logits
+    acc.attn_v += d_tv.T @ trace.embeddings
+    acc.attn_v_b += d_tv.sum(axis=0)
+    acc.attn_u += d_uv.T @ trace.embeddings
+    acc.attn_u_b += d_uv.sum(axis=0)
     d_emb = d_emb + d_tv @ params.attn_v + d_uv @ params.attn_u
 
     d_pre = np.multiply(d_emb, trace.embeddings > 0.0, out=d_pre)
-    g = ModelParams(enc_w=None, enc_b=d_pre.sum(axis=0), attn_v=g_attn_v,
-                    attn_v_b=g_attn_v_b, attn_u=g_attn_u, attn_u_b=g_attn_u_b,
-                    attn_w=g_attn_w, score_w=g_score_w, score_b=g_score_b)
-    if acc is None:
-        g.enc_w = d_pre.T @ trace.features
-        return g
-    for name in PARAM_FIELDS[1:]:  # every tensor after enc_w
-        total = getattr(acc, name)
-        total += getattr(g, name)
+    acc.enc_b += d_pre.sum(axis=0)
+    if not stacked:
+        acc.enc_w += d_pre.T @ trace.features
     return acc
 
 
@@ -350,6 +354,7 @@ def train(bags: list[FeatureBag], labels, train_idx, val_idx,
     epoch.  Deterministic for a fixed seed.
     """
     hyper = hyper or HyperParams()
+    hyper.validate()
     labels = np.asarray(labels, dtype=np.float64)
     train_idx = np.asarray(train_idx, dtype=np.int64)
     val_idx = np.asarray(val_idx, dtype=np.int64)
@@ -438,10 +443,7 @@ def save_checkpoint(params: ModelParams, hyper: HyperParams, path) -> None:
     with open(path, "wb") as fh:
         fh.write(CKPT_MAGIC)
         fh.write(struct.pack("<H", CKPT_VERSION))
-        fh.write(struct.pack(
-            _CKPT_HYPER, hyper.lr, hyper.weight_decay, hyper.batch_size,
-            hyper.attn_hidden, hyper.enc_out, hyper.dropout_feature,
-            hyper.dropout_tile, hyper.max_epochs, hyper.patience, params.dim))
+        fh.write(struct.pack(_CKPT_HYPER, *astuple(hyper), params.dim))
         for name in PARAM_FIELDS:
             fh.write(np.ascontiguousarray(getattr(params, name), dtype="<f8").tobytes())
 
@@ -459,21 +461,11 @@ def load_checkpoint(path) -> tuple[ModelParams, HyperParams]:
     (version,) = struct.unpack_from("<H", data, 4)
     if version != CKPT_VERSION:
         raise ModelError(f"{path}: unsupported checkpoint version {version}")
-    block = struct.unpack_from(_CKPT_HYPER, data, 6)
-    hyper = HyperParams(lr=block[0], weight_decay=block[1], batch_size=block[2],
-                        attn_hidden=block[3], enc_out=block[4], dropout_feature=block[5],
-                        dropout_tile=block[6], max_epochs=block[7], patience=block[8])
-    dim = block[9]
-    shapes = {
-        "enc_w": (hyper.enc_out, dim), "enc_b": (hyper.enc_out,),
-        "attn_v": (hyper.attn_hidden, hyper.enc_out), "attn_v_b": (hyper.attn_hidden,),
-        "attn_u": (hyper.attn_hidden, hyper.enc_out), "attn_u_b": (hyper.attn_hidden,),
-        "attn_w": (hyper.attn_hidden,), "score_w": (hyper.enc_out,), "score_b": (1,),
-    }
+    *values, dim = struct.unpack_from(_CKPT_HYPER, data, 6)
+    hyper = HyperParams(*values)
     tensors = {}
     offset = header
-    for name in PARAM_FIELDS:
-        shape = shapes[name]
+    for name, shape in param_shapes(hyper, dim).items():
         count = math.prod(shape)
         if offset + 8 * count > len(data):
             raise ModelError(f"{path}: checkpoint truncated in tensor {name} "

@@ -269,7 +269,6 @@ class CoxFit:
     lr_p: float
     concordance: float
     iterations: int
-    converged: bool
     beta: np.ndarray = field(repr=False, default=None)
     info: np.ndarray = field(repr=False, default=None)
 
@@ -354,8 +353,7 @@ def cox_fit(data: SurvivalDataset) -> CoxFit:
     lr_stat = 2.0 * (loglik - null_loglik)
     lr_p = _chi2_sf(lr_stat, p)
     return CoxFit(coefs=coefs, loglik=loglik, null_loglik=null_loglik, lr_p=lr_p,
-                  concordance=c_index, iterations=iterations, converged=True,
-                  beta=beta, info=info)
+                  concordance=c_index, iterations=iterations, beta=beta, info=info)
 
 
 def harrell_c(times, events, risk_scores) -> float:

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,18 @@ def noisy_disc_slide(n=2048, radius=800.0, seed=0, mpp=0.5):
         return ((cx + 0.5) * factor - n / 2.0) ** 2 + ((cy + 0.5) * factor - n / 2.0) ** 2 <= radius**2
 
     return slide, truth_at_scale
+
+
+def read_manifest(path) -> tuple[int, float, np.ndarray, np.ndarray]:
+    """Parse a `write_manifest` tile list: (tile_size, rescale, tiles, kept)."""
+    lines = Path(path).read_text().splitlines()
+    assert lines[0].startswith("tile_size\t") and lines[1].startswith("rescale\t"), lines[:2]
+    tile_size = int(lines[0].split("\t")[1])
+    rescale = float(lines[1].split("\t")[1])
+    rows = [tuple(int(v) for v in line.split("\t")) for line in lines[2:] if line]
+    tiles = np.array([(x, y) for x, y, _ in rows], dtype=np.int64).reshape(len(rows), 2)
+    kept = np.array([bool(k) for _, _, k in rows], dtype=bool)
+    return tile_size, rescale, tiles, kept
 
 
 def mask_iou(a: np.ndarray, b: np.ndarray) -> float:

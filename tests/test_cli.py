@@ -11,11 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import noisy_disc_slide
+from conftest import noisy_disc_slide, read_manifest
 import tilscore
 from tilscore import bagio, survstats
 from tilscore.cli import build_parser, main
-from tilscore.foreground import read_manifest
 from tilscore.milnet import ModelParams, save_checkpoint, HyperParams, init_params
 from tilscore.pnm import read_pgm, write_ppm
 
@@ -124,6 +123,67 @@ def test_bad_json_config_exits_2_by_name(case, tmp_path, capsys):
                          "--spec", cfg]}[command]
     assert run(command, *argv, "--out", out) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+PROBE_CLINICAL = ("slide_id,til_score_pct,os_months,os_event,age\n"
+                  "s0,10,12.5,1,50\ns1,40,30,0,61\ns2,70,8,1,44\ns3,90,40,0,58\n")
+
+# name: (command, extra flags, files written over the valid inputs, words the
+# error must hold)
+PROBES = {
+    **{f"train-{flag[2:]}-{value}": ("train", [flag, value], {}, [f"{key} must be"])
+       for flag, key, value in [("--max-epochs", "max_epochs", "0"),
+                                ("--batch-size", "batch_size", "0"),
+                                ("--lr", "lr", "-1"), ("--lr", "lr", "nan"),
+                                ("--weight-decay", "weight_decay", "-1"),
+                                ("--patience", "patience", "0"),
+                                ("--enc-out", "enc_out", "0")]},
+    "train-dropout-config": ("train", ["--config", "cfg.json"],
+                             {"cfg.json": '{"hyper": {"dropout_feature": 1.0}}'},
+                             ["dropout_feature must be"]),
+    "predict-members-missing": ("predict", [], {"model/ensemble.json": '{"plan": "loco"}'},
+                                ["ensemble.json", '"members" list']),
+    "predict-manifest-list": ("predict", [], {"model/ensemble.json": '["fold000.ckpt"]'},
+                              ["ensemble.json", "JSON object"]),
+    "predict-member-number": ("predict", [], {"model/ensemble.json": '{"members": [0]}'},
+                              ["ensemble.json", '"members"']),
+    **{f"{command}-cutoffs-{value}": (command, ["--cutoffs", f"10,{value}"], {},
+                                      ["--cutoffs", repr(value)])
+       for command in ("evaluate", "survival") for value in ("nan", "inf", "-5", "150")},
+    **{f"{command}-{name}": (command, [], {"clinical.csv": PROBE_CLINICAL.replace(
+        "s1,40,30,0,61", row)}, ["line 3", word])
+       for command in ("evaluate", "survival")
+       for name, row, word in [("os-months-0", "s1,40,0,0,61", "os_months '0'"),
+                               ("os-months-negative", "s1,40,-5,0,61", "os_months '-5'"),
+                               ("covariate-nan", "s1,40,30,0,nan", "'age'"),
+                               ("covariate-inf", "s1,40,30,0,inf", "'age'")]},
+}
+
+
+@pytest.mark.parametrize("case", PROBES)
+def test_bad_input_exits_2_by_name(case, tmp_path, capsys):
+    command, flags, files, words = PROBES[case]
+    (tmp_path / "model").mkdir()
+    (tmp_path / "clinical.csv").write_text(PROBE_CLINICAL)
+    bagio.write_predictions([(f"s{i}", 0.1 + 0.2 * i) for i in range(4)],
+                            tmp_path / "preds.csv")
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    out = tmp_path / "o"
+    # train and predict fail before any bag is read, so the bag directory is absent
+    argv = {"train": ["--bags", tmp_path / "bags", "--clinical", tmp_path / "clinical.csv",
+                      "--plan", "loco"],
+            "predict": ["--model", tmp_path / "model", "--bags", tmp_path / "bags"],
+            "evaluate": ["--predictions", tmp_path / "preds.csv",
+                         "--clinical", tmp_path / "clinical.csv"],
+            "survival": ["--predictions", tmp_path / "preds.csv",
+                         "--clinical", tmp_path / "clinical.csv"]}[command]
+    flags = [tmp_path / f if f.endswith(".json") else f for f in flags]
+    assert run(command, *argv, *flags, "--out", out) == 2
+    err = capsys.readouterr().err
+    for word in words:
+        assert word in err, err
     assert not out.exists()
 
 

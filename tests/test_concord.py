@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tilscore import concord
+from tilscore import bagio, cli, concord
 from tilscore.concord import (
     UndefinedMetricError,
     auroc,
@@ -242,40 +243,45 @@ class TestEvaluate:
     def test_exact_predictions(self):
         labels = np.array([5.0, 20.0, 35.0, 60.0, 80.0])
         rep = evaluate(labels / 100.0, labels)
-        assert rep.pearson == pytest.approx(1.0, abs=1e-12)
-        assert rep.spearman == pytest.approx(1.0, abs=1e-12)
-        assert rep.ccc == pytest.approx(1.0, abs=1e-12)
-        assert rep.mse_pct == pytest.approx(0.0, abs=1e-20)
+        assert rep["pearson"] == pytest.approx(1.0, abs=1e-12)
+        assert rep["spearman"] == pytest.approx(1.0, abs=1e-12)
+        assert rep["ccc"] == pytest.approx(1.0, abs=1e-12)
+        assert rep["mse_pct"] == pytest.approx(0.0, abs=1e-20)
 
     def test_single_class_cutoff_is_none(self):
         labels = np.array([5.0, 10.0, 20.0])  # nothing >= 75
         rep = evaluate(labels / 100.0, labels)
-        assert rep.cutoffs[75.0].auroc is None
-        assert rep.cutoffs[75.0].ap is None
-        assert rep.cutoffs[10.0].auroc is not None
+        assert rep["cutoffs"]["75"]["auroc"] is None
+        assert rep["cutoffs"]["75"]["ap"] is None
+        assert rep["cutoffs"]["10"]["auroc"] is not None
 
     def test_panel_matches_per_metric_recomputation(self):
         rng = np.random.default_rng(21)
         labels = rng.uniform(0.0, 100.0, size=40)
         preds = np.clip(labels / 100.0 + rng.normal(0, 0.1, size=40), 0.0, 1.0)
         rep = evaluate(preds, labels)
-        assert rep.pearson == pearson(preds, labels)
-        assert rep.spearman == spearman(preds, labels)
-        assert rep.ccc == ccc(100.0 * preds, labels)
-        assert rep.mse_pct == mse_pct(preds, labels)
+        assert rep["pearson"] == pearson(preds, labels)
+        assert rep["spearman"] == spearman(preds, labels)
+        assert rep["ccc"] == ccc(100.0 * preds, labels)
+        assert rep["mse_pct"] == mse_pct(preds, labels)
         for c in (10.0, 30.0, 50.0, 75.0):
             pos = binarize(labels, c)
-            assert rep.cutoffs[c].auroc == auroc(preds, pos)
-            assert rep.cutoffs[c].ap == average_precision(preds, pos)
-            assert rep.cutoffs[c].random_ap == random_ap(pos)
+            assert rep["cutoffs"][f"{c:g}"] == {"auroc": auroc(preds, pos),
+                                                "ap": average_precision(preds, pos),
+                                                "random_ap": random_ap(pos)}
 
     def test_json_round_trip_keys(self, tmp_path):
-        labels = np.array([5.0, 20.0, 35.0, 60.0, 80.0])
-        rep = evaluate(labels / 100.0, labels)
-        path = tmp_path / "metrics.json"
-        rep.to_json(path)
-        import json
-
-        data = json.loads(path.read_text())
-        assert set(data) == {"n", "pearson", "spearman", "ccc", "mse_pct", "cutoffs"}
-        assert set(data["cutoffs"]) == {"10", "30", "50", "75"}
+        labels = [5.0, 20.0, 35.0, 60.0, 80.0]
+        clinical, preds = tmp_path / "clinical.csv", tmp_path / "preds.csv"
+        clinical.write_text("slide_id,til_score_pct\n" +
+                            "".join(f"s{i},{v}\n" for i, v in enumerate(labels)))
+        bagio.write_predictions([(f"s{i}", v / 100.0) for i, v in enumerate(labels)], preds)
+        out = tmp_path / "out"
+        assert cli.main(["evaluate", "--predictions", str(preds), "--clinical", str(clinical),
+                         "--cutoffs", "10,30,50,75,1e-5", "--out", str(out)]) == 0
+        text = (out / "metrics.json").read_text()
+        assert text == json.dumps(evaluate(np.array(labels) / 100.0, labels,
+                                           (10, 30, 50, 75, 1e-5)), indent=2) + "\n"
+        data = json.loads(text)
+        assert list(data) == ["n", "pearson", "spearman", "ccc", "mse_pct", "cutoffs"]
+        assert list(data["cutoffs"]) == ["10", "30", "50", "75", "1e-05"]

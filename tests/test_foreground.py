@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import mask_iou, noisy_disc_slide
+from conftest import mask_iou, noisy_disc_slide, read_manifest
 from tilscore import foreground
 from tilscore.foreground import (
     FesiParams,
@@ -14,7 +14,6 @@ from tilscore.foreground import (
     compute_foreground,
     filter_tiles,
     grid_tiles,
-    read_manifest,
     write_manifest,
 )
 from tilscore.pnm import PnmError, read_pgm, read_ppm, write_pgm, write_ppm, read_mpp_sidecar

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -133,7 +134,8 @@ class TestInit:
     def test_deterministic(self):
         a = init_params(7, SMALL, dim=12)
         b = init_params(7, SMALL, dim=12)
-        assert a.allclose(b)
+        for name in PARAM_FIELDS:
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
     def test_seeds_differ(self):
         a = init_params(1, SMALL, dim=12)
@@ -414,12 +416,28 @@ def quick_cohort(rng, n=24, dim=12, tiles=(3, 8)):
 
 
 class TestTrain:
-    def test_patience_zero_runs_exactly_one_epoch(self):
+    def test_patience_one_stops_after_first_epoch_without_gain(self):
         rng = np.random.default_rng(11)
         bags, labels = quick_cohort(rng)
-        hyper = HyperParams(enc_out=8, attn_hidden=4, patience=0, max_epochs=9, batch_size=4)
+        hyper = HyperParams(enc_out=8, attn_hidden=4, patience=1, max_epochs=30, batch_size=4,
+                            lr=3e-2)
         result = train(bags, labels, np.arange(16), np.arange(16, 24), hyper, seed=1)
-        assert len(result.history) == 1
+        evs = [e.val_ev for e in result.history]
+        gains = [ev > max(evs[:i]) for i, ev in enumerate(evs) if i]
+        assert False in gains, "every epoch improved: the early stop went untested"
+        assert len(evs) == gains.index(False) + 2
+
+    @pytest.mark.parametrize("field, value", [
+        ("lr", 0.0), ("lr", -1.0), ("lr", math.nan), ("lr", math.inf),
+        ("weight_decay", -1e-4), ("weight_decay", math.nan), ("weight_decay", math.inf),
+        ("batch_size", 0), ("max_epochs", 0), ("patience", 0), ("enc_out", 0),
+        ("attn_hidden", -1), ("dropout_feature", 1.0), ("dropout_feature", math.nan),
+        ("dropout_tile", -0.1)])
+    def test_bad_hyper_rejected_by_name(self, field, value):
+        bags, labels = quick_cohort(np.random.default_rng(0), n=4)
+        hyper = HyperParams(**{"enc_out": 8, "attn_hidden": 4, field: value})
+        with pytest.raises(ModelError, match=f"^{field} must be"):
+            train(bags, labels, [0, 1], [2, 3], hyper)
 
     def test_same_seed_bit_identical(self):
         rng = np.random.default_rng(12)
@@ -570,6 +588,17 @@ class TestTrain:
 
 
 class TestCheckpoint:
+    def test_layout_tables_match_the_dataclasses(self):
+        # the hyper block is astuple(hyper) + dim, and the tensors follow
+        # param_shapes: a HyperParams field added, dropped or reordered must
+        # change _CKPT_HYPER with it
+        fields = dataclasses.fields(HyperParams)
+        codes = "".join("d" if f.type == "float" else "I" for f in fields) + "I"
+        assert milnet._CKPT_HYPER == "<" + codes, (
+            f"_CKPT_HYPER {milnet._CKPT_HYPER!r} does not pack the HyperParams fields "
+            f"{[f.name for f in fields]} then dim; expected {'<' + codes!r}")
+        assert tuple(milnet.param_shapes(SMALL, 7)) == PARAM_FIELDS
+
     def test_round_trip_bit_identical(self, tmp_path):
         params = init_params(3, SMALL, dim=11)
         hyper = HyperParams(enc_out=16, attn_hidden=8, lr=2e-4)

@@ -758,7 +758,7 @@ class TestRiskSetTable:
                 continue
             _, _, info = cox_loglik_score_info(times, events, X, beta)
             fit = CoxFit(coefs=[], loglik=0.0, null_loglik=0.0, lr_p=1.0, concordance=0.5,
-                         iterations=0, converged=True, beta=beta, info=info)
+                         iterations=0, beta=beta, info=info)
             ds = SurvivalDataset(times=times, events=events, design=X,
                                  columns=[f"x{j}" for j in range(X.shape[1])])
             res = schoenfeld_test(fit, ds)
