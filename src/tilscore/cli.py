@@ -20,7 +20,6 @@ from . import __version__, bagio, concord, foreground, milnet, pnm, survstats
 from .folds import (
     Ensemble,
     FoldError,
-    FoldPlan,
     ensemble_predict,
     leave_one_cohort_out,
     load_ensemble,
@@ -195,25 +194,30 @@ def _load_bag_dir(bag_dir: Path) -> dict[str, bagio.FeatureBag]:
     return {bag.slide_id: bag for bag in bags}
 
 
-def _make_plan(spec: str, records: list[bagio.SlideRecord], seed: int) -> FoldPlan:
+def _parse_plan(spec: str) -> int | None:
+    """The k of --plan 'centre:<k>' (k >= 2), or None for 'loco'."""
     if spec == "loco":
-        return leave_one_cohort_out(records)
-    if spec.startswith("centre:"):
-        k = int(spec.split(":", 1)[1])
-        if k < 2:
-            raise CliError("centre k-fold needs k >= 2")
-        return split_by_group(records, "centre", k, seed=seed)
-    raise CliError(f"unknown plan {spec!r}; use 'centre:<k>' or 'loco'")
+        return None
+    kind, _, text = spec.partition(":")
+    try:
+        k = int(text) if kind == "centre" else 0
+    except ValueError:
+        k = 0
+    if k < 2:
+        raise CliError(f"--plan: {spec!r} is neither 'centre:<k>' with k >= 2 nor 'loco'")
+    return k
 
 
 def cmd_train(args) -> int:
     hyper = _hyper_from(args)
+    k = _parse_plan(args.plan)
     records = bagio.load_clinical(args.clinical)
     bags_by_id = _load_bag_dir(Path(args.bags))
     records = [r for r in records if r.slide_id in bags_by_id]
     if not records:
         raise CliError("no overlap between clinical slide_ids and bag files")
-    plan = _make_plan(args.plan, records, args.seed)
+    plan = (leave_one_cohort_out(records) if k is None
+            else split_by_group(records, "centre", k, seed=args.seed))
     plan.validate_groups(records)
 
     ordered = sorted(records, key=lambda r: r.slide_id)

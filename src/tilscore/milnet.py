@@ -140,17 +140,36 @@ class ForwardTrace:
     dropout_mask: np.ndarray | None  # None in eval mode
 
 
+def _keep_scaled(draws: np.ndarray, keep: float) -> np.ndarray:
+    """(draws < keep) / keep, written over the uniform draws."""
+    np.less(draws, keep, out=draws)
+    draws /= keep
+    return draws
+
+
 def _dropout_mask(shape, hyper: HyperParams, rng: np.random.Generator) -> np.ndarray:
-    """Combined tile- and feature-level inverted-scaling mask for the score head."""
+    """Combined tile- and feature-level inverted-scaling mask for the score head,
+    built in place over its own uniform draws (feature draws first)."""
     k, e = shape
-    mask = np.ones(shape)
     if hyper.dropout_feature > 0.0:
-        keep = 1.0 - hyper.dropout_feature
-        mask *= (rng.random(shape) < keep) / keep
+        mask = _keep_scaled(rng.random(shape), 1.0 - hyper.dropout_feature)
+    else:
+        mask = np.ones(shape)
     if hyper.dropout_tile > 0.0:
-        keep = 1.0 - hyper.dropout_tile
-        mask *= ((rng.random(k) < keep) / keep)[:, None]
+        mask *= _keep_scaled(rng.random(k), 1.0 - hyper.dropout_tile)[:, None]
     return mask
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)), scipy.special.expit's formula, written over `x`.
+
+    exp(-x) overflows to inf for x below about -709, which gives exactly 0.
+    """
+    np.negative(x, out=x)
+    with np.errstate(over="ignore"):
+        np.exp(x, out=x)
+    x += 1.0
+    return np.reciprocal(x, out=x)
 
 
 def forward(params: ModelParams, bag: FeatureBag | np.ndarray, hyper: HyperParams | None = None,
@@ -162,8 +181,6 @@ def forward(params: ModelParams, bag: FeatureBag | np.ndarray, hyper: HyperParam
     masks from `rng`; the attention path always sees undropped embeddings.
     An explicit `dropout_mask` replays fixed masks (gradient checks).
     """
-    from scipy.special import expit  # imported here: stages that run no model start without it
-
     h = np.asarray(bag.features if isinstance(bag, FeatureBag) else bag, dtype=np.float64)
     if h.ndim != 2:
         raise ModelError("bag features must be 2-d")
@@ -172,9 +189,11 @@ def forward(params: ModelParams, bag: FeatureBag | np.ndarray, hyper: HyperParam
     if train and rng is None and dropout_mask is None:
         raise ModelError("train-mode forward needs an rng for dropout")
 
-    emb = np.maximum(h @ params.enc_w.T + params.enc_b, 0.0)
+    emb = h @ params.enc_w.T
+    emb += params.enc_b
+    np.maximum(emb, 0.0, out=emb)
     gate_t = np.tanh(emb @ params.attn_v.T + params.attn_v_b)
-    gate_g = expit(emb @ params.attn_u.T + params.attn_u_b)
+    gate_g = _sigmoid(emb @ params.attn_u.T + params.attn_u_b)
     logits = (gate_t * gate_g) @ params.attn_w
     shifted = np.exp(logits - logits.max())
     attention = shifted / shifted.sum()
@@ -183,7 +202,7 @@ def forward(params: ModelParams, bag: FeatureBag | np.ndarray, hyper: HyperParam
     if mask is None and train:
         mask = _dropout_mask(emb.shape, hyper or HyperParams(), rng)
     score_in = emb if mask is None else emb * mask
-    tile_scores = expit(score_in @ params.score_w + params.score_b[0])
+    tile_scores = _sigmoid(score_in @ params.score_w + params.score_b[0])
     prediction = float(attention @ tile_scores)
     return ForwardTrace(features=h, embeddings=emb, gate_t=gate_t, gate_g=gate_g,
                         attn_logits=logits, attention=attention, score_input=score_in,

@@ -15,7 +15,8 @@ from conftest import noisy_disc_slide, read_manifest
 import tilscore
 from tilscore import bagio, survstats
 from tilscore.cli import build_parser, main
-from tilscore.milnet import ModelParams, save_checkpoint, HyperParams, init_params
+from tilscore.milnet import (PARAM_FIELDS, HyperParams, ModelParams, init_params,
+                             load_checkpoint, save_checkpoint)
 from tilscore.pnm import read_pgm, write_ppm
 
 
@@ -36,19 +37,59 @@ def write_synth_config(path, **over):
     return cfg
 
 
+def subprocess_env(**extra) -> dict:
+    """The environment of a child Python that imports this checkout's tilscore."""
+    src = str(Path(tilscore.__file__).resolve().parents[1])
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
 def test_import_skips_unused_scipy_subpackages():
     # scipy.stats, scipy.ndimage and scipy.special cost most of the start-up
     # of every stage; the stages that need one import it when they run.
     # concurrent.futures has no user left, since train and predict are serial.
-    src = str(Path(tilscore.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     code = ("import sys, tilscore.cli; "
             "print(sorted(m for m in ('scipy.stats', 'scipy.ndimage', 'scipy.special', "
             "'concurrent.futures') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code], env=subprocess_env(),
+                         capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+MODEL_STAGES_THEN_SURVIVAL = """
+import json, sys
+from tilscore.cli import main
+
+root = sys.argv[1]
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+codes = [main(["synth", root + "/cfg.json", "--out", root]),
+         main(["train", "--bags", root + "/bags", "--clinical", root + "/clinical.csv",
+               "--plan", "loco", "--out", root + "/run", "--enc-out", "8",
+               "--attn-hidden", "4", "--max-epochs", "2"]),
+         main(["predict", "--model", root + "/run", "--bags", root + "/bags",
+               "--out", root + "/pred"]),
+         main(["heatmap", "--model", root + "/run/fold000.ckpt",
+               "--bag", root + "/bags/synth0000.bag", "--out", root + "/hm"])]
+model_stages = scipy_modules()
+codes.append(main(["survival", "--predictions", root + "/pred/predictions.csv",
+                   "--clinical", root + "/clinical.csv", "--out", root + "/surv"]))
+print(json.dumps({"codes": codes, "model_stages": model_stages,
+                  "survival": scipy_modules()}))
+"""
+
+
+def test_model_stages_run_without_scipy(tmp_path):
+    # train, predict and heatmap need numpy only; survival shows that the
+    # check sees scipy when a stage does load it
+    write_synth_config(tmp_path / "cfg.json", survival=True)
+    out = subprocess.run([sys.executable, "-c", MODEL_STAGES_THEN_SURVIVAL, str(tmp_path)],
+                         env=subprocess_env(), capture_output=True, text=True, check=True)
+    result = json.loads(out.stdout.splitlines()[-1])
+    assert result["codes"] == [0, 0, 0, 0, 0], out.stderr
+    assert result["model_stages"] == []
+    assert "scipy.special" in result["survival"]
 
 
 # every required argument is present, so exit 2 can only come from the flag
@@ -151,6 +192,8 @@ PROBES = {
     **{f"{command}-cutoffs-{value}": (command, ["--cutoffs", f"10,{value}"], {},
                                       ["--cutoffs", repr(value)])
        for command in ("evaluate", "survival") for value in ("nan", "inf", "-5", "150")},
+    **{f"train-plan-{value}": ("train", ["--plan", value], {}, ["--plan", repr(value)])
+       for value in ("centre:x", "centre:", "centre:1", "kfold:3")},
     **{f"{command}-{name}": (command, [], {"clinical.csv": PROBE_CLINICAL.replace(
         "s1,40,30,0,61", row)}, ["line 3", word])
        for command in ("evaluate", "survival")
@@ -317,6 +360,30 @@ class TestTrainPredict:
         assert sorted(runs[0]) == ["ensemble.json", "fold000.ckpt", "fold001.ckpt",
                                    "fold_plan.csv", "history.json", "predictions.csv"]
         assert runs[0] == runs[1]
+
+    def test_checkpoints_across_blas_thread_counts(self, tmp_path):
+        # another BLAS thread count may sum a GEMM in another order: parameters
+        # agree to 1e-12 across thread counts, and byte for byte within one
+        write_synth_config(tmp_path / "cfg.json", n_slides=40, tiles_min=20, tiles_max=60,
+                           dim=64)
+        assert run("synth", tmp_path / "cfg.json", "--out", tmp_path) == 0
+        runs = {}
+        for name, threads in [("one", "1"), ("two", "2"), ("two_again", "2")]:
+            argv = ["train", "--bags", tmp_path / "bags", "--clinical",
+                    tmp_path / "clinical.csv", "--plan", "loco", "--out", tmp_path / name,
+                    "--enc-out", 32, "--attn-hidden", 16, "--lr", 3e-3, "--batch-size", 8,
+                    "--max-epochs", 4]
+            subprocess.run([sys.executable, "-m", "tilscore.cli", *map(str, argv)],
+                           env=subprocess_env(OPENBLAS_NUM_THREADS=threads),
+                           capture_output=True, check=True)
+            runs[name] = [tmp_path / name / f"fold{fold:03d}.ckpt" for fold in range(2)]
+        for one, two, two_again in zip(runs["one"], runs["two"], runs["two_again"]):
+            assert two.read_bytes() == two_again.read_bytes()
+            (p1, h1), (p2, h2) = load_checkpoint(one), load_checkpoint(two)
+            assert h1 == h2
+            for name in PARAM_FIELDS:
+                np.testing.assert_allclose(getattr(p1, name), getattr(p2, name),
+                                           rtol=0, atol=1e-12, err_msg=name)
 
     def test_centre_kfold_plan_respects_groups(self, small_cohort, tmp_path):
         out = tmp_path / "run"

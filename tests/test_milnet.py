@@ -1,9 +1,11 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from tilscore import milnet
 from tilscore.bagio import FeatureBag
@@ -232,6 +234,58 @@ class TestForward:
         ta = forward(params, bag, SMALL, train=True, rng=np.random.default_rng(1))
         tb = forward(params, bag, SMALL, train=True, rng=np.random.default_rng(2))
         assert ta.prediction != tb.prediction
+
+
+def former_dropout_mask(shape, hyper, rng):
+    """The mask as the product of fresh arrays, the formula `_dropout_mask` replaced."""
+    k, e = shape
+    mask = np.ones(shape)
+    if hyper.dropout_feature > 0.0:
+        keep = 1.0 - hyper.dropout_feature
+        mask *= (rng.random(shape) < keep) / keep
+    if hyper.dropout_tile > 0.0:
+        keep = 1.0 - hyper.dropout_tile
+        mask *= ((rng.random(k) < keep) / keep)[:, None]
+    return mask
+
+
+class TestSigmoid:
+    def test_within_two_ulps_of_expit(self):
+        grid = np.random.default_rng(0).uniform(-800.0, 800.0, size=20_000)
+        x = np.concatenate([grid, np.linspace(-40.0, 40.0, 4001),
+                            [np.inf, -np.inf, 0.0, -0.0, np.nan]])
+        ours = x.copy()
+        assert milnet._sigmoid(ours) is ours  # written over its argument
+        with np.errstate(over="ignore"):
+            assert ours.tobytes() == (1.0 / (1.0 + np.exp(-x))).tobytes()
+        # expit is the same formula on the C library's exp; numpy's exp may
+        # differ from that by 1 ulp, which the sum and reciprocal can make 2
+        ref = expit(x)
+        finite = ~np.isnan(x)
+        # both are non-negative doubles, so their bit patterns order like their values
+        ulps = np.abs(ours[finite].view(np.int64) - ref[finite].view(np.int64))
+        assert ulps.max() <= 2
+        assert np.isnan(ours[~finite]).all()
+        assert ours[-5:-1].tolist() == [1.0, 0.0, 0.5, 0.5]
+
+    def test_deep_negative_is_zero_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert milnet._sigmoid(np.array([-1000.0, -745.0])).tolist() == [0.0, 0.0]
+
+
+class TestDropoutMask:
+    @pytest.mark.parametrize("k", [64, 1250])
+    @pytest.mark.parametrize("feature, tile", [(0.0, 0.0), (0.4, 0.0), (0.0, 0.1), (0.4, 0.1)])
+    def test_bit_identical_to_former_formula(self, k, feature, tile):
+        hyper = HyperParams(dropout_feature=feature, dropout_tile=tile)
+        rng_new, rng_old = np.random.default_rng(k), np.random.default_rng(k)
+        mask = milnet._dropout_mask((k, 512), hyper, rng_new)
+        expected = former_dropout_mask((k, 512), hyper, rng_old)
+        assert mask.dtype == np.float64
+        assert mask.tobytes() == expected.tobytes()
+        # the same draws in the same order: both generators end in one state
+        assert rng_new.random() == rng_old.random()
 
 
 class TestLoss:
