@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -122,15 +123,35 @@ def _out_dir(args) -> Path:
 # ---------------------------------------------------------------------------
 
 
+def _finite_positive(value: float, flag: str) -> float:
+    if not (math.isfinite(value) and value > 0):
+        raise CliError(f"{flag} must be a finite number above 0, got {value!r}")
+    return value
+
+
 def cmd_tile(args) -> int:
     overrides = _load_config(args.config, "--config", "fesi")
     params = _dataclass_from(foreground.FesiParams, overrides.get("fesi", {}), '"fesi"')
     image = Path(args.image)
-    pixels = pnm.read_ppm(image)
-    mpp = args.mpp if args.mpp is not None else pnm.read_mpp_sidecar(image)
-    if mpp is None:
-        raise CliError(f"no --mpp given and no sidecar {image}.mpp found")
-    slide = foreground.RasterSlide(slide_id=image.stem, pixels=pixels, mpp=float(mpp))
+    if args.mpp is not None:
+        mpp, mpp_from = _finite_positive(args.mpp, "--mpp"), "--mpp"
+    else:
+        mpp, mpp_from = pnm.read_mpp_sidecar(image), f"sidecar {image}.mpp"
+        if mpp is None:
+            raise CliError(f"no --mpp given and no sidecar {image}.mpp found")
+    _finite_positive(args.target_mpp, "--target-mpp")
+    if args.tile_size < 1:
+        raise CliError(f"--tile-size must be at least 1, got {args.tile_size}")
+    # as in grid_tiles; a tile of under one source pixel would grid each
+    # source pixel many times over
+    rescale = mpp / args.target_mpp
+    span = args.tile_size / rescale if rescale else math.inf
+    if not 1 <= span < math.inf:
+        raise CliError(f"--tile-size {args.tile_size} at --target-mpp {args.target_mpp} spans "
+                       f"{span:.3g} source pixels at {mpp_from} {mpp}; a tile must span at "
+                       "least one, and finitely many")
+    # the raster stays in its file, and masking reads it in strips
+    slide = foreground.PpmSlide(slide_id=image.stem, path=image, mpp=mpp)
     mask = foreground.compute_foreground(slide, params)
     grid = foreground.grid_tiles(slide.width_px, slide.height_px, slide.mpp,
                                  args.tile_size, args.target_mpp)

@@ -8,10 +8,12 @@ structurally uniform images (an all-texture slide maps to all-foreground,
 a flat slide to all-background); a plain global-mean cut systematically
 overshoots sharp tissue boundaries.
 
-Memory: masking holds one uint8 copy of the slide plus its per-channel
-block sums, which take 2/f of the slide's bytes at downsample f <= 16
-(uint16 sums) and 4/f above.  No full-resolution float array is built;
-everything after the block sums works at mask scale.
+Memory: masking streams the slide in row strips of about
+`pnm.STRIP_BYTES`, each a whole number of mask rows tall, and folds each
+strip into per-channel block sums before the next is read.  Besides the
+mask-scale arrays it holds one strip and that strip's row sums (2/f of its
+bytes at downsample f <= 16, 4/f above).  No full-resolution array is
+built, from a file or in floats.
 
 Tiles are laid on an exact grid in target-resolution space (512 px at
 0.5 mpp by default) and reported as source-pixel coordinates; a tile is
@@ -20,9 +22,14 @@ kept when its footprint holds at least one foreground mask pixel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections.abc import Iterable, Iterator
+from contextlib import closing
+from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
+
+from . import pnm
 
 TILE_SIZE_PX = 512
 TARGET_MPP = 0.5
@@ -38,7 +45,7 @@ class GeometryMismatchError(ForegroundError):
 
 @dataclass
 class RasterSlide:
-    """A flat RGB raster with physical resolution."""
+    """A flat RGB raster in memory with physical resolution."""
 
     slide_id: str
     pixels: np.ndarray  # (height, width, 3) uint8
@@ -60,6 +67,30 @@ class RasterSlide:
     @property
     def height_px(self) -> int:
         return self.pixels.shape[0]
+
+    def strips(self, multiple: int) -> Iterator[np.ndarray]:
+        """Row slices of the raster, sized as `pnm.read_ppm_strips` sizes them."""
+        rows = pnm.strip_rows(self.width_px * 3, multiple)
+        for r0 in range(0, self.height_px, rows):
+            yield self.pixels[r0 : r0 + rows]
+
+
+@dataclass
+class PpmSlide:
+    """An RGB raster left in its P6 file and read strip by strip; the header
+    and the file size are checked on construction, the mpp by the caller."""
+
+    slide_id: str
+    path: Path
+    mpp: float
+    width_px: int = field(init=False)
+    height_px: int = field(init=False)
+
+    def __post_init__(self):
+        self.height_px, self.width_px = pnm.ppm_shape(self.path)
+
+    def strips(self, multiple: int) -> Iterator[np.ndarray]:
+        return pnm.read_ppm_strips(self.path, multiple)
 
 
 @dataclass
@@ -89,9 +120,7 @@ class ForegroundMask:
             raise ForegroundError("scale must be in (0, 1]")
 
     def to_pgm(self, path) -> None:
-        from .pnm import write_pgm
-
-        write_pgm(path, self.bits.astype(np.uint8) * 255)
+        pnm.write_pgm(path, self.bits.astype(np.uint8) * 255)
 
 
 def _block_sums(a: np.ndarray, f: int, axis: int, acc: np.dtype) -> np.ndarray:
@@ -112,17 +141,23 @@ def _block_sums(a: np.ndarray, f: int, axis: int, acc: np.dtype) -> np.ndarray:
     return out
 
 
-def _block_luminance(pixels: np.ndarray, f: int) -> np.ndarray:
-    """Mean luminance of each f x f block of an (h, w, 3) uint8 raster; edge
-    blocks are padded by replication.
+def _block_luminance(strips: Iterable[np.ndarray], f: int) -> np.ndarray:
+    """Mean luminance of each f x f block of an (h, w, 3) uint8 raster given
+    as consecutive row strips, each but the last a whole number of blocks
+    tall; edge blocks are padded by replication.
 
     Each channel is summed per block exactly, rows first and then columns,
     in the smallest unsigned type that holds f*f*255 (uint16 up to f = 16,
-    uint32 above), and only the block sums are weighted in float64.
+    uint32 above), and only the block sums are weighted in float64.  So the
+    result does not depend on where the strips are cut.
     """
     acc = np.min_scalar_type(f * f * 255)
-    sums = _block_sums(_block_sums(pixels, f, 0, acc), f, 1, acc)
-    return (0.299 * sums[..., 0] + 0.587 * sums[..., 1] + 0.114 * sums[..., 2]) / (f * f)
+    parts = []
+    for strip in strips:
+        sums = _block_sums(_block_sums(strip, f, 0, acc), f, 1, acc)
+        parts.append((0.299 * sums[..., 0] + 0.587 * sums[..., 1] + 0.114 * sums[..., 2])
+                     / (f * f))
+    return np.concatenate(parts)
 
 
 def _isodata_threshold(values: np.ndarray, iters: int) -> float:
@@ -139,7 +174,8 @@ def _isodata_threshold(values: np.ndarray, iters: int) -> float:
     return t
 
 
-def compute_foreground(slide: RasterSlide, params: FesiParams | None = None) -> ForegroundMask:
+def compute_foreground(slide: RasterSlide | PpmSlide,
+                       params: FesiParams | None = None) -> ForegroundMask:
     """Binary tissue mask at 1/downsample of slide resolution.
 
     Deterministic for fixed inputs; raises on images smaller than one mask
@@ -154,7 +190,8 @@ def compute_foreground(slide: RasterSlide, params: FesiParams | None = None) -> 
     if slide.width_px < f or slide.height_px < f:
         raise ForegroundError(
             f"slide {slide.width_px}x{slide.height_px} is smaller than one {f}px mask cell")
-    small = _block_luminance(slide.pixels, f)
+    with closing(slide.strips(f)) as strips:  # closes a PpmSlide's file on every path
+        small = _block_luminance(strips, f)
     structure = np.abs(ndimage.laplace(ndimage.gaussian_filter(small, params.pre_sigma)))
     smooth = ndimage.gaussian_filter(structure, params.smooth_sigma)
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -13,7 +14,7 @@ import pytest
 
 from conftest import noisy_disc_slide, read_manifest
 import tilscore
-from tilscore import bagio, survstats
+from tilscore import bagio, foreground, pnm, survstats
 from tilscore.cli import build_parser, main
 from tilscore.milnet import (PARAM_FIELDS, HyperParams, ModelParams, init_params,
                              load_checkpoint, save_checkpoint)
@@ -201,6 +202,22 @@ PROBES = {
                                ("os-months-negative", "s1,40,-5,0,61", "os_months '-5'"),
                                ("covariate-nan", "s1,40,30,0,nan", "'age'"),
                                ("covariate-inf", "s1,40,30,0,inf", "'age'")]},
+    # the slide is a header without its raster, so each flag must be checked
+    # before the raster is read
+    **{f"tile-{name}": ("tile", flags, {"slide.ppm": "P6\n700 600\n255\n", **files}, words)
+       for name, flags, files, words in [
+           ("mpp-inf", ["--mpp", "inf"], {}, ["--mpp", "inf"]),
+           ("mpp-sidecar-inf", [], {"slide.ppm.mpp": "inf\n"}, ["slide.ppm.mpp", "inf"]),
+           ("tile-size-0", ["--mpp", "0.5", "--tile-size", "0"], {}, ["--tile-size", "0"]),
+           ("tile-size-negative", ["--mpp", "0.5", "--tile-size", "-5"], {},
+            ["--tile-size", "-5"]),
+           ("target-mpp-nan", ["--mpp", "0.5", "--target-mpp", "nan"], {},
+            ["--target-mpp", "nan"]),
+           ("mpp-1e300", ["--mpp", "1e300"], {},
+            ["--tile-size 512", "--target-mpp 0.5", "--mpp 1e+300", "spans 2.56e-298 source"]),
+           ("rescale-underflow", ["--mpp", "1e-300", "--target-mpp", "1e300"], {},
+            ["--tile-size 512", "--target-mpp 1e+300", "--mpp 1e-300", "spans inf source"]),
+       ]},
 }
 
 
@@ -221,7 +238,8 @@ def test_bad_input_exits_2_by_name(case, tmp_path, capsys):
             "evaluate": ["--predictions", tmp_path / "preds.csv",
                          "--clinical", tmp_path / "clinical.csv"],
             "survival": ["--predictions", tmp_path / "preds.csv",
-                         "--clinical", tmp_path / "clinical.csv"]}[command]
+                         "--clinical", tmp_path / "clinical.csv"],
+            "tile": [tmp_path / "slide.ppm"]}[command]
     flags = [tmp_path / f if f.endswith(".json") else f for f in flags]
     assert run(command, *argv, *flags, "--out", out) == 2
     err = capsys.readouterr().err
@@ -287,6 +305,63 @@ class TestTile:
         out = tmp_path / "o"
         assert run("tile", img, "--mpp", 0.5, "--out", out, "--config", cfg) == 0
         assert read_pgm(out / "mask.pgm").shape == (64, 64)
+
+    def test_raster_is_streamed_in_strips(self, tmp_path, monkeypatch):
+        from scipy import ndimage  # noqa: F401  (its import is not the stage's cost)
+
+        slide, _ = noisy_disc_slide(n=2048, radius=800.0)
+        img = tmp_path / "blob.ppm"
+        write_ppm(img, slide.pixels)
+        one_strip = foreground.compute_foreground(slide).bits  # 12.6 MB: one strip
+        monkeypatch.setattr(pnm, "STRIP_BYTES", 1 << 20)  # 1 MiB: 13 strips
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            code = run("tile", img, "--mpp", 0.5, "--out", out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < slide.pixels.nbytes / 4, f"peak {peak} of {slide.pixels.nbytes} bytes"
+        assert np.array_equal(read_pgm(out / "mask.pgm") > 0, one_strip)
+
+    def test_truncated_raster_exits_2_before_any_strip(self, tmp_path, monkeypatch, capsys):
+        img = tmp_path / "short.ppm"
+        img.write_bytes(b"P6\n700 600\n255\n" + bytes(1000))
+        monkeypatch.setattr(pnm, "read_ppm_strips", lambda *a: pytest.fail("a strip was read"))
+        out = tmp_path / "o"
+        assert run("tile", img, "--mpp", 0.5, "--out", out) == 2
+        assert "short.ppm: raster truncated (1000 of 1260000 bytes)" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::ResourceWarning")
+    def test_raster_file_is_closed_on_every_path(self, tmp_path, monkeypatch):
+        img = tmp_path / "img.ppm"
+        write_ppm(img, np.full((256, 256, 3), 255, dtype=np.uint8))
+        short = tmp_path / "short.ppm"
+        short.write_bytes(b"P6\n4 4\n255\n" + bytes(10))
+        calls, block_sums = itertools.count(), foreground._block_sums
+
+        def failing_block_sums(*args):  # fails while the second strip is summed
+            if next(calls) == 2:
+                raise ValueError("injected")
+            return block_sums(*args)
+
+        opened = []
+
+        def spy_open(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(pnm, "open", spy_open, raising=False)
+        monkeypatch.setattr(pnm, "STRIP_BYTES", 1 << 16)  # 80-row strips
+        for image, patch, code in [(img, False, 0), (short, False, 2), (img, True, 2)]:
+            if patch:
+                monkeypatch.setattr(foreground, "_block_sums", failing_block_sums)
+            n_open = len(opened)
+            assert run("tile", image, "--mpp", 0.5, "--out", tmp_path / "o") == code
+            assert len(opened) > n_open and all(fh.closed for fh in opened)
+        assert next(calls) == 3
 
 
 class TestSynth:

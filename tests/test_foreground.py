@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import mask_iou, noisy_disc_slide, read_manifest
-from tilscore import foreground
+from tilscore import foreground, pnm
 from tilscore.foreground import (
     FesiParams,
     ForegroundError,
     ForegroundMask,
     GeometryMismatchError,
+    PpmSlide,
     RasterSlide,
     compute_foreground,
     filter_tiles,
@@ -76,10 +77,11 @@ class TestBlockLuminance:
     @pytest.mark.parametrize("side,radius,seed", DISCS)
     def test_mask_matches_float_reference(self, side, radius, seed, monkeypatch):
         slide, _ = noisy_disc_slide(n=side, radius=radius, seed=seed)
-        small = foreground._block_luminance(slide.pixels, 8)
+        small = foreground._block_luminance([slide.pixels], 8)
         np.testing.assert_allclose(small, float_block_luminance(slide.pixels, 8), rtol=1e-12, atol=0)
         bits = compute_foreground(slide).bits
-        monkeypatch.setattr(foreground, "_block_luminance", float_block_luminance)
+        monkeypatch.setattr(foreground, "_block_luminance",
+                            lambda strips, f: float_block_luminance(np.concatenate(list(strips)), f))
         assert np.array_equal(bits, compute_foreground(slide).bits)
 
     @pytest.fixture(scope="class")
@@ -94,13 +96,36 @@ class TestBlockLuminance:
         pixels = odd_disc[: shape[0], : shape[1]].copy()
         pixels[-1] = 255  # saturated edge rows and columns, replicated by the padding
         pixels[:, -1] = 0
-        np.testing.assert_allclose(foreground._block_luminance(pixels, f),
+        np.testing.assert_allclose(foreground._block_luminance([pixels], f),
                                    float_block_luminance(pixels, f), rtol=1e-12, atol=0)
+
+    # strips of 1, 2 and 5 mask rows; every shape leaves a last strip shorter
+    # than one mask row for f > 1
+    @pytest.mark.parametrize("f", [1, 4, 16, 17, 300])
+    @pytest.mark.parametrize("shape", [(1001, 1001), (1001, 777), (640, 1203)])
+    def test_strips_match_the_whole_raster_bytewise(self, odd_disc, f, shape):
+        pixels = odd_disc[: shape[0], : shape[1]]
+        whole = foreground._block_luminance([pixels], f)
+        for blocks in (1, 2, 5):
+            rows = blocks * f
+            strips = (pixels[r0 : r0 + rows] for r0 in range(0, shape[0], rows))
+            small = foreground._block_luminance(strips, f)
+            assert small.shape == whole.shape and small.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("f", [1, 8, 17])
+    def test_slides_cut_strips_on_mask_rows(self, odd_disc, tmp_path, monkeypatch, f):
+        pixels = odd_disc[:1001, :777]
+        path = tmp_path / "odd.ppm"
+        write_ppm(path, pixels)
+        monkeypatch.setattr(pnm, "STRIP_BYTES", 80 << 10)  # 35 rows of 777 pixels
+        whole = foreground._block_luminance([pixels], f).tobytes()
+        for slide in (RasterSlide("mem", pixels, 0.5), PpmSlide("file", path, 0.5)):
+            assert foreground._block_luminance(slide.strips(f), f).tobytes() == whole
 
     def test_saturated_blocks_do_not_wrap(self):
         for f in (16, 17, 300):
             pixels = np.full((f + 1, 2 * f - 1, 3), 255, dtype=np.uint8)
-            np.testing.assert_allclose(foreground._block_luminance(pixels, f),
+            np.testing.assert_allclose(foreground._block_luminance([pixels], f),
                                        np.full((2, 2), 255.0), rtol=1e-12, atol=0)
 
     def test_traced_peak_is_a_fraction_of_the_slide(self, disc_slide):
