@@ -16,12 +16,10 @@ features by construction, which is what the training-recovery tests lean on.
 from __future__ import annotations
 
 import csv
-import io
 import math
+import os
 import struct
 from dataclasses import dataclass, field
-from pathlib import Path
-
 import numpy as np
 
 BAG_MAGIC = b"ECTB"
@@ -82,82 +80,67 @@ class FeatureBag:
         return self.features.shape[1]
 
 
-def write_bag(bag: FeatureBag, sink) -> None:
-    """Serialize a bag; byte-deterministic for equal inputs."""
-    if isinstance(sink, (str, Path)):
-        with open(sink, "wb") as fh:
-            write_bag(bag, fh)
-        return
+def write_bag(bag: FeatureBag, path) -> None:
+    """Write one bag to the file `path`; byte-deterministic for equal inputs."""
     sid = bag.slide_id.encode("utf-8")
-    sink.write(BAG_MAGIC)
-    sink.write(struct.pack("<HH", BAG_VERSION, len(sid)))
-    sink.write(sid)
-    sink.write(struct.pack("<IIIf", bag.n_tiles, bag.dim, bag.tile_size_px, bag.mpp))
-    sink.write(bag.tile_xy.astype("<u4").tobytes())
-    sink.write(bag.features.astype("<f4").tobytes())
+    with open(path, "wb") as fh:
+        fh.write(BAG_MAGIC)
+        fh.write(struct.pack("<HH", BAG_VERSION, len(sid)))
+        fh.write(sid)
+        fh.write(struct.pack("<IIIf", bag.n_tiles, bag.dim, bag.tile_size_px, bag.mpp))
+        fh.write(bag.tile_xy.astype("<u4").tobytes())
+        fh.write(bag.features.astype("<f4").tobytes())
 
 
 def _truncated(what: str, want: int, got: int) -> TruncatedStreamError:
     return TruncatedStreamError(f"stream ended inside {what} (wanted {want} bytes, got {got})")
 
 
-def _read_exact(stream, n: int, what: str) -> bytes:
-    data = stream.read(n)
+def _read_exact(fh, n: int, what: str) -> bytes:
+    data = fh.read(n)
     if len(data) != n:
         raise _truncated(what, n, len(data))
     return data
 
 
-def _read_array(stream, shape: tuple[int, int], dtype: str, what: str) -> np.ndarray:
-    """`readinto` one new array, looping over short reads."""
+def _read_array(fh, shape: tuple[int, int], dtype: str, what: str) -> np.ndarray:
     arr = np.empty(shape, dtype=dtype)
-    view = memoryview(arr).cast("B")
-    got = 0
-    while got < view.nbytes:
-        n = stream.readinto(view[got:])
-        if not n:
-            raise _truncated(what, view.nbytes, got)
-        got += n
+    got = fh.readinto(arr)
+    if got != arr.nbytes:  # the file shrank after its size was checked
+        raise _truncated(what, arr.nbytes, got)
     return arr
 
 
-def read_bag(source, expect_dim: int | None = None) -> FeatureBag:
-    """Parse a bag; with `expect_dim`, a differing feature width is an error.
+def read_bag(path, expect_dim: int | None = None) -> FeatureBag:
+    """Parse the file `path`, which must hold exactly one bag; with
+    `expect_dim`, a differing feature width is an error.
 
-    `source` is a path or a binary stream.  Coordinates and features are
-    each read straight into their own new array, so reading a bag holds one
-    copy of its bytes.  On a seekable source the declared size is checked
-    against the bytes left before anything is allocated for it.  A path
-    must hold exactly one bag.
+    The declared size is checked against the file size before anything is
+    allocated for it.  Coordinates and features are each read straight into
+    their own new array, so reading a bag holds one copy of its bytes.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as fh:
-            bag = read_bag(fh, expect_dim)
-            if fh.read(1):
-                raise BagFormatError(f"trailing bytes after bag in {source}")
-        return bag
-    magic = _read_exact(source, 4, "magic")
-    if magic != BAG_MAGIC:
-        raise BadMagicError(f"bad magic {magic!r}")
-    version, id_len = struct.unpack("<HH", _read_exact(source, 4, "header"))
-    if version != BAG_VERSION:
-        raise BagFormatError(f"unsupported bag version {version}")
-    slide_id = _read_exact(source, id_len, "slide id").decode("utf-8")
-    n_tiles, dim, tile_size, mpp = struct.unpack("<IIIf", _read_exact(source, 16, "shape header"))
-    if n_tiles < 1 or dim < 1:
-        raise BagFormatError(f"invalid bag shape {n_tiles}x{dim}")
-    if expect_dim is not None and dim != expect_dim:
-        raise DimMismatchError(f"bag {slide_id!r} has dim {dim}, expected {expect_dim}")
-    if source.seekable():
-        pos = source.tell()
-        left = source.seek(0, io.SEEK_END) - pos
-        source.seek(pos)
+    with open(path, "rb") as fh:
+        magic = _read_exact(fh, 4, "magic")
+        if magic != BAG_MAGIC:
+            raise BadMagicError(f"bad magic {magic!r}")
+        version, id_len = struct.unpack("<HH", _read_exact(fh, 4, "header"))
+        if version != BAG_VERSION:
+            raise BagFormatError(f"unsupported bag version {version}")
+        slide_id = _read_exact(fh, id_len, "slide id").decode("utf-8")
+        n_tiles, dim, tile_size, mpp = struct.unpack("<IIIf", _read_exact(fh, 16, "shape header"))
+        if n_tiles < 1 or dim < 1:
+            raise BagFormatError(f"invalid bag shape {n_tiles}x{dim}")
+        if expect_dim is not None and dim != expect_dim:
+            raise DimMismatchError(f"bag {slide_id!r} has dim {dim}, expected {expect_dim}")
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
         for what, want in (("tile coords", 8 * n_tiles), ("features", 4 * n_tiles * dim)):
             if left < want:
                 raise _truncated(what, want, left)
             left -= want
-    xy = _read_array(source, (n_tiles, 2), "<u4", "tile coords")
-    feats = _read_array(source, (n_tiles, dim), "<f4", "features")
+        if left:
+            raise BagFormatError(f"trailing bytes after bag in {path}")
+        xy = _read_array(fh, (n_tiles, 2), "<u4", "tile coords")
+        feats = _read_array(fh, (n_tiles, dim), "<f4", "features")
     return FeatureBag(slide_id=slide_id, features=feats, tile_xy=xy,
                       mpp=float(mpp), tile_size_px=int(tile_size))
 
@@ -194,7 +177,16 @@ def _check_repeat(line_of: dict, sid: str, lineno: int) -> None:
         raise ClinicalSchemaError(f"slide_id {sid!r} repeats on lines {first} and {lineno}")
 
 
-def load_clinical(source) -> list[SlideRecord]:
+def _number(raw, lineno: int, column: str, kind=float):
+    """`kind(raw)` for one CSV cell; a cell that is not one names its line and column."""
+    try:
+        return kind(raw)
+    except (TypeError, ValueError):
+        what = "an integer" if kind is int else "a number"
+        raise ClinicalSchemaError(f"line {lineno}: {column} {raw!r} is not {what}") from None
+
+
+def load_clinical(path) -> list[SlideRecord]:
     """Read the clinical CSV schema into typed records.
 
     When two pathologist score columns are present, the record stores their
@@ -202,60 +194,58 @@ def load_clinical(source) -> list[SlideRecord]:
     verbatim strings otherwise); empty cells are missing values.  A slide id
     may appear on one line only.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, newline="") as fh:
-            return load_clinical(fh)
-    reader = csv.DictReader(source)
-    header = reader.fieldnames or []
-    for col in MANDATORY_COLUMNS:
-        if col not in header:
-            raise ClinicalSchemaError(f"missing mandatory column {col!r}")
-    has_second = "til_score_pct_2" in header
-    records, line_of = [], {}
-    for lineno, row in enumerate(reader, start=2):
-        sid = (row.get("slide_id") or "").strip()
-        if not sid:
-            raise ClinicalSchemaError(f"line {lineno}: empty slide_id")
-        _check_repeat(line_of, sid, lineno)
-        raw_score = (row.get("til_score_pct") or "").strip()
-        if not raw_score:
-            raise ClinicalSchemaError(f"line {lineno}: missing til_score_pct")
-        score = float(raw_score)
-        if has_second and (row.get("til_score_pct_2") or "").strip():
-            score = (score + float(row["til_score_pct_2"])) / 2.0
-        if not 0.0 <= score <= 100.0:
-            raise ClinicalSchemaError(f"line {lineno}: til_score_pct {score} outside [0, 100]")
-        raw_months = (row.get("os_months") or "").strip()
-        raw_event = (row.get("os_event") or "").strip()
-        if bool(raw_months) != bool(raw_event):
-            raise ClinicalSchemaError(f"line {lineno}: os_months and os_event must both be present or both absent")
-        os_months = float(raw_months) if raw_months else None
-        if os_months is not None and not math.isfinite(os_months):
-            raise ClinicalSchemaError(f"line {lineno}: os_months {raw_months!r} is not finite")
-        if os_months is not None and os_months <= 0.0:
-            raise ClinicalSchemaError(f"line {lineno}: os_months {raw_months!r} is not positive")
-        os_event = int(raw_event) if raw_event else None
-        if os_event not in (None, 0, 1):
-            raise ClinicalSchemaError(f"line {lineno}: os_event must be 0 or 1")
-        covariates = {}
-        for key, val in row.items():
-            if key in RESERVED_COLUMNS or key is None:
-                continue
-            val = (val or "").strip()
-            if val:
-                value = covariates[key] = _parse_covariate(val)
-                if isinstance(value, float) and not math.isfinite(value):
-                    raise ClinicalSchemaError(
-                        f"line {lineno}: covariate {key!r} value {val!r} is not finite")
-        records.append(SlideRecord(
-            slide_id=sid,
-            cohort=(row.get("cohort") or "").strip(),
-            centre=(row.get("centre") or "").strip(),
-            til_score_pct=score,
-            covariates=covariates,
-            os_months=os_months,
-            os_event=os_event,
-        ))
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        for col in MANDATORY_COLUMNS:
+            if col not in header:
+                raise ClinicalSchemaError(f"missing mandatory column {col!r}")
+        has_second = "til_score_pct_2" in header
+        records, line_of = [], {}
+        for lineno, row in enumerate(reader, start=2):
+            sid = (row.get("slide_id") or "").strip()
+            if not sid:
+                raise ClinicalSchemaError(f"line {lineno}: empty slide_id")
+            _check_repeat(line_of, sid, lineno)
+            raw_score = (row.get("til_score_pct") or "").strip()
+            if not raw_score:
+                raise ClinicalSchemaError(f"line {lineno}: missing til_score_pct")
+            score = _number(raw_score, lineno, "til_score_pct")
+            if has_second and (row.get("til_score_pct_2") or "").strip():
+                score = (score + _number(row["til_score_pct_2"], lineno, "til_score_pct_2")) / 2.0
+            if not 0.0 <= score <= 100.0:
+                raise ClinicalSchemaError(f"line {lineno}: til_score_pct {score} outside [0, 100]")
+            raw_months = (row.get("os_months") or "").strip()
+            raw_event = (row.get("os_event") or "").strip()
+            if bool(raw_months) != bool(raw_event):
+                raise ClinicalSchemaError(f"line {lineno}: os_months and os_event must both be present or both absent")
+            os_months = _number(raw_months, lineno, "os_months") if raw_months else None
+            if os_months is not None and not math.isfinite(os_months):
+                raise ClinicalSchemaError(f"line {lineno}: os_months {raw_months!r} is not finite")
+            if os_months is not None and os_months <= 0.0:
+                raise ClinicalSchemaError(f"line {lineno}: os_months {raw_months!r} is not positive")
+            os_event = _number(raw_event, lineno, "os_event", int) if raw_event else None
+            if os_event not in (None, 0, 1):
+                raise ClinicalSchemaError(f"line {lineno}: os_event must be 0 or 1")
+            covariates = {}
+            for key, val in row.items():
+                if key in RESERVED_COLUMNS or key is None:
+                    continue
+                val = (val or "").strip()
+                if val:
+                    value = covariates[key] = _parse_covariate(val)
+                    if isinstance(value, float) and not math.isfinite(value):
+                        raise ClinicalSchemaError(
+                            f"line {lineno}: covariate {key!r} value {val!r} is not finite")
+            records.append(SlideRecord(
+                slide_id=sid,
+                cohort=(row.get("cohort") or "").strip(),
+                centre=(row.get("centre") or "").strip(),
+                til_score_pct=score,
+                covariates=covariates,
+                os_months=os_months,
+                os_event=os_event,
+            ))
     return records
 
 
@@ -294,7 +284,7 @@ def read_predictions(path) -> dict[str, float]:
         out, line_of = {}, {}
         for lineno, row in enumerate(reader, start=2):
             _check_repeat(line_of, row["slide_id"], lineno)
-            score = float(row["ectil_score"])
+            score = _number(row["ectil_score"], lineno, "ectil_score")
             if not 0.0 <= score <= 1.0:
                 raise ClinicalSchemaError(f"prediction {score} outside [0, 1] for {row['slide_id']!r}")
             out[row["slide_id"]] = score

@@ -20,7 +20,6 @@ import numpy as np
 from . import __version__, bagio, concord, foreground, milnet, pnm, survstats
 from .folds import (
     Ensemble,
-    FoldError,
     ensemble_predict,
     leave_one_cohort_out,
     load_ensemble,
@@ -132,6 +131,7 @@ def _finite_positive(value: float, flag: str) -> float:
 def cmd_tile(args) -> int:
     overrides = _load_config(args.config, "--config", "fesi")
     params = _dataclass_from(foreground.FesiParams, overrides.get("fesi", {}), '"fesi"')
+    params.validate()
     image = Path(args.image)
     if args.mpp is not None:
         mpp, mpp_from = _finite_positive(args.mpp, "--mpp"), "--mpp"
@@ -151,9 +151,9 @@ def cmd_tile(args) -> int:
                        f"{span:.3g} source pixels at {mpp_from} {mpp}; a tile must span at "
                        "least one, and finitely many")
     # the raster stays in its file, and masking reads it in strips
-    slide = foreground.PpmSlide(slide_id=image.stem, path=image, mpp=mpp)
+    slide = foreground.PpmSlide(image)
     mask = foreground.compute_foreground(slide, params)
-    grid = foreground.grid_tiles(slide.width_px, slide.height_px, slide.mpp,
+    grid = foreground.grid_tiles(slide.width_px, slide.height_px, mpp,
                                  args.tile_size, args.target_mpp)
     grid = foreground.filter_tiles(grid, mask)
     out = _out_dir(args)

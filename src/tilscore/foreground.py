@@ -8,7 +8,8 @@ structurally uniform images (an all-texture slide maps to all-foreground,
 a flat slide to all-background); a plain global-mean cut systematically
 overshoots sharp tissue boundaries.
 
-Memory: masking streams the slide in row strips of about
+A slide is a `PpmSlide`: a P6 file left on disk, whose header and size
+are checked when it is opened.  Masking streams it in row strips of about
 `pnm.STRIP_BYTES`, each a whole number of mask rows tall, and folds each
 strip into per-channel block sums before the next is read.  Besides the
 mask-scale arrays it holds one strip and that strip's row sums (2/f of its
@@ -22,7 +23,8 @@ kept when its footprint holds at least one foreground mask pixel.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+import math
+from collections.abc import Iterable
 from contextlib import closing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -44,53 +46,16 @@ class GeometryMismatchError(ForegroundError):
 
 
 @dataclass
-class RasterSlide:
-    """A flat RGB raster in memory with physical resolution."""
-
-    slide_id: str
-    pixels: np.ndarray  # (height, width, 3) uint8
-    mpp: float
-
-    def __post_init__(self):
-        self.pixels = np.ascontiguousarray(self.pixels, dtype=np.uint8)
-        if self.pixels.ndim != 3 or self.pixels.shape[2] != 3:
-            raise ForegroundError("pixels must be (height, width, 3)")
-        if self.pixels.size == 0:
-            raise ForegroundError("empty slide")
-        if not self.mpp > 0:
-            raise ForegroundError("mpp must be positive")
-
-    @property
-    def width_px(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height_px(self) -> int:
-        return self.pixels.shape[0]
-
-    def strips(self, multiple: int) -> Iterator[np.ndarray]:
-        """Row slices of the raster, sized as `pnm.read_ppm_strips` sizes them."""
-        rows = pnm.strip_rows(self.width_px * 3, multiple)
-        for r0 in range(0, self.height_px, rows):
-            yield self.pixels[r0 : r0 + rows]
-
-
-@dataclass
 class PpmSlide:
-    """An RGB raster left in its P6 file and read strip by strip; the header
-    and the file size are checked on construction, the mpp by the caller."""
+    """An RGB slide left in its P6 file, which masking reads strip by strip;
+    the header and the file size are checked on construction."""
 
-    slide_id: str
     path: Path
-    mpp: float
     width_px: int = field(init=False)
     height_px: int = field(init=False)
 
     def __post_init__(self):
         self.height_px, self.width_px = pnm.ppm_shape(self.path)
-
-    def strips(self, multiple: int) -> Iterator[np.ndarray]:
-        return pnm.read_ppm_strips(self.path, multiple)
 
 
 @dataclass
@@ -103,6 +68,19 @@ class FesiParams:
     uniform_rel_gap: float = 0.3  # below this class separation the map counts as uniform
     structure_floor: float = 1e-3  # luminance units; uniform maps above it are tissue
     isodata_iters: int = 64
+
+    def validate(self) -> None:
+        """Raise ForegroundError naming the first field out of its range."""
+        rules = [*((name, "an integer of at least 1",
+                    isinstance(getattr(self, name), int) and getattr(self, name) >= 1)
+                   for name in ("downsample", "morph_size")),
+                 *((name, "finite and at least 0", 0.0 <= getattr(self, name) < math.inf)
+                   for name in ("pre_sigma", "smooth_sigma", "structure_floor")),
+                 ("isodata_iters", "at least 0", self.isodata_iters >= 0),
+                 ("uniform_rel_gap", "in [0, 1]", 0.0 <= self.uniform_rel_gap <= 1.0)]
+        for name, rule, ok in rules:
+            if not ok:
+                raise ForegroundError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -174,8 +152,7 @@ def _isodata_threshold(values: np.ndarray, iters: int) -> float:
     return t
 
 
-def compute_foreground(slide: RasterSlide | PpmSlide,
-                       params: FesiParams | None = None) -> ForegroundMask:
+def compute_foreground(slide: PpmSlide, params: FesiParams | None = None) -> ForegroundMask:
     """Binary tissue mask at 1/downsample of slide resolution.
 
     Deterministic for fixed inputs; raises on images smaller than one mask
@@ -184,15 +161,16 @@ def compute_foreground(slide: RasterSlide | PpmSlide,
     from scipy import ndimage  # imported here: every other stage starts without it
 
     params = params or FesiParams()
+    params.validate()
     f = params.downsample
-    if not isinstance(f, int) or f < 1:
-        raise ForegroundError(f"downsample must be a positive integer, got {f!r}")
     if slide.width_px < f or slide.height_px < f:
         raise ForegroundError(
             f"slide {slide.width_px}x{slide.height_px} is smaller than one {f}px mask cell")
-    with closing(slide.strips(f)) as strips:  # closes a PpmSlide's file on every path
+    with closing(pnm.read_ppm_strips(slide.path, f)) as strips:  # closes the file on every path
         small = _block_luminance(strips, f)
-    structure = np.abs(ndimage.laplace(ndimage.gaussian_filter(small, params.pre_sigma)))
+    structure = ndimage.laplace(ndimage.gaussian_filter(small, params.pre_sigma))
+    del small  # the mask-scale arrays set the stage's peak memory
+    np.abs(structure, out=structure)
     smooth = ndimage.gaussian_filter(structure, params.smooth_sigma)
 
     fg_level = float(smooth.max())

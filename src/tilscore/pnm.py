@@ -67,36 +67,20 @@ def _read_header(fh, path, magic: bytes, channels: int) -> tuple[int, int]:
     return height, width
 
 
-def _read_raster(path, magic: bytes, channels: int) -> np.ndarray:
-    with open(path, "rb") as fh:
-        height, width = _read_header(fh, path, magic, channels)
-        arr = np.empty((height, width, channels) if channels > 1 else (height, width),
-                       dtype=np.uint8)
-        got = fh.readinto(arr)
-    if got != arr.nbytes:
-        raise PnmError(f"{path}: raster truncated ({got} of {arr.nbytes} bytes)")
-    return arr
-
-
 def ppm_shape(path) -> tuple[int, int]:
     """(height, width) of a P6 file whose header and size check out."""
     with open(path, "rb") as fh:
         return _read_header(fh, path, b"P6", 3)
 
 
-def strip_rows(row_bytes: int, multiple: int) -> int:
-    """Rows per strip: the largest multiple of `multiple` whose rows of
-    `row_bytes` each fit STRIP_BYTES, and never fewer than `multiple`."""
-    return max(1, STRIP_BYTES // (row_bytes * multiple)) * multiple
-
-
 def read_ppm_strips(path, multiple: int) -> Iterator[np.ndarray]:
-    """A P6 raster as consecutive (rows, width, 3) uint8 strips, `rows` from
-    `strip_rows` (the last strip may be shorter).  Every strip is a view of
-    one buffer that the next strip overwrites."""
+    """A P6 raster as consecutive (rows, width, 3) uint8 strips.  `rows` is
+    the largest multiple of `multiple` whose rows fit STRIP_BYTES, and never
+    fewer than `multiple`; the last strip may be shorter.  Every strip is a
+    view of one buffer that the next strip overwrites."""
     with open(path, "rb") as fh:
         height, width = _read_header(fh, path, b"P6", 3)
-        rows = strip_rows(width * 3, multiple)
+        rows = max(1, STRIP_BYTES // (width * 3 * multiple)) * multiple
         buf = np.empty((min(rows, height), width, 3), dtype=np.uint8)
         for r0 in range(0, height, rows):
             strip = buf[: min(rows, height - r0)]
@@ -106,14 +90,14 @@ def read_ppm_strips(path, multiple: int) -> Iterator[np.ndarray]:
             yield strip
 
 
-def read_ppm(path) -> np.ndarray:
-    """P6 image as (height, width, 3) uint8."""
-    return _read_raster(path, b"P6", 3)
-
-
 def read_pgm(path) -> np.ndarray:
     """P5 image as (height, width) uint8."""
-    return _read_raster(path, b"P5", 1)
+    with open(path, "rb") as fh:
+        arr = np.empty(_read_header(fh, path, b"P5", 1), dtype=np.uint8)
+        got = fh.readinto(arr)
+    if got != arr.nbytes:
+        raise PnmError(f"{path}: raster truncated ({got} of {arr.nbytes} bytes)")
+    return arr
 
 
 def write_ppm(path, pixels: np.ndarray) -> None:

@@ -3,18 +3,27 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tilscore.foreground import RasterSlide
+from tilscore.foreground import PpmSlide
+from tilscore.pnm import write_ppm
 
 
-def noisy_disc_slide(n=2048, radius=800.0, seed=0, mpp=0.5):
-    """Mid-grey slide with one high-texture noise disc, plus the ground-truth
-    disc membership of each mask cell (the generator knows where it painted)."""
+def ppm_slide(directory, pixels: np.ndarray, name: str = "slide") -> PpmSlide:
+    """`pixels` written to `<directory>/<name>.ppm` and opened as `tile` opens a slide."""
+    path = Path(directory) / f"{name}.ppm"
+    write_ppm(path, pixels)
+    return PpmSlide(path)
+
+
+def noisy_disc(n=2048, radius=800.0, seed=0):
+    """Mid-grey (n, n, 3) pixels with one high-texture noise disc, plus the
+    ground-truth disc membership of each mask cell (the generator knows
+    where it painted)."""
     rng = np.random.default_rng(seed)
     base = np.full((n, n, 3), 128, dtype=np.uint8)
     yy, xx = np.mgrid[0:n, 0:n]
     disc = (xx - n / 2.0) ** 2 + (yy - n / 2.0) ** 2 <= radius**2
     noise = rng.integers(0, 256, size=(n, n, 3)).astype(np.uint8)
-    slide = RasterSlide(slide_id="disc", pixels=np.where(disc[..., None], noise, base), mpp=mpp)
+    pixels = np.where(disc[..., None], noise, base)
 
     def truth_at_scale(factor: int) -> np.ndarray:
         mh = int(np.ceil(n / factor))
@@ -22,7 +31,13 @@ def noisy_disc_slide(n=2048, radius=800.0, seed=0, mpp=0.5):
         cy, cx = np.mgrid[0:mh, 0:mw]
         return ((cx + 0.5) * factor - n / 2.0) ** 2 + ((cy + 0.5) * factor - n / 2.0) ** 2 <= radius**2
 
-    return slide, truth_at_scale
+    return pixels, truth_at_scale
+
+
+def noisy_disc_slide(directory, **disc):
+    """The `noisy_disc` pixels as a PPM slide in `directory`, and their truth."""
+    pixels, truth_at_scale = noisy_disc(**disc)
+    return ppm_slide(directory, pixels, "disc"), truth_at_scale
 
 
 def read_manifest(path) -> tuple[int, float, np.ndarray, np.ndarray]:
@@ -43,5 +58,5 @@ def mask_iou(a: np.ndarray, b: np.ndarray) -> float:
 
 
 @pytest.fixture
-def disc_slide():
-    return noisy_disc_slide()
+def disc_slide(tmp_path):
+    return noisy_disc_slide(tmp_path)

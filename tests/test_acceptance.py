@@ -7,13 +7,12 @@ finite differences, and hand-computed tables.
 """
 
 import hashlib
-import io
 import time
 
 import numpy as np
 import pytest
 
-from conftest import mask_iou, noisy_disc_slide
+from conftest import mask_iou, noisy_disc_slide, ppm_slide
 from tilscore import concord, survstats
 from tilscore.bagio import FeatureBag, SynthConfig, read_bag, synth_cohort, write_bag
 from tilscore.folds import Ensemble, ensemble_predict, leave_one_cohort_out, split_by_group
@@ -324,13 +323,12 @@ class TestFormatStability:
                          features=np.sin(0.7 * i + 0.3 * j).astype(np.float32),
                          tile_xy=np.column_stack([np.arange(k) * 512, np.arange(k) * 1024]),
                          mpp=0.5)
-        buf = io.BytesIO()
-        write_bag(bag, buf)
-        assert hashlib.sha256(buf.getvalue()).hexdigest() == GOLDEN_BAG_SHA256
-        buf.seek(0)
-        again = io.BytesIO()
-        write_bag(read_bag(buf), again)
-        assert again.getvalue() == buf.getvalue()
+        path, again = tmp_path / "golden.bag", tmp_path / "again.bag"
+        write_bag(bag, path)
+        data = path.read_bytes()
+        assert hashlib.sha256(data).hexdigest() == GOLDEN_BAG_SHA256
+        write_bag(read_bag(path), again)
+        assert again.read_bytes() == data
 
     def test_checkpoint_round_trip_and_golden_hash(self, tmp_path):
         hyper = HyperParams(enc_out=4, attn_hidden=3)
@@ -376,16 +374,13 @@ class TestProtocolFidelity:
 
 
 class TestForegroundAcceptance:
-    def test_blob_iou_and_white_slide(self):
-        slide, truth_at = noisy_disc_slide()
+    def test_blob_iou_and_white_slide(self, tmp_path):
+        slide, truth_at = noisy_disc_slide(tmp_path)
         mask = compute_foreground(slide)
         iou = mask_iou(mask.bits, truth_at(8))
         assert iou >= 0.95, f"blob IoU {iou:.4f}"
 
-        from tilscore.foreground import RasterSlide
-
-        white = RasterSlide(slide_id="white", mpp=0.5,
-                            pixels=np.full((1024, 1024, 3), 255, dtype=np.uint8))
+        white = ppm_slide(tmp_path, np.full((1024, 1024, 3), 255, dtype=np.uint8), "white")
         wmask = compute_foreground(white)
         grid = filter_tiles(grid_tiles(1024, 1024, 0.5), wmask)
         assert grid.n_tiles == 4 and grid.kept.sum() == 0

@@ -1,5 +1,4 @@
 import hashlib
-import io
 import struct
 import tracemalloc
 
@@ -46,51 +45,47 @@ def tiny_bag() -> FeatureBag:
     )
 
 
+def bag_file(bag: FeatureBag, directory, name: str = "bag.bag"):
+    path = directory / name
+    write_bag(bag, path)
+    return path
+
+
 class TestBagFormat:
-    def test_single_tile_round_trip(self):
+    def test_single_tile_round_trip(self, tmp_path):
         bag = tiny_bag()
-        buf = io.BytesIO()
-        write_bag(bag, buf)
-        buf.seek(0)
-        out = read_bag(buf)
+        out = read_bag(bag_file(bag, tmp_path))
         assert out.slide_id == bag.slide_id
         assert out.mpp == bag.mpp
         assert out.tile_size_px == bag.tile_size_px
         assert np.array_equal(out.features, bag.features)
         assert np.array_equal(out.tile_xy, bag.tile_xy)
 
-    def test_write_is_byte_deterministic(self):
-        a, b = io.BytesIO(), io.BytesIO()
-        write_bag(golden_bag(), a)
-        write_bag(golden_bag(), b)
-        assert a.getvalue() == b.getvalue()
+    def test_write_is_byte_deterministic(self, tmp_path):
+        a = bag_file(golden_bag(), tmp_path, "a.bag")
+        b = bag_file(golden_bag(), tmp_path, "b.bag")
+        assert a.read_bytes() == b.read_bytes()
 
-    def test_golden_hash_pinned(self):
-        buf = io.BytesIO()
-        write_bag(golden_bag(), buf)
-        data = buf.getvalue()
+    def test_golden_hash_pinned(self, tmp_path):
+        data = bag_file(golden_bag(), tmp_path).read_bytes()
         assert len(data) == GOLDEN_BAG_BYTES
         assert hashlib.sha256(data).hexdigest() == GOLDEN_BAG_SHA256
 
-    def test_bad_magic(self):
-        buf = io.BytesIO()
-        write_bag(tiny_bag(), buf)
-        corrupted = b"NOPE" + buf.getvalue()[4:]
+    def test_bad_magic(self, tmp_path):
+        path = bag_file(tiny_bag(), tmp_path)
+        path.write_bytes(b"NOPE" + path.read_bytes()[4:])
         with pytest.raises(BadMagicError):
-            read_bag(io.BytesIO(corrupted))
+            read_bag(path)
 
-    def test_truncated(self):
-        buf = io.BytesIO()
-        write_bag(tiny_bag(), buf)
+    def test_truncated(self, tmp_path):
+        path = bag_file(tiny_bag(), tmp_path)
+        path.write_bytes(path.read_bytes()[:-3])
         with pytest.raises(TruncatedStreamError):
-            read_bag(io.BytesIO(buf.getvalue()[:-3]))
+            read_bag(path)
 
-    def test_dim_mismatch(self):
-        buf = io.BytesIO()
-        write_bag(tiny_bag(), buf)
-        buf.seek(0)
+    def test_dim_mismatch(self, tmp_path):
         with pytest.raises(DimMismatchError):
-            read_bag(buf, expect_dim=2048)
+            read_bag(bag_file(tiny_bag(), tmp_path), expect_dim=2048)
 
     def test_trailing_bytes_via_path(self, tmp_path):
         path = tmp_path / "bag.bin"
@@ -113,7 +108,7 @@ class TestBagFormat:
         seed=st.integers(0, 2**31),
         slide_id=st.text(min_size=0, max_size=20),
     )
-    def test_round_trip_identity_property(self, n_tiles, dim, seed, slide_id):
+    def test_round_trip_identity_property(self, tmp_path_factory, n_tiles, dim, seed, slide_id):
         rng = np.random.default_rng(seed)
         bag = FeatureBag(
             slide_id=slide_id,
@@ -122,10 +117,7 @@ class TestBagFormat:
             mpp=0.25,
             tile_size_px=512,
         )
-        buf = io.BytesIO()
-        write_bag(bag, buf)
-        buf.seek(0)
-        out = read_bag(buf)
+        out = read_bag(bag_file(bag, tmp_path_factory.getbasetemp()))
         assert out.slide_id == bag.slide_id
         assert np.array_equal(out.features, bag.features)
         assert np.array_equal(out.tile_xy, bag.tile_xy)
@@ -141,37 +133,10 @@ class TestBagFormat:
                        tile_xy=np.array([[-1, 0]]), mpp=0.5)
 
 
-def bag_bytes(bag: FeatureBag) -> bytes:
-    buf = io.BytesIO()
-    write_bag(bag, buf)
-    return buf.getvalue()
-
-
 def wide_bag(n_tiles=1000, dim=2048) -> FeatureBag:
     rng = np.random.default_rng(3)
     return FeatureBag(slide_id="wide", features=rng.standard_normal((n_tiles, dim), dtype=np.float32),
                       tile_xy=rng.integers(0, 50_000, size=(n_tiles, 2)), mpp=0.5)
-
-
-class DribbleStream(io.RawIOBase):
-    """A non-seekable stream whose `readinto` hands out at most 7 bytes."""
-
-    def __init__(self, data: bytes):
-        self._data, self._pos = data, 0
-
-    def readable(self):
-        return True
-
-    def read(self, n=-1):
-        chunk = self._data[self._pos:] if n < 0 else self._data[self._pos:self._pos + n]
-        self._pos += len(chunk)
-        return chunk
-
-    def readinto(self, buf):
-        chunk = self._data[self._pos:self._pos + min(7, len(buf))]
-        buf[:len(chunk)] = chunk
-        self._pos += len(chunk)
-        return len(chunk)
 
 
 class TestOneCopyRead:
@@ -191,25 +156,11 @@ class TestOneCopyRead:
     def test_arrays_are_owned_and_writeable(self, tmp_path):
         path = tmp_path / "g.bag"
         write_bag(golden_bag(), path)
-        for out in (read_bag(path), read_bag(io.BytesIO(bag_bytes(golden_bag())))):
-            for arr in (out.features, out.tile_xy):
-                assert arr.flags.owndata and arr.flags.writeable
-            out.features[0, 0] = 7.0
-
-    def test_stream_and_path_give_equal_bags(self, tmp_path):
-        path = tmp_path / "g.bag"
-        write_bag(golden_bag(), path)
-        a, b = read_bag(path), read_bag(io.BytesIO(bag_bytes(golden_bag())))
-        assert (a.slide_id, a.mpp, a.tile_size_px) == (b.slide_id, b.mpp, b.tile_size_px)
-        assert np.array_equal(a.features, b.features)
-        assert np.array_equal(a.tile_xy, b.tile_xy)
-        assert a.features.dtype == b.features.dtype == np.float32
-        assert a.tile_xy.dtype == b.tile_xy.dtype == np.uint32
-
-    def test_short_reads_are_retried(self):
-        out = read_bag(DribbleStream(bag_bytes(golden_bag())))
-        assert np.array_equal(out.features, golden_bag().features)
-        assert np.array_equal(out.tile_xy, golden_bag().tile_xy)
+        out = read_bag(path)
+        assert out.features.dtype == np.float32 and out.tile_xy.dtype == np.uint32
+        for arr in (out.features, out.tile_xy):
+            assert arr.flags.owndata and arr.flags.writeable
+        out.features[0, 0] = 7.0
 
     @staticmethod
     def _header(n_tiles, dim, sid=b"huge"):
@@ -220,17 +171,17 @@ class TestOneCopyRead:
         data = self._header(2**32 - 1, 2**32 - 1) + b"\0" * 100
         path = tmp_path / "huge.bag"
         path.write_bytes(data)
-        for source in (io.BytesIO(data), path):
-            with pytest.raises(TruncatedStreamError, match="inside tile coords"):
-                read_bag(source)
+        with pytest.raises(TruncatedStreamError, match="inside tile coords"):
+            read_bag(path)
 
-    def test_declared_size_checked_before_allocating(self):
+    def test_declared_size_checked_before_allocating(self, tmp_path):
         # 64 tiles whose features would take 1 GiB; only the coordinates are there
-        data = self._header(64, 2**22) + b"\0" * (8 * 64 + 12)
+        path = tmp_path / "short.bag"
+        path.write_bytes(self._header(64, 2**22) + b"\0" * (8 * 64 + 12))
         tracemalloc.start()
         try:
             with pytest.raises(TruncatedStreamError, match="inside features"):
-                read_bag(io.BytesIO(data))
+                read_bag(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -238,12 +189,10 @@ class TestOneCopyRead:
 
     @pytest.mark.parametrize("cut, what", [(-4 * 12 * 7 - 3, "tile coords"), (-5, "features")])
     def test_truncation_names_the_part(self, tmp_path, cut, what):
-        data = bag_bytes(golden_bag())[:cut]
         path = tmp_path / "cut.bag"
-        path.write_bytes(data)
-        for source in (io.BytesIO(data), path, DribbleStream(data)):
-            with pytest.raises(TruncatedStreamError, match=f"inside {what} \\(wanted"):
-                read_bag(source)
+        path.write_bytes(bag_file(golden_bag(), tmp_path).read_bytes()[:cut])
+        with pytest.raises(TruncatedStreamError, match=f"inside {what} \\(wanted"):
+            read_bag(path)
 
 
 class TestSynthCohort:
@@ -301,6 +250,12 @@ class TestSynthCohort:
             synth_cohort(SynthConfig(n_slides=0))
 
 
+def csv_file(directory, text: str):
+    path = directory / "table.csv"
+    path.write_text(text)
+    return path
+
+
 class TestClinicalCsv:
     def test_basic_round_trip(self, tmp_path):
         from tilscore.bagio import SlideRecord
@@ -319,44 +274,44 @@ class TestClinicalCsv:
         assert out[0].os_months == 24.0 and out[0].os_event == 1
         assert out[1].covariates["grade"] == "1or2"
 
-    def test_missing_mandatory_column_named(self):
+    def test_missing_mandatory_column_named(self, tmp_path):
         csv_text = "slide_id,cohort\na,c\n"
         with pytest.raises(ClinicalSchemaError, match="til_score_pct"):
-            load_clinical(io.StringIO(csv_text))
+            load_clinical(csv_file(tmp_path, csv_text))
 
-    def test_range_error(self):
+    def test_range_error(self, tmp_path):
         csv_text = "slide_id,til_score_pct\na,101\n"
         with pytest.raises(ClinicalSchemaError, match="outside"):
-            load_clinical(io.StringIO(csv_text))
+            load_clinical(csv_file(tmp_path, csv_text))
 
-    def test_two_scorer_mean(self):
+    def test_two_scorer_mean(self, tmp_path):
         csv_text = "slide_id,til_score_pct,til_score_pct_2\na,20,30\nb,15,\n"
-        out = load_clinical(io.StringIO(csv_text))
+        out = load_clinical(csv_file(tmp_path, csv_text))
         assert out[0].til_score_pct == 25.0
         assert out[1].til_score_pct == 15.0
 
-    def test_survival_pairing_enforced(self):
+    def test_survival_pairing_enforced(self, tmp_path):
         csv_text = "slide_id,til_score_pct,os_months,os_event\na,10,12.0,\n"
         with pytest.raises(ClinicalSchemaError, match="os_months and os_event"):
-            load_clinical(io.StringIO(csv_text))
+            load_clinical(csv_file(tmp_path, csv_text))
 
-    def test_covariates_typed_and_missing_explicit(self):
+    def test_covariates_typed_and_missing_explicit(self, tmp_path):
         csv_text = "slide_id,til_score_pct,age,histology\na,10,52.5,ILC\nb,20,,BC NST\n"
-        out = load_clinical(io.StringIO(csv_text))
+        out = load_clinical(csv_file(tmp_path, csv_text))
         assert out[0].covariates == {"age": 52.5, "histology": "ILC"}
         assert "age" not in out[1].covariates
         assert out[1].covariates["histology"] == "BC NST"
 
-    def test_repeated_slide_id_names_id_and_lines(self):
+    def test_repeated_slide_id_names_id_and_lines(self, tmp_path):
         csv_text = "slide_id,til_score_pct\na,10\nb,20\na,30\n"
         with pytest.raises(ClinicalSchemaError, match="slide_id 'a' repeats on lines 2 and 4"):
-            load_clinical(io.StringIO(csv_text))
+            load_clinical(csv_file(tmp_path, csv_text))
 
     @pytest.mark.parametrize("months", ["nan", "inf", "-inf"])
-    def test_non_finite_os_months_names_line(self, months):
+    def test_non_finite_os_months_names_line(self, tmp_path, months):
         csv_text = f"slide_id,til_score_pct,os_months,os_event\na,10,12.0,1\nb,20,{months},0\n"
         with pytest.raises(ClinicalSchemaError, match=f"line 3: os_months '{months}' is not finite"):
-            load_clinical(io.StringIO(csv_text))
+            load_clinical(csv_file(tmp_path, csv_text))
 
 
 class TestPredictionsCsv:
@@ -376,4 +331,10 @@ class TestPredictionsCsv:
         path = tmp_path / "preds.csv"
         path.write_text("slide_id,ectil_score\na,0.1\nb,0.2\na,0.3\n")
         with pytest.raises(ClinicalSchemaError, match="slide_id 'a' repeats on lines 2 and 4"):
+            read_predictions(path)
+
+    def test_short_row_names_line_and_column(self, tmp_path):
+        path = tmp_path / "preds.csv"
+        path.write_text("slide_id,ectil_score\na,0.5\nb\n")
+        with pytest.raises(ClinicalSchemaError, match="line 3: ectil_score None is not a number"):
             read_predictions(path)

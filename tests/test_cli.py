@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import noisy_disc_slide, read_manifest
+from conftest import noisy_disc, read_manifest
 import tilscore
 from tilscore import bagio, foreground, pnm, survstats
 from tilscore.cli import build_parser, main
@@ -201,7 +201,17 @@ PROBES = {
        for name, row, word in [("os-months-0", "s1,40,0,0,61", "os_months '0'"),
                                ("os-months-negative", "s1,40,-5,0,61", "os_months '-5'"),
                                ("covariate-nan", "s1,40,30,0,nan", "'age'"),
-                               ("covariate-inf", "s1,40,30,0,inf", "'age'")]},
+                               ("covariate-inf", "s1,40,30,0,inf", "'age'"),
+                               ("score-not-a-number", "s1,x,30,0,61", "til_score_pct 'x'"),
+                               ("os-months-not-a-number", "s1,40,x,0,61", "os_months 'x'"),
+                               ("os-event-not-a-number", "s1,40,30,x,61", "os_event 'x'")]},
+    **{f"{command}-{name}": (command, [], {file: text}, ["line 3", word])
+       for command in ("evaluate", "survival")
+       for name, file, text, word in [
+           ("second-score-not-a-number", "clinical.csv",
+            "slide_id,til_score_pct,til_score_pct_2\ns0,10,\ns1,40,y\n", "til_score_pct_2 'y'"),
+           ("prediction-not-a-number", "preds.csv", "slide_id,ectil_score\ns0,0.1\ns1,abc\n",
+            "ectil_score 'abc'")]},
     # the slide is a header without its raster, so each flag must be checked
     # before the raster is read
     **{f"tile-{name}": ("tile", flags, {"slide.ppm": "P6\n700 600\n255\n", **files}, words)
@@ -218,6 +228,15 @@ PROBES = {
            ("rescale-underflow", ["--mpp", "1e-300", "--target-mpp", "1e300"], {},
             ["--tile-size 512", "--target-mpp 1e+300", "--mpp 1e-300", "spans inf source"]),
        ]},
+    # one "fesi" value out of each FesiParams.validate rule
+    **{f"tile-fesi-{key}-{value}": ("tile", ["--mpp", "0.5", "--config", "cfg.json"],
+                                    {"slide.ppm": "P6\n700 600\n255\n",
+                                     "cfg.json": f'{{"fesi": {{"{key}": {value}}}}}'},
+                                    [f"{key} must be", f"got {value.lower()}"])
+       for key, value in [("downsample", "0"), ("morph_size", "-3"),
+                          ("pre_sigma", "-1"), ("pre_sigma", "NaN"), ("smooth_sigma", "-2"),
+                          ("structure_floor", "NaN"), ("isodata_iters", "-1"),
+                          ("uniform_rel_gap", "NaN"), ("uniform_rel_gap", "1.5")]},
 }
 
 
@@ -260,9 +279,9 @@ class TestTile:
         assert (out / "run_config.json").exists()
 
     def test_blob_image_keeps_blob_tiles(self, tmp_path):
-        slide, truth_at = noisy_disc_slide(n=2048, radius=800.0)
+        pixels, truth_at = noisy_disc(n=2048, radius=800.0)
         img = tmp_path / "blob.ppm"
-        write_ppm(img, slide.pixels)
+        write_ppm(img, pixels)
         out = tmp_path / "out"
         assert run("tile", img, "--mpp", 0.5, "--out", out) == 0
         _, _, tiles, kept = read_manifest(out / "tiles.tsv")
@@ -309,10 +328,10 @@ class TestTile:
     def test_raster_is_streamed_in_strips(self, tmp_path, monkeypatch):
         from scipy import ndimage  # noqa: F401  (its import is not the stage's cost)
 
-        slide, _ = noisy_disc_slide(n=2048, radius=800.0)
+        pixels, _ = noisy_disc(n=2048, radius=800.0)
         img = tmp_path / "blob.ppm"
-        write_ppm(img, slide.pixels)
-        one_strip = foreground.compute_foreground(slide).bits  # 12.6 MB: one strip
+        write_ppm(img, pixels)
+        one_strip = foreground.compute_foreground(foreground.PpmSlide(img)).bits  # 12.6 MB: one strip
         monkeypatch.setattr(pnm, "STRIP_BYTES", 1 << 20)  # 1 MiB: 13 strips
         out = tmp_path / "out"
         tracemalloc.start()
@@ -322,7 +341,7 @@ class TestTile:
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert peak < slide.pixels.nbytes / 4, f"peak {peak} of {slide.pixels.nbytes} bytes"
+        assert peak < pixels.nbytes / 4, f"peak {peak} of {pixels.nbytes} bytes"
         assert np.array_equal(read_pgm(out / "mask.pgm") > 0, one_strip)
 
     def test_truncated_raster_exits_2_before_any_strip(self, tmp_path, monkeypatch, capsys):

@@ -3,36 +3,33 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import mask_iou, noisy_disc_slide, read_manifest
+from conftest import mask_iou, noisy_disc, ppm_slide, read_manifest
 from tilscore import foreground, pnm
 from tilscore.foreground import (
     FesiParams,
     ForegroundError,
     ForegroundMask,
     GeometryMismatchError,
-    PpmSlide,
-    RasterSlide,
     compute_foreground,
     filter_tiles,
     grid_tiles,
     write_manifest,
 )
-from tilscore.pnm import PnmError, read_pgm, read_ppm, write_pgm, write_ppm, read_mpp_sidecar
+from tilscore.pnm import PnmError, ppm_shape, read_pgm, write_pgm, write_ppm, read_mpp_sidecar
 
 
-def uniform_slide(value=255, n=512):
-    return RasterSlide(slide_id="u", pixels=np.full((n, n, 3), value, dtype=np.uint8), mpp=0.5)
+def uniform_slide(directory, value=255, n=512):
+    return ppm_slide(directory, np.full((n, n, 3), value, dtype=np.uint8), "uniform")
 
 
 class TestComputeForeground:
-    def test_white_slide_all_zero(self):
-        mask = compute_foreground(uniform_slide(255, 2048))
+    def test_white_slide_all_zero(self, tmp_path):
+        mask = compute_foreground(uniform_slide(tmp_path, 255, 2048))
         assert not mask.bits.any()
 
-    def test_fully_textured_all_one(self):
+    def test_fully_textured_all_one(self, tmp_path):
         rng = np.random.default_rng(1)
-        slide = RasterSlide(slide_id="tex", mpp=0.5,
-                            pixels=rng.integers(0, 256, size=(1024, 1024, 3)).astype(np.uint8))
+        slide = ppm_slide(tmp_path, rng.integers(0, 256, size=(1024, 1024, 3)).astype(np.uint8))
         mask = compute_foreground(slide)
         assert mask.bits.all()
 
@@ -48,12 +45,12 @@ class TestComputeForeground:
         assert np.array_equal(a.bits, b.bits)
         assert (a.width, a.height, a.scale) == (b.width, b.height, b.scale)
 
-    def test_tiny_image_rejected(self):
+    def test_tiny_image_rejected(self, tmp_path):
         with pytest.raises(ForegroundError):
-            compute_foreground(uniform_slide(128, 4))
+            compute_foreground(uniform_slide(tmp_path, 128, 4))
 
-    def test_mask_geometry(self):
-        mask = compute_foreground(uniform_slide(255, 520))
+    def test_mask_geometry(self, tmp_path):
+        mask = compute_foreground(uniform_slide(tmp_path, 255, 520))
         assert (mask.width, mask.height) == (65, 65)
         assert mask.scale == 1.0 / 8.0
 
@@ -75,10 +72,11 @@ DISCS = [(2048, 800.0, 0), (1001, 350.0, 1), (1536, 500.0, 2), (1024, 300.0, 3)]
 
 class TestBlockLuminance:
     @pytest.mark.parametrize("side,radius,seed", DISCS)
-    def test_mask_matches_float_reference(self, side, radius, seed, monkeypatch):
-        slide, _ = noisy_disc_slide(n=side, radius=radius, seed=seed)
-        small = foreground._block_luminance([slide.pixels], 8)
-        np.testing.assert_allclose(small, float_block_luminance(slide.pixels, 8), rtol=1e-12, atol=0)
+    def test_mask_matches_float_reference(self, side, radius, seed, tmp_path, monkeypatch):
+        pixels, _ = noisy_disc(n=side, radius=radius, seed=seed)
+        slide = ppm_slide(tmp_path, pixels)
+        small = foreground._block_luminance([pixels], 8)
+        np.testing.assert_allclose(small, float_block_luminance(pixels, 8), rtol=1e-12, atol=0)
         bits = compute_foreground(slide).bits
         monkeypatch.setattr(foreground, "_block_luminance",
                             lambda strips, f: float_block_luminance(np.concatenate(list(strips)), f))
@@ -86,7 +84,7 @@ class TestBlockLuminance:
 
     @pytest.fixture(scope="class")
     def odd_disc(self):
-        return noisy_disc_slide(n=1203, radius=450.0, seed=4)[0].pixels
+        return noisy_disc(n=1203, radius=450.0, seed=4)[0]
 
     # 16 is the largest f whose block sums (f*f*255) fit uint16; 17 and 300
     # take uint32
@@ -115,12 +113,11 @@ class TestBlockLuminance:
     @pytest.mark.parametrize("f", [1, 8, 17])
     def test_slides_cut_strips_on_mask_rows(self, odd_disc, tmp_path, monkeypatch, f):
         pixels = odd_disc[:1001, :777]
-        path = tmp_path / "odd.ppm"
-        write_ppm(path, pixels)
+        slide = ppm_slide(tmp_path, pixels)
         monkeypatch.setattr(pnm, "STRIP_BYTES", 80 << 10)  # 35 rows of 777 pixels
         whole = foreground._block_luminance([pixels], f).tobytes()
-        for slide in (RasterSlide("mem", pixels, 0.5), PpmSlide("file", path, 0.5)):
-            assert foreground._block_luminance(slide.strips(f), f).tobytes() == whole
+        strips = pnm.read_ppm_strips(slide.path, f)
+        assert foreground._block_luminance(strips, f).tobytes() == whole
 
     def test_saturated_blocks_do_not_wrap(self):
         for f in (16, 17, 300):
@@ -128,22 +125,24 @@ class TestBlockLuminance:
             np.testing.assert_allclose(foreground._block_luminance([pixels], f),
                                        np.full((2, 2), 255.0), rtol=1e-12, atol=0)
 
-    def test_traced_peak_is_a_fraction_of_the_slide(self, disc_slide):
+    def test_traced_peak_is_a_fraction_of_the_slide(self, disc_slide, monkeypatch):
         from scipy import ndimage  # noqa: F401  (its import is not the mask's cost)
 
         slide, _ = disc_slide
+        nbytes = slide.width_px * slide.height_px * 3
+        monkeypatch.setattr(pnm, "STRIP_BYTES", 1 << 20)  # 1 MiB: 13 strips
         tracemalloc.start()
         try:
             compute_foreground(slide)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < slide.pixels.nbytes / 2, f"peak {peak} of {slide.pixels.nbytes} bytes"
+        assert peak < nbytes / 2, f"peak {peak} of {nbytes} bytes"
 
     @pytest.mark.parametrize("f", [0, -8, 8.0])
-    def test_bad_downsample_rejected(self, f):
+    def test_bad_downsample_rejected(self, f, tmp_path):
         with pytest.raises(ForegroundError, match="downsample"):
-            compute_foreground(uniform_slide(255, 64), FesiParams(downsample=f))
+            compute_foreground(uniform_slide(tmp_path, 255, 64), FesiParams(downsample=f))
 
 
 class TestGridTiles:
@@ -226,7 +225,7 @@ class TestFilterTiles:
     def test_blob_keeps_tiles_over_blob(self, disc_slide):
         slide, truth_at = disc_slide
         mask = compute_foreground(slide)
-        grid = filter_tiles(grid_tiles(slide.width_px, slide.height_px, slide.mpp), mask)
+        grid = filter_tiles(grid_tiles(slide.width_px, slide.height_px, 0.5), mask)
         truth = truth_at(8)
         # every tile whose footprint overlaps the true disc interior...
         for (x, y), k in zip(grid.tiles, grid.kept):
@@ -238,7 +237,7 @@ class TestFilterTiles:
     def test_manifest_round_trip(self, tmp_path, disc_slide):
         slide, _ = disc_slide
         mask = compute_foreground(slide)
-        grid = filter_tiles(grid_tiles(slide.width_px, slide.height_px, slide.mpp), mask)
+        grid = filter_tiles(grid_tiles(slide.width_px, slide.height_px, 0.5), mask)
         path = tmp_path / "tiles.tsv"
         write_manifest(grid, path)
         tile_size, rescale, tiles, kept = read_manifest(path)
@@ -247,13 +246,19 @@ class TestFilterTiles:
         assert np.array_equal(kept, grid.kept)
 
 
+def read_ppm_whole(path) -> np.ndarray:
+    """A P6 raster read through the strip reader `tile` uses, strip by strip."""
+    return np.concatenate([strip.copy() for strip in pnm.read_ppm_strips(path, 1)])
+
+
 class TestPnm:
-    def test_ppm_round_trip(self, tmp_path):
+    def test_ppm_round_trip(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(0)
         img = rng.integers(0, 256, size=(10, 14, 3)).astype(np.uint8)
         path = tmp_path / "img.ppm"
         write_ppm(path, img)
-        assert np.array_equal(read_ppm(path), img)
+        monkeypatch.setattr(pnm, "STRIP_BYTES", 3 * 14 * 3)  # three rows, the last strip one
+        assert np.array_equal(read_ppm_whole(path), img)
 
     def test_pgm_round_trip(self, tmp_path):
         img = (np.arange(30, dtype=np.uint8) * 8).reshape(5, 6)
@@ -264,46 +269,45 @@ class TestPnm:
     def test_comments_in_header(self, tmp_path):
         path = tmp_path / "c.ppm"
         path.write_bytes(b"P6\n# a comment\n2 1\n# another\n255\n" + bytes(6))
-        img = read_ppm(path)
-        assert img.shape == (1, 2, 3)
+        assert ppm_shape(path) == (1, 2)
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.ppm"
         path.write_bytes(b"P5\n1 1\n255\n\x00")
         with pytest.raises(PnmError):
-            read_ppm(path)
+            ppm_shape(path)
 
     def test_truncated_raster(self, tmp_path):
         path = tmp_path / "short.ppm"
         path.write_bytes(b"P6\n4 4\n255\n" + bytes(10))
         with pytest.raises(PnmError):
-            read_ppm(path)
+            ppm_shape(path)
 
     def test_read_owns_writable_pixels(self, tmp_path):
-        path = tmp_path / "img.ppm"
-        write_ppm(path, np.zeros((3, 5, 3), dtype=np.uint8))
-        img = read_ppm(path)
+        path = tmp_path / "img.pgm"
+        write_pgm(path, np.zeros((3, 5), dtype=np.uint8))
+        img = read_pgm(path)
         assert img.flags.owndata and img.flags.writeable and img.flags.c_contiguous
-        img[0, 0, 0] = 7  # no read-only buffer underneath
+        img[0, 0] = 7  # no read-only buffer underneath
 
     def test_comment_longer_than_a_page(self, tmp_path):
         path = tmp_path / "long.ppm"
         raster = bytes(range(6))
         path.write_bytes(b"P6\n#" + b"x" * 5000 + b"\n2 # w\n1\n255\n" + raster)
-        img = read_ppm(path)
-        assert img.shape == (1, 2, 3) and img.tobytes() == raster
+        assert ppm_shape(path) == (1, 2)
+        assert read_ppm_whole(path).tobytes() == raster
 
     def test_truncated_raster_names_file(self, tmp_path):
         path = tmp_path / "short.ppm"
         path.write_bytes(b"P6\n4 4\n255\n" + bytes(10))
         with pytest.raises(PnmError, match=r"short\.ppm: raster truncated \(10 of 48 bytes\)"):
-            read_ppm(path)
+            ppm_shape(path)
 
     def test_signed_header_token_rejected(self, tmp_path):
         path = tmp_path / "neg.ppm"
         path.write_bytes(b"P6\n-4 4\n255\n" + bytes(48))
         with pytest.raises(PnmError, match="bad header token"):
-            read_ppm(path)
+            ppm_shape(path)
 
     def test_write_streams_the_array_buffer(self, tmp_path):
         img = np.random.default_rng(1).integers(0, 256, size=(2048, 2048, 3), dtype=np.uint8)
