@@ -6,6 +6,8 @@ coordinates.  Bags are stored in a fixed little-endian binary layout
 f32 on disk while model arithmetic runs in f64.  `read_bag` is a one-copy
 read: it `readinto`s the coordinates and features straight into the arrays
 it returns, after checking their declared size against the bytes left.
+A `BagFile` keeps a scanned bag in its file and reads its features again
+each time they are asked for.
 
 The synthetic generator plants a latent per-tile density d in [0, 1],
 embeds (d, noise) through a fixed random linear map, and labels the slide
@@ -20,6 +22,8 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
+
 import numpy as np
 
 BAG_MAGIC = b"ECTB"
@@ -88,8 +92,10 @@ def write_bag(bag: FeatureBag, path) -> None:
         fh.write(struct.pack("<HH", BAG_VERSION, len(sid)))
         fh.write(sid)
         fh.write(struct.pack("<IIIf", bag.n_tiles, bag.dim, bag.tile_size_px, bag.mpp))
-        fh.write(bag.tile_xy.astype("<u4").tobytes())
-        fh.write(bag.features.astype("<f4").tobytes())
+        # no-copy casts of the arrays FeatureBag already holds, written from
+        # their buffers
+        fh.write(memoryview(np.ascontiguousarray(bag.tile_xy, dtype="<u4")))
+        fh.write(memoryview(np.ascontiguousarray(bag.features, dtype="<f4")))
 
 
 def _truncated(what: str, want: int, got: int) -> TruncatedStreamError:
@@ -143,6 +149,32 @@ def read_bag(path, expect_dim: int | None = None) -> FeatureBag:
         feats = _read_array(fh, (n_tiles, dim), "<f4", "features")
     return FeatureBag(slide_id=slide_id, features=feats, tile_xy=xy,
                       mpp=float(mpp), tile_size_px=int(tile_size))
+
+
+@dataclass(frozen=True)
+class BagFile:
+    """A bag left in its file: the id and shape that one validating
+    `read_bag` found when the file was scanned.  `features` reads the file
+    again, so only the caller's current bag is held in memory."""
+
+    path: Path
+    slide_id: str
+    n_tiles: int
+    dim: int
+
+    @classmethod
+    def scan(cls, path) -> "BagFile":
+        bag = read_bag(path)
+        return cls(Path(path), bag.slide_id, bag.n_tiles, bag.dim)
+
+    @property
+    def features(self) -> np.ndarray:
+        bag = read_bag(self.path)
+        if (bag.slide_id, bag.n_tiles, bag.dim) != (self.slide_id, self.n_tiles, self.dim):
+            raise BagFormatError(
+                f"{self.path} changed since it was scanned: it holds {bag.slide_id!r} "
+                f"{bag.n_tiles}x{bag.dim}, not {self.slide_id!r} {self.n_tiles}x{self.dim}")
+        return bag.features
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,10 @@ import numpy as np
 
 from . import __version__, bagio, concord, foreground, milnet, pnm, survstats
 from .folds import (
-    Ensemble,
     ensemble_predict,
     leave_one_cohort_out,
     load_ensemble,
-    save_ensemble,
+    save_manifest,
     split_by_group,
 )
 
@@ -208,13 +207,6 @@ def _check_unique_ids(paths: list[Path], slide_ids: list[str]) -> None:
             raise CliError(f"{other} and {path} both hold slide_id {sid!r}")
 
 
-def _load_bag_dir(bag_dir: Path) -> dict[str, bagio.FeatureBag]:
-    paths = _bag_paths(bag_dir)
-    bags = [bagio.read_bag(p) for p in paths]
-    _check_unique_ids(paths, [bag.slide_id for bag in bags])
-    return {bag.slide_id: bag for bag in bags}
-
-
 def _parse_plan(spec: str) -> int | None:
     """The k of --plan 'centre:<k>' (k >= 2), or None for 'loco'."""
     if spec == "loco":
@@ -233,7 +225,12 @@ def cmd_train(args) -> int:
     hyper = _hyper_from(args)
     k = _parse_plan(args.plan)
     records = bagio.load_clinical(args.clinical)
-    bags_by_id = _load_bag_dir(Path(args.bags))
+    # every bag is read and checked here, then left in its file: training
+    # reads a bag again each time it needs its features
+    paths = _bag_paths(Path(args.bags))
+    scanned = [bagio.BagFile.scan(p) for p in paths]
+    _check_unique_ids(paths, [bag.slide_id for bag in scanned])
+    bags_by_id = {bag.slide_id: bag for bag in scanned}
     records = [r for r in records if r.slide_id in bags_by_id]
     if not records:
         raise CliError("no overlap between clinical slide_ids and bag files")
@@ -246,7 +243,12 @@ def cmd_train(args) -> int:
     labels = np.array([r.til_score_pct for r in ordered]) / 100.0
     fold_of = np.array([plan.fold_of(r.slide_id) for r in ordered])
 
-    members, champions, history = [], [], {}
+    # each fold's checkpoint is written as the fold ends, so no finished
+    # member stays in memory; ensemble.json, written last, marks the run
+    # complete, so a stale one goes first
+    out = _out_dir(args)
+    (out / "ensemble.json").unlink(missing_ok=True)
+    champions, history = [], {}
     for fold in range(plan.k):
         val_idx = np.flatnonzero(fold_of == fold)
         train_idx = np.flatnonzero(fold_of != fold)
@@ -254,20 +256,20 @@ def cmd_train(args) -> int:
             result = milnet.train(bags, labels, train_idx, val_idx, hyper, seed=args.seed + fold)
         except milnet.ModelError as exc:
             raise milnet.ModelError(f"fold {fold}: {exc}") from exc
-        members.append(result.params)
         champions.append(
             {"fold": fold, "checkpoint": f"fold{fold:03d}.ckpt",
              "best_epoch": result.best_epoch, "val_explained_variance": result.best_val_ev,
              "val_pearson": concord.pearson(result.val_preds, labels[val_idx]),
              "n_train": train_idx.size, "n_val": val_idx.size})
         history[str(fold)] = [dataclasses.asdict(e) for e in result.history]
+        milnet.save_checkpoint(result.params, hyper, out / champions[-1]["checkpoint"])
+        del result
 
-    out = _out_dir(args)
     plan.to_csv(out / "fold_plan.csv")
-    save_ensemble(Ensemble(members=members, hyper=hyper), out,
-                  extra={"plan": args.plan, "champions": champions})
     _write_json(out / "history.json", history)
     _echo_config(out, "train", args, {"hyper": dataclasses.asdict(hyper), "k": plan.k})
+    save_manifest(out, [c["checkpoint"] for c in champions],
+                  extra={"plan": args.plan, "champions": champions})
     for c in champions:
         print(f"fold {c['fold']}: epoch {c['best_epoch']} "
               f"val_ev {c['val_explained_variance']:.4f} val_r {c['val_pearson']:.4f}")
@@ -380,6 +382,10 @@ def cmd_survival(args) -> int:
     if not isinstance(covs, list):
         raise CliError(f'--spec "covariates" must be a JSON list, not {type(covs).__name__}')
     cov_specs = [_dataclass_from(survstats.CovariateSpec, c, "--spec covariate") for c in covs]
+    for spec in cov_specs:
+        if spec.column in bagio.RESERVED_COLUMNS:
+            raise CliError(f"--spec covariate column {spec.column!r} is reserved and cannot "
+                           "be a covariate")
     rows = _join_predictions(args.predictions, bagio.load_clinical(args.clinical))
     usable = [(r, p) for r, p in rows if r.os_months is not None]
     if not usable:

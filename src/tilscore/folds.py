@@ -108,20 +108,21 @@ def ensemble_predict(ensemble: Ensemble, bag: FeatureBag) -> float:
     return float(np.mean(preds))
 
 
+def save_manifest(out_dir, names: list[str], extra: dict | None = None) -> None:
+    """Write `ensemble.json`, listing the member checkpoints `names` in
+    `out_dir`; written after them, it marks the ensemble complete."""
+    with open(Path(out_dir) / "ensemble.json", "w") as fh:
+        json.dump({"members": names, **(extra or {})}, fh, indent=2)
+        fh.write("\n")
+
+
 def save_ensemble(ensemble: Ensemble, out_dir, extra: dict | None = None) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    names = []
-    for i, member in enumerate(ensemble.members):
-        name = f"fold{i:03d}.ckpt"
+    names = [f"fold{i:03d}.ckpt" for i in range(len(ensemble.members))]
+    for name, member in zip(names, ensemble.members):
         save_checkpoint(member, ensemble.hyper, out_dir / name)
-        names.append(name)
-    manifest = {"members": names}
-    if extra:
-        manifest.update(extra)
-    with open(out_dir / "ensemble.json", "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    save_manifest(out_dir, names, extra)
 
 
 def load_ensemble(path) -> Ensemble:

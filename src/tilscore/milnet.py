@@ -360,9 +360,14 @@ class TrainResult:
     val_preds: np.ndarray  # predictions of the best snapshot on the val set
 
 
-def train(bags: list[FeatureBag], labels, train_idx, val_idx,
+def train(bags: list, labels, train_idx, val_idx,
           hyper: HyperParams | None = None, seed: int = 0) -> TrainResult:
     """Fit on train bags, early-stop on validation explained variance.
+
+    A bag is any object with `slide_id`, `n_tiles`, `dim` and `features`:
+    a `FeatureBag` in memory, or a `bagio.BagFile` whose `features` reads
+    its file again.  `features` is asked for once per batch step and once
+    per validation pass of a bag, and nothing keeps it afterwards.
 
     Labels are fractions in [0, 1].  Gradients are averaged per batch of
     bags (no padding; bag sizes vary freely).  Each bag's features are cast
@@ -370,7 +375,8 @@ def train(bags: list[FeatureBag], labels, train_idx, val_idx,
     `enc_w` gradient is one GEMM per batch (more only when a batch
     overflows STACK_ROWS rows).  A non-finite loss raises ModelError naming
     the epoch and slide.  Returns the snapshot from the best validation
-    epoch.  Deterministic for a fixed seed.
+    epoch, kept by copying each improving epoch into one buffer.
+    Deterministic for a fixed seed.
     """
     hyper = hyper or HyperParams()
     hyper.validate()
@@ -404,9 +410,10 @@ def train(bags: list[FeatureBag], labels, train_idx, val_idx,
     d_pre = np.empty((rows, hyper.enc_out))
 
     def val_predictions(p: ModelParams) -> np.ndarray:
-        return np.array([forward(p, bags[i]).prediction for i in val_idx])
+        return np.array([forward(p, bags[i].features).prediction for i in val_idx])
 
-    best = None  # (ev, epoch, params, preds)
+    best = None  # (ev, epoch, preds) of the epoch whose parameters `snapshot` holds
+    snapshot = params.zeros_like()
     history: list[EpochRecord] = []
     since_improve = 0
     for epoch in range(1, hyper.max_epochs + 1):
@@ -442,14 +449,16 @@ def train(bags: list[FeatureBag], labels, train_idx, val_idx,
         ev = explained_variance(preds, labels[val_idx])
         history.append(EpochRecord(epoch=epoch, train_loss=epoch_loss / order.size, val_ev=ev))
         if best is None or ev > best[0]:
-            best = (ev, epoch, params.copy(), preds)
+            best = (ev, epoch, preds)
+            for name in PARAM_FIELDS:
+                np.copyto(getattr(snapshot, name), getattr(params, name))
             since_improve = 0
         else:
             since_improve += 1
         if since_improve >= hyper.patience:
             break
-    return TrainResult(params=best[2], history=history, best_epoch=best[1],
-                       best_val_ev=best[0], val_preds=best[3])
+    return TrainResult(params=snapshot, history=history, best_epoch=best[1],
+                       best_val_ev=best[0], val_preds=best[2])
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import struct
 import tracemalloc
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from tilscore.bagio import (
     BadMagicError,
+    BagFile,
     BagFormatError,
     ClinicalSchemaError,
     DimMismatchError,
@@ -153,6 +155,16 @@ class TestOneCopyRead:
         # the arrays themselves plus the isfinite mask (a quarter of the features)
         assert peak <= 1.3 * bag.features.nbytes, f"peak {peak} of {bag.features.nbytes} bytes"
 
+    def test_write_holds_no_copy_of_the_features(self, tmp_path):
+        bag = wide_bag()
+        tracemalloc.start()
+        try:
+            write_bag(bag, tmp_path / "wide.bag")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * bag.features.nbytes, f"peak {peak} of {bag.features.nbytes} bytes"
+
     def test_arrays_are_owned_and_writeable(self, tmp_path):
         path = tmp_path / "g.bag"
         write_bag(golden_bag(), path)
@@ -193,6 +205,28 @@ class TestOneCopyRead:
         path.write_bytes(bag_file(golden_bag(), tmp_path).read_bytes()[:cut])
         with pytest.raises(TruncatedStreamError, match=f"inside {what} \\(wanted"):
             read_bag(path)
+
+
+class TestBagFile:
+    def test_scan_keeps_the_shape_and_features_read_the_file(self, tmp_path):
+        path = bag_file(golden_bag(), tmp_path)
+        scanned = BagFile.scan(path)
+        assert (scanned.path, scanned.slide_id, scanned.n_tiles, scanned.dim) == (
+            path, "golden-slide", 7, 12)
+        assert np.array_equal(scanned.features, golden_bag().features)
+        assert scanned.features is not scanned.features  # read again each time
+
+    @pytest.mark.parametrize("change", [{"slide_id": "other"}, {"n_tiles": 6}, {"dim": 11}])
+    def test_a_file_changed_since_the_scan_is_named(self, tmp_path, change):
+        path = bag_file(golden_bag(), tmp_path)
+        scanned = BagFile.scan(path)
+        bag = golden_bag()
+        k, d = change.get("n_tiles", 7), change.get("dim", 12)
+        write_bag(FeatureBag(slide_id=change.get("slide_id", bag.slide_id),
+                             features=bag.features[:k, :d], tile_xy=bag.tile_xy[:k], mpp=0.5),
+                  path)
+        with pytest.raises(BagFormatError, match=f"^{re.escape(str(path))} changed since"):
+            scanned.features
 
 
 class TestSynthCohort:

@@ -14,7 +14,7 @@ import pytest
 
 from conftest import noisy_disc, read_manifest
 import tilscore
-from tilscore import bagio, foreground, pnm, survstats
+from tilscore import bagio, foreground, milnet, pnm, survstats
 from tilscore.cli import build_parser, main
 from tilscore.milnet import (PARAM_FIELDS, HyperParams, ModelParams, init_params,
                              load_checkpoint, save_checkpoint)
@@ -140,6 +140,9 @@ BAD_CONFIGS = {
     "survival-value-type": ("survival", {"covariates": [{"column": "age", "scale": "ten"}]},
                             "'scale' must be float, not str"),
     "survival-missing-key": ("survival", {"covariates": [{"kind": "numeric"}]}, "'column'"),
+    **{f"survival-reserved-{column}": ("survival", {"covariates": [{"column": column}]},
+                                       f"column {column!r} is reserved and cannot be a covariate")
+       for column in ("cohort", "centre", "os_months")},
     "tile-unknown-key": ("tile", {"fesi": {"bogus": 1}}, "unknown key 'bogus'"),
     "tile-not-an-object": ("tile", {"fesi": [8]}, '"fesi" must be a JSON object, not list'),
     "train-unknown-key": ("train", {"hyper": {"lrate": 1e-3}}, "unknown key 'lrate'"),
@@ -582,6 +585,60 @@ class TestPredictStreaming:
         err = capsys.readouterr().err
         assert "s001.bag" in err and "t.bag" in err and "'s001'" in err
         assert not (out / "predictions.csv").exists()
+
+
+class TestTrainStreaming:
+    DIM = 256
+    FLAGS = ["--plan", "centre:2", "--enc-out", 8, "--attn-hidden", 4, "--batch-size", 4,
+             "--max-epochs", 1]
+
+    @staticmethod
+    def write_cohort(root: Path, n: int, n_tiles: int = 300) -> None:
+        """`n` bags of `n_tiles` tiles in `root / "bags"` and their clinical table."""
+        write_bags(root / "bags", n, TestTrainStreaming.DIM, n_tiles=n_tiles)
+        labels = np.random.default_rng(n).uniform(5.0, 95.0, n)
+        (root / "clinical.csv").write_text("slide_id,cohort,centre,til_score_pct\n" + "".join(
+            f"s{i:03d},k,c{i % 4},{label:.6f}\n" for i, label in enumerate(labels)))
+
+    def train(self, root: Path, out: Path) -> int:
+        return run("train", "--bags", root / "bags", "--clinical", root / "clinical.csv",
+                   "--out", out, *self.FLAGS)
+
+    def test_peak_memory_flat_in_cohort_size(self, tmp_path):
+        def traced_peak(n):
+            tracemalloc.start()
+            try:
+                assert self.train(tmp_path / f"c{n}", tmp_path / f"out{n}") == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        for n in (8, 32):
+            self.write_cohort(tmp_path / f"c{n}", n)
+        assert self.train(tmp_path / "c8", tmp_path / "warm") == 0  # untraced imports
+        small, large = traced_peak(8), traced_peak(32)
+        assert large <= 1.5 * small, f"32 bags peak {large} B, 8 bags peak {small} B"
+
+    def test_bag_rewritten_after_the_scan_is_named(self, tmp_path, monkeypatch, capsys):
+        self.write_cohort(tmp_path, 8, n_tiles=5)
+        out = tmp_path / "run"
+        assert self.train(tmp_path, out) == 0  # leaves an ensemble.json behind
+        folds_begun = []
+        real_train = milnet.train
+
+        def train_then_rewrite(*args, **kwargs):
+            folds_begun.append(len(folds_begun))
+            if len(folds_begun) == 2:  # fold 0 is written; fold 1 meets s000 with 6 tiles
+                write_bags(tmp_path / "bags", 1, self.DIM, n_tiles=6)
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(milnet, "train", train_then_rewrite)
+        assert self.train(tmp_path, out) == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'bags' / 's000.bag'} changed since it was scanned" in err
+        assert "6x256" in err
+        assert (out / "fold000.ckpt").exists()
+        assert not (out / "ensemble.json").exists()
 
 
 def test_train_duplicate_slide_id_is_usage_error(small_cohort, tmp_path, capsys):

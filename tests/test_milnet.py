@@ -8,7 +8,7 @@ import pytest
 from scipy.special import expit
 
 from tilscore import milnet
-from tilscore.bagio import FeatureBag
+from tilscore.bagio import BagFile, FeatureBag, write_bag
 from tilscore.milnet import (
     ADAM_BLOCK,
     ADAM_EPS,
@@ -510,6 +510,21 @@ class TestTrain:
                             patience=60, batch_size=8, dropout_feature=0.0, dropout_tile=0.0)
         result = train(bags, labels, np.arange(45), np.arange(45, 60), hyper, seed=2)
         assert result.best_val_ev > 0.8
+
+    def test_bags_in_their_files_train_as_bags_in_memory(self, tmp_path):
+        bags, labels = quick_cohort(np.random.default_rng(19))
+        files = []
+        for bag in bags:
+            write_bag(bag, tmp_path / f"{bag.slide_id}.bag")
+            files.append(BagFile.scan(tmp_path / f"{bag.slide_id}.bag"))
+        hyper = HyperParams(enc_out=8, attn_hidden=4, max_epochs=3, patience=3, batch_size=4)
+        results = []
+        for name, source in (("memory", bags), ("files", files)):
+            results.append(train(source, labels, np.arange(16), np.arange(16, 24), hyper, seed=4))
+            save_checkpoint(results[-1].params, hyper, tmp_path / f"{name}.ckpt")
+        assert (tmp_path / "memory.ckpt").read_bytes() == (tmp_path / "files.ckpt").read_bytes()
+        assert results[0].history == results[1].history
+        assert np.array_equal(results[0].val_preds, results[1].val_preds)
 
     @pytest.mark.parametrize("n_train,batch_size,exact", [
         (16, 1, True), (16, 4, False), (16, 16, False), (15, 4, False), (16, 6, False)])
