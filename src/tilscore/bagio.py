@@ -119,34 +119,45 @@ def _read_array(fh, shape: tuple[int, int], dtype: str, what: str) -> np.ndarray
 
 def read_bag(path, expect_dim: int | None = None) -> FeatureBag:
     """Parse the file `path`, which must hold exactly one bag; with
-    `expect_dim`, a differing feature width is an error.
+    `expect_dim`, a differing feature width is an error.  Every format error
+    starts with the path, so a bad file among many is named.
 
     The declared size is checked against the file size before anything is
     allocated for it.  Coordinates and features are each read straight into
     their own new array, so reading a bag holds one copy of its bytes.
     """
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
-        if magic != BAG_MAGIC:
-            raise BadMagicError(f"bad magic {magic!r}")
-        version, id_len = struct.unpack("<HH", _read_exact(fh, 4, "header"))
-        if version != BAG_VERSION:
-            raise BagFormatError(f"unsupported bag version {version}")
+        try:
+            return _parse_bag(fh, expect_dim)
+        except ValueError as exc:  # every format error names the file, keeping its class
+            raise type(exc)(f"{path}: {exc}") from None
+
+
+def _parse_bag(fh, expect_dim: int | None) -> FeatureBag:
+    magic = _read_exact(fh, 4, "magic")
+    if magic != BAG_MAGIC:
+        raise BadMagicError(f"bad magic {magic!r}")
+    version, id_len = struct.unpack("<HH", _read_exact(fh, 4, "header"))
+    if version != BAG_VERSION:
+        raise BagFormatError(f"unsupported bag version {version}")
+    try:
         slide_id = _read_exact(fh, id_len, "slide id").decode("utf-8")
-        n_tiles, dim, tile_size, mpp = struct.unpack("<IIIf", _read_exact(fh, 16, "shape header"))
-        if n_tiles < 1 or dim < 1:
-            raise BagFormatError(f"invalid bag shape {n_tiles}x{dim}")
-        if expect_dim is not None and dim != expect_dim:
-            raise DimMismatchError(f"bag {slide_id!r} has dim {dim}, expected {expect_dim}")
-        left = os.fstat(fh.fileno()).st_size - fh.tell()
-        for what, want in (("tile coords", 8 * n_tiles), ("features", 4 * n_tiles * dim)):
-            if left < want:
-                raise _truncated(what, want, left)
-            left -= want
-        if left:
-            raise BagFormatError(f"trailing bytes after bag in {path}")
-        xy = _read_array(fh, (n_tiles, 2), "<u4", "tile coords")
-        feats = _read_array(fh, (n_tiles, dim), "<f4", "features")
+    except UnicodeDecodeError as exc:
+        raise BagFormatError(f"slide id is not UTF-8 ({exc.reason} at byte {exc.start})") from None
+    n_tiles, dim, tile_size, mpp = struct.unpack("<IIIf", _read_exact(fh, 16, "shape header"))
+    if n_tiles < 1 or dim < 1:
+        raise BagFormatError(f"invalid bag shape {n_tiles}x{dim}")
+    if expect_dim is not None and dim != expect_dim:
+        raise DimMismatchError(f"bag {slide_id!r} has dim {dim}, expected {expect_dim}")
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    for what, want in (("tile coords", 8 * n_tiles), ("features", 4 * n_tiles * dim)):
+        if left < want:
+            raise _truncated(what, want, left)
+        left -= want
+    if left:
+        raise BagFormatError("trailing bytes after bag")
+    xy = _read_array(fh, (n_tiles, 2), "<u4", "tile coords")
+    feats = _read_array(fh, (n_tiles, dim), "<f4", "features")
     return FeatureBag(slide_id=slide_id, features=feats, tile_xy=xy,
                       mpp=float(mpp), tile_size_px=int(tile_size))
 

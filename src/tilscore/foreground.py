@@ -8,6 +8,12 @@ structurally uniform images (an all-texture slide maps to all-foreground,
 a flat slide to all-background); a plain global-mean cut systematically
 overshoots sharp tissue boundaries.
 
+The filters are numpy routines that reproduce `scipy.ndimage`'s arithmetic
+bit for bit: the reflect-mode Gaussian and Laplacian sum in scipy's order,
+and the square erosion and dilation and the hole filling give scipy's
+masks.  So masks match those of the scipy calls they replace, and `tile`
+imports no scipy module.
+
 A slide is a `PpmSlide`: a P6 file left on disk, whose header and size
 are checked when it is opened.  Masking streams it in row strips of about
 `pnm.STRIP_BYTES`, each a whole number of mask rows tall, and folds each
@@ -152,14 +158,119 @@ def _isodata_threshold(values: np.ndarray, iters: int) -> float:
     return t
 
 
+_BAND_ROWS = 32  # rows per band of `_correlate1d`, so its operands stay in cache
+
+
+def _correlate1d(x: np.ndarray, w: np.ndarray, axis: int) -> np.ndarray:
+    """`scipy.ndimage.correlate1d(x, w, axis, mode="reflect")` of a 2-d
+    float64 array for a symmetric kernel `w` of odd length, summed in the
+    order of scipy's symmetric path: out = x[i]*w[r], then for j = r..1,
+    out += (x[i-j] + x[i+j])*w[r-j].  Reflect mode mirrors the edge sample
+    (d c b a | a b c d), repeatedly for kernels longer than the axis."""
+    r, n = len(w) // 2, x.shape[axis]
+    k = np.arange(-r, n + r) % (2 * n)
+    k = np.minimum(k, 2 * n - 1 - k)  # index of each padded sample along `axis`
+    out = np.empty_like(x)
+    for b in range(0, x.shape[0], _BAND_ROWS):
+        o = out[b : b + _BAND_ROWS]
+        # the band padded along `axis`; tap s starts s samples into the padding
+        src = x[k[b : b + len(o) + 2 * r]] if axis == 0 else x[b : b + len(o)][:, k]
+        m = o.shape[axis]
+        taps = [src[(slice(None),) * axis + (slice(s, s + m),)] for s in range(2 * r + 1)]
+        np.multiply(taps[r], w[r], out=o)
+        for j in range(r, 0, -1):
+            pair = taps[r - j] + taps[r + j]
+            pair *= w[r - j]
+            o += pair
+    return out
+
+
+def _gaussian_filter(x: np.ndarray, sigma: float) -> np.ndarray:
+    """`scipy.ndimage.gaussian_filter(x, sigma)` of a 2-d float64 array:
+    reflect mode, the kernel truncated at 4 sigma, axis 0 then axis 1."""
+    if sigma <= 1e-15:
+        return x.copy()
+    r = int(4.0 * float(sigma) + 0.5)
+    w = np.exp(-0.5 / (sigma * sigma) * np.arange(-r, r + 1) ** 2)
+    w = w / w.sum()
+    return _correlate1d(_correlate1d(x, w, 0), w, 1)
+
+
+def _laplace(x: np.ndarray) -> np.ndarray:
+    """`scipy.ndimage.laplace(x)` of a 2-d float64 array: the [1, -2, 1]
+    second difference along axis 0 plus that along axis 1, reflect mode."""
+    w = np.array([1.0, -2.0, 1.0])
+    out = _correlate1d(x, w, 0)
+    out += _correlate1d(x, w, 1)
+    return out
+
+
+def _box_morphology(bits: np.ndarray, m: int, erode: bool) -> np.ndarray:
+    """`scipy.ndimage.binary_erosion(bits, st, border_value=1)` or
+    `binary_dilation(bits, st)` for `st` an m x m square: along each axis in
+    turn, the AND or OR of m shifted copies.  Outside cells are the identity
+    of the op, so shifts past the edge are skipped.  For even m, scipy puts
+    the centre m//2 cells after an erosion window's start and m//2 cells
+    before a dilation window's end."""
+    op = np.logical_and if erode else np.logical_or
+    first = -(m // 2) if erode else -(m - 1 - m // 2)  # offset of the window's first cell
+    for axis in (0, 1):
+        src, out = bits.swapaxes(0, axis), bits.copy().swapaxes(0, axis)
+        n = src.shape[0]
+        for d in range(max(first, 1 - n), min(first + m, n)):  # shifts that stay inside
+            if d > 0:
+                op(out[: n - d], src[d:], out=out[: n - d])
+            elif d < 0:
+                op(out[-d:], src[: n + d], out=out[-d:])
+        bits = out.swapaxes(0, axis)
+    return bits
+
+
+def _fill_holes(bits: np.ndarray) -> np.ndarray:
+    """`scipy.ndimage.binary_fill_holes(bits)`: background not 4-connected
+    to the image border becomes foreground.  The background runs of each row
+    are linked to the runs they overlap in the row above; each round hooks
+    every root onto the smallest root it touches, then jumps pointers until
+    every run points at its root."""
+    h, w = bits.shape
+    bg = np.zeros((h, w + 2), dtype=bool)
+    bg[:, 1:-1] = ~bits
+    rows, cols = np.nonzero(bg[:, 1:] != bg[:, :-1])  # run edges, start then end, row-major
+    row, start, end = rows[::2], cols[::2], cols[1::2]
+    # a run overlaps the runs of the row above whose end is after its start
+    # and whose start is before its end: one contiguous range [lo, hi)
+    stride = w + 1
+    above = (row - 1) * stride
+    lo = np.searchsorted(row * stride + end, above + start, side="right")
+    hi = np.searchsorted(row * stride + start, above + end, side="left")
+    count = np.maximum(hi - lo, 0)
+    lower = np.repeat(np.arange(row.size), count)
+    upper = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
+    label = np.arange(row.size)
+    while True:
+        a, b = label[upper], label[lower]
+        if np.array_equal(a, b):
+            break
+        np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(jumped := label[label], label):
+            label = jumped
+    open_ = np.zeros(row.size, dtype=bool)
+    open_[label[(row == 0) | (row == h - 1) | (start == 0) | (end == w)]] = True
+    hole = ~open_[label]
+    # a hole run never touches the left or right border: mark its two edges
+    # and let an XOR scan along the row switch the cells between them on
+    edges = np.zeros((h, w), dtype=bool)
+    edges[row[hole], start[hole]] = True
+    edges[row[hole], end[hole]] = True
+    return bits | np.logical_xor.accumulate(edges, axis=1)
+
+
 def compute_foreground(slide: PpmSlide, params: FesiParams | None = None) -> ForegroundMask:
     """Binary tissue mask at 1/downsample of slide resolution.
 
     Deterministic for fixed inputs; raises on images smaller than one mask
     cell.
     """
-    from scipy import ndimage  # imported here: every other stage starts without it
-
     params = params or FesiParams()
     params.validate()
     f = params.downsample
@@ -168,10 +279,11 @@ def compute_foreground(slide: PpmSlide, params: FesiParams | None = None) -> For
             f"slide {slide.width_px}x{slide.height_px} is smaller than one {f}px mask cell")
     with closing(pnm.read_ppm_strips(slide.path, f)) as strips:  # closes the file on every path
         small = _block_luminance(strips, f)
-    structure = ndimage.laplace(ndimage.gaussian_filter(small, params.pre_sigma))
-    del small  # the mask-scale arrays set the stage's peak memory
+    structure = _laplace(_gaussian_filter(small, params.pre_sigma))
+    del small  # the mask-scale arrays set the stage's peak memory: each goes once used
     np.abs(structure, out=structure)
-    smooth = ndimage.gaussian_filter(structure, params.smooth_sigma)
+    smooth = _gaussian_filter(structure, params.smooth_sigma)
+    del structure  # before the threshold's copies of `smooth`
 
     fg_level = float(smooth.max())
     if fg_level <= params.structure_floor:
@@ -189,12 +301,13 @@ def compute_foreground(slide: PpmSlide, params: FesiParams | None = None) -> For
         else:
             bits = smooth > t
     if params.morph_size > 1 and bits.any():
-        st = np.ones((params.morph_size, params.morph_size), dtype=bool)
-        # erosion with border_value=1 keeps image-edge tissue intact
-        bits = ndimage.binary_erosion(ndimage.binary_dilation(bits, st), st, border_value=1)
-        bits = ndimage.binary_dilation(ndimage.binary_erosion(bits, st, border_value=1), st)
+        m = params.morph_size
+        # closing, then opening; erosion treats the outside as foreground,
+        # which keeps image-edge tissue intact
+        bits = _box_morphology(_box_morphology(bits, m, erode=False), m, erode=True)
+        bits = _box_morphology(_box_morphology(bits, m, erode=True), m, erode=False)
     if params.fill_holes and bits.any():
-        bits = ndimage.binary_fill_holes(bits)
+        bits = _fill_holes(bits)
     h, w = bits.shape
     return ForegroundMask(width=w, height=h, scale=1.0 / f, bits=bits)
 

@@ -97,6 +97,13 @@ class TestBagFormat:
         with pytest.raises(BagFormatError):
             read_bag(path)
 
+    def test_non_utf8_slide_id_is_a_format_error(self, tmp_path):
+        path = bag_file(tiny_bag(), tmp_path)
+        data = path.read_bytes()
+        path.write_bytes(data[:8] + b"\xff" + data[9:])
+        with pytest.raises(BagFormatError, match=f"^{re.escape(str(path))}: slide id is not UTF-8"):
+            read_bag(path)
+
     def test_path_round_trip(self, tmp_path):
         path = tmp_path / "bag.bin"
         write_bag(golden_bag(), path)

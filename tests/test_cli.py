@@ -4,6 +4,7 @@ import json
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -72,7 +73,8 @@ codes = [main(["synth", root + "/cfg.json", "--out", root]),
          main(["predict", "--model", root + "/run", "--bags", root + "/bags",
                "--out", root + "/pred"]),
          main(["heatmap", "--model", root + "/run/fold000.ckpt",
-               "--bag", root + "/bags/synth0000.bag", "--out", root + "/hm"])]
+               "--bag", root + "/bags/synth0000.bag", "--out", root + "/hm"]),
+         main(["tile", root + "/slide.ppm", "--mpp", "0.5", "--out", root + "/tile"])]
 model_stages = scipy_modules()
 codes.append(main(["survival", "--predictions", root + "/pred/predictions.csv",
                    "--clinical", root + "/clinical.csv", "--out", root + "/surv"]))
@@ -82,13 +84,14 @@ print(json.dumps({"codes": codes, "model_stages": model_stages,
 
 
 def test_model_stages_run_without_scipy(tmp_path):
-    # train, predict and heatmap need numpy only; survival shows that the
-    # check sees scipy when a stage does load it
+    # train, predict, heatmap and tile need numpy only; survival shows that
+    # the check sees scipy when a stage does load it
     write_synth_config(tmp_path / "cfg.json", survival=True)
+    write_ppm(tmp_path / "slide.ppm", noisy_disc(n=512, radius=150.0)[0])
     out = subprocess.run([sys.executable, "-c", MODEL_STAGES_THEN_SURVIVAL, str(tmp_path)],
                          env=subprocess_env(), capture_output=True, text=True, check=True)
     result = json.loads(out.stdout.splitlines()[-1])
-    assert result["codes"] == [0, 0, 0, 0, 0], out.stderr
+    assert result["codes"] == [0, 0, 0, 0, 0, 0], out.stderr
     assert result["model_stages"] == []
     assert "scipy.special" in result["survival"]
 
@@ -329,8 +332,6 @@ class TestTile:
         assert read_pgm(out / "mask.pgm").shape == (64, 64)
 
     def test_raster_is_streamed_in_strips(self, tmp_path, monkeypatch):
-        from scipy import ndimage  # noqa: F401  (its import is not the stage's cost)
-
         pixels, _ = noisy_disc(n=2048, radius=800.0)
         img = tmp_path / "blob.ppm"
         write_ppm(img, pixels)
@@ -639,6 +640,43 @@ class TestTrainStreaming:
         assert "6x256" in err
         assert (out / "fold000.ckpt").exists()
         assert not (out / "ensemble.json").exists()
+
+
+# ways to spoil the bytes of a bag whose slide id has 4 characters, and what
+# the error then says after the file's path
+BAD_BAGS = {
+    "magic": (lambda data: b"NOPE" + data[4:], "bad magic"),
+    "version": (lambda data: data[:4] + struct.pack("<H", 9) + data[6:],
+                "unsupported bag version 9"),
+    "slide id": (lambda data: data[:8] + b"\xff" + data[9:], "slide id is not UTF-8"),
+    "shape": (lambda data: data[:12] + struct.pack("<I", 0) + data[16:],
+              "invalid bag shape 0x256"),
+    "truncated": (lambda data: data[:-3], "stream ended inside features"),
+    "trailing": (lambda data: data + b"junk", "trailing bytes after bag"),
+    "non-finite": (lambda data: data[:-4] + struct.pack("<f", np.nan),
+                   "bag 's003' contains non-finite features"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_BAGS)
+@pytest.mark.parametrize("command", ["train", "predict"])
+def test_bad_bag_file_is_named(command, case, tmp_path, capsys):
+    TestTrainStreaming.write_cohort(tmp_path, 4, n_tiles=5)
+    bad = tmp_path / "bags" / "s003.bag"
+    spoil, message = BAD_BAGS[case]
+    bad.write_bytes(spoil(bad.read_bytes()))
+    if command == "train":
+        code = TestTrainStreaming().train(tmp_path, tmp_path / "o")
+    else:
+        hyper = HyperParams(enc_out=8, attn_hidden=4)
+        save_checkpoint(init_params(1, hyper, dim=TestTrainStreaming.DIM), hyper,
+                        tmp_path / "m.ckpt")
+        code = run("predict", "--model", tmp_path / "m.ckpt", "--bags", tmp_path / "bags",
+                   "--out", tmp_path / "o")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: {message}"), err
+    assert err.count(str(bad)) == 1
 
 
 def test_train_duplicate_slide_id_is_usage_error(small_cohort, tmp_path, capsys):

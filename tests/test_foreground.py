@@ -126,8 +126,6 @@ class TestBlockLuminance:
                                        np.full((2, 2), 255.0), rtol=1e-12, atol=0)
 
     def test_traced_peak_is_a_fraction_of_the_slide(self, disc_slide, monkeypatch):
-        from scipy import ndimage  # noqa: F401  (its import is not the mask's cost)
-
         slide, _ = disc_slide
         nbytes = slide.width_px * slide.height_px * 3
         monkeypatch.setattr(pnm, "STRIP_BYTES", 1 << 20)  # 1 MiB: 13 strips
@@ -143,6 +141,90 @@ class TestBlockLuminance:
     def test_bad_downsample_rejected(self, f, tmp_path):
         with pytest.raises(ForegroundError, match="downsample"):
             compute_foreground(uniform_slide(tmp_path, 255, 64), FesiParams(downsample=f))
+
+
+# shapes for the oracle tests: single cells, single rows and columns, and
+# sides shorter than the widest kernel radius (32 at sigma 8)
+ORACLE_SHAPES = [(1, 1), (1, 9), (9, 1), (2, 3), (5, 5), (17, 40), (40, 17), (64, 64), (129, 70)]
+
+
+def spiral(n, gap=2, closed=False):
+    """A square spiral wall one cell thick; its corridor, gap - 1 cells wide,
+    winds from an opening in the left border to the centre: one long
+    background path, and no hole unless the opening is `closed`."""
+    bits = np.zeros((n, n), dtype=bool)
+    bits[1:gap, 0] = closed
+    lo, hi = 0, n - 1
+    while lo <= hi:
+        bits[lo, max(lo - gap, 0):hi + 1] = bits[lo:hi + 1, hi] = bits[hi, lo:hi + 1] = True
+        bits[lo + gap:hi + 1, lo] = True
+        lo, hi = lo + gap, hi - gap
+    return bits
+
+
+def rings(n=101, width=2, step=6):
+    """Concentric rings: each gap between two rings is a hole."""
+    yy, xx = np.mgrid[:n, :n]
+    radius = np.hypot(yy - n // 2, xx - n // 2)
+    return (radius % step < width) & (radius < n // 2 - 1)
+
+
+def diagonal_hole():
+    """A background cell whose only way to the border is through a corner."""
+    bits = np.zeros((4, 4), dtype=bool)
+    bits[0, 1] = bits[1, 0] = bits[1, 2] = bits[2, 1] = True
+    return bits
+
+
+class TestScipyOracle:
+    """The mask's filters are numpy routines that reproduce
+    `scipy.ndimage` bit for bit; scipy is only the oracle here."""
+
+    @pytest.fixture
+    def ndimage(self):
+        from scipy import ndimage
+
+        return ndimage
+
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES)
+    def test_gaussian_and_laplace(self, shape, ndimage):
+        rng = np.random.default_rng(sum(shape))
+        x = rng.normal(size=shape) * 50.0
+        sigmas = [0, 0.5, 2, 8, 1e-16, *rng.uniform(0.0, 12.0, 20)]
+        for sigma in sigmas:
+            assert np.array_equal(foreground._gaussian_filter(x, sigma),
+                                  ndimage.gaussian_filter(x, sigma)), sigma
+        assert np.array_equal(foreground._laplace(x), ndimage.laplace(x))
+
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES)
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_erosion_and_dilation(self, shape, m, ndimage):
+        rng = np.random.default_rng(m)
+        square = np.ones((m, m), dtype=bool)
+        for density in (0.1, 0.5, 0.9):
+            bits = rng.random(shape) < density
+            assert np.array_equal(foreground._box_morphology(bits, m, erode=True),
+                                  ndimage.binary_erosion(bits, square, border_value=1))
+            assert np.array_equal(foreground._box_morphology(bits, m, erode=False),
+                                  ndimage.binary_dilation(bits, square))
+
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES)
+    def test_fill_holes_random(self, shape, ndimage):
+        rng = np.random.default_rng(len(shape) + shape[0])
+        for density in (0.3, 0.5, 0.6, 0.7, 0.9):
+            bits = rng.random(shape) < density
+            assert np.array_equal(foreground._fill_holes(bits), ndimage.binary_fill_holes(bits))
+
+    @pytest.mark.parametrize("bits", [spiral(64), spiral(65, gap=3), spiral(64, closed=True),
+                                      rings(), rings().T[:, 7:], diagonal_hole(),
+                                      np.ones((3, 3), dtype=bool)],
+                             ids=["spiral", "spiral-gap3", "closed-spiral", "rings", "cut-rings",
+                                  "diagonal", "no-background"])
+    def test_fill_holes_shapes(self, bits, ndimage):
+        filled = foreground._fill_holes(bits)
+        assert np.array_equal(filled, ndimage.binary_fill_holes(bits))
+        if bits.shape == (4, 4):  # the corner does not connect the cell to the border
+            assert filled[1, 1] and not filled[0, 0]
 
 
 class TestGridTiles:
