@@ -8,9 +8,11 @@ slide prediction is the attention-weighted mean of the tile scores.
 
 Training uses analytic gradients (verified against central finite
 differences), ADAM with in-gradient L2 weight decay, and early stopping on
-validation explained variance.  Every gradient is formed per bag except
-that of the encoder weight, which is one GEMM over the stacked tiles of a
-batch.  Everything is float64 and deterministic for a fixed seed.
+validation explained variance.  Training stacks the tiles of several bags
+in one buffer, so the encoder forward and the encoder weight gradient are
+one GEMM each over those rows; every other gradient, and the attention and
+score heads, are formed per bag.  Everything is float64 and deterministic
+for a fixed seed.
 """
 
 from __future__ import annotations
@@ -27,10 +29,13 @@ from .bagio import FeatureBag
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-ADAM_BLOCK = 1 << 15  # elements per ADAM pass: its scratch stays cache-sized
+# elements per ADAM pass: at 16K its six working arrays (768 KiB) sit in a
+# 2 MiB L2, where 32K blocks nearly filled it and ran slower
+ADAM_BLOCK = 1 << 14
 
 # Row cap of the stacked tile buffers in `train` (64 MiB of f64 at 2048-d):
-# a batch with more tiles folds its encoder weight gradient in several GEMMs.
+# a batch with more tiles is encoded, and folds its encoder weight gradient,
+# in several chunks.
 STACK_ROWS = 4096
 
 CKPT_MAGIC = b"ECTM"
@@ -172,14 +177,25 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.reciprocal(x, out=x)
 
 
+def _encode(params: ModelParams, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """relu(h @ enc_w.T + enc_b), the post-ReLU tile embeddings, into `out`."""
+    emb = np.matmul(h, params.enc_w.T, out=out)
+    emb += params.enc_b
+    return np.maximum(emb, 0.0, out=emb)
+
+
 def forward(params: ModelParams, bag: FeatureBag | np.ndarray, hyper: HyperParams | None = None,
             train: bool = False, rng: np.random.Generator | None = None,
-            dropout_mask: np.ndarray | None = None) -> ForwardTrace:
+            dropout_mask: np.ndarray | None = None,
+            embeddings: np.ndarray | None = None) -> ForwardTrace:
     """Run the model over one bag.
 
     Eval mode (default) is deterministic.  Train mode draws the dropout
     masks from `rng`; the attention path always sees undropped embeddings.
     An explicit `dropout_mask` replays fixed masks (gradient checks).
+    Given `embeddings` (the bag's post-ReLU encoder output, K x enc_out,
+    computed by the caller), the encoder is not run again; the trace then
+    holds that array, which `backward` may overwrite with its `d_pre`.
     """
     h = np.asarray(bag.features if isinstance(bag, FeatureBag) else bag, dtype=np.float64)
     if h.ndim != 2:
@@ -189,9 +205,13 @@ def forward(params: ModelParams, bag: FeatureBag | np.ndarray, hyper: HyperParam
     if train and rng is None and dropout_mask is None:
         raise ModelError("train-mode forward needs an rng for dropout")
 
-    emb = h @ params.enc_w.T
-    emb += params.enc_b
-    np.maximum(emb, 0.0, out=emb)
+    if embeddings is None:
+        emb = _encode(params, h)
+    elif embeddings.shape == (h.shape[0], params.enc_out):
+        emb = embeddings
+    else:
+        raise ModelError(f"embeddings of shape {embeddings.shape} do not match the bag's "
+                         f"{(h.shape[0], params.enc_out)}")
     gate_t = np.tanh(emb @ params.attn_v.T + params.attn_v_b)
     gate_g = _sigmoid(emb @ params.attn_u.T + params.attn_u_b)
     logits = (gate_t * gate_g) @ params.attn_w
@@ -370,13 +390,18 @@ def train(bags: list, labels, train_idx, val_idx,
     per validation pass of a bag, and nothing keeps it afterwards.
 
     Labels are fractions in [0, 1].  Gradients are averaged per batch of
-    bags (no padding; bag sizes vary freely).  Each bag's features are cast
-    into rows of one f64 buffer and its d_pre into rows of a second, so the
-    `enc_w` gradient is one GEMM per batch (more only when a batch
-    overflows STACK_ROWS rows).  A non-finite loss raises ModelError naming
-    the epoch and slide.  Returns the snapshot from the best validation
-    epoch, kept by copying each improving epoch into one buffer.
-    Deterministic for a fixed seed.
+    bags (no padding; bag sizes vary freely).  A batch's bags are cast into
+    rows of one f64 buffer (in several chunks only if they overflow it), and
+    each chunk is encoded in one GEMM; each bag's heads then run over its
+    rows, in batch order, and the `enc_w` gradient is one GEMM per chunk.
+    The validation pass stacks its bags the same way.  At the paper shape a
+    bag of 2 or more tiles gets the embeddings of `forward` on it alone, bit
+    for bit; a 1-tile bag's (numpy runs a one-row product as GEMV), or a
+    small bag's at some small model shapes, can differ in the last bit.
+    Every bag's dim is checked before the first epoch, and a non-finite
+    loss raises ModelError naming the epoch and slide.  Returns the
+    snapshot from the best validation epoch, kept by copying each improving
+    epoch into one buffer.  Deterministic for a fixed seed.
     """
     hyper = hyper or HyperParams()
     hyper.validate()
@@ -395,7 +420,8 @@ def train(bags: list, labels, train_idx, val_idx,
         raise ModelError("empty validation set")
 
     dim = bags[train_idx[0]].dim
-    for i in train_idx:
+    every_idx = np.concatenate([train_idx, val_idx])
+    for i in every_idx:
         if bags[i].dim != dim:
             raise ModelError(f"bag {bags[i].slide_id!r} has dim {bags[i].dim}, "
                              f"the first training bag {dim}")
@@ -403,14 +429,39 @@ def train(bags: list, labels, train_idx, val_idx,
     state = AdamState.for_params(params)
     grad_mean = params.zeros_like()  # the batch-mean gradient, reused every batch
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
-    # the stacked rows of one batch, capped, but never fewer than the largest bag
+    # the stacked rows of one batch, capped, but never fewer than the largest
+    # bag of either set; `emb` holds their embeddings, then their d_pre
     sizes = sorted(bags[i].n_tiles for i in train_idx)
-    rows = max(sizes[-1], min(STACK_ROWS, sum(sizes[-hyper.batch_size:])))
+    rows = max(max(bags[i].n_tiles for i in every_idx),
+               min(STACK_ROWS, sum(sizes[-hyper.batch_size:])))
     feats = np.empty((rows, dim))
-    d_pre = np.empty((rows, hyper.enc_out))
+    emb = np.empty((rows, hyper.enc_out))
+
+    def chunks(idx):
+        """Split bag indices, in order, into runs of at most `rows` tiles."""
+        run, used = [], 0
+        for i in idx:
+            if used + bags[i].n_tiles > rows:
+                yield run
+                run, used = [], 0
+            run.append(i)
+            used += bags[i].n_tiles
+        yield run
+
+    def encode(p: ModelParams, chunk) -> list[slice]:
+        """Stack the chunk's bags into `feats` and encode them into `emb` in
+        one GEMM; returns each bag's rows."""
+        spans, used = [], 0
+        for i in chunk:
+            spans.append(slice(used, used + bags[i].n_tiles))
+            np.copyto(feats[spans[-1]], bags[i].features)
+            used = spans[-1].stop
+        _encode(p, feats[:used], out=emb[:used])
+        return spans
 
     def val_predictions(p: ModelParams) -> np.ndarray:
-        return np.array([forward(p, bags[i].features).prediction for i in val_idx])
+        return np.array([forward(p, feats[span], embeddings=emb[span]).prediction
+                         for chunk in chunks(val_idx) for span in encode(p, chunk)])
 
     best = None  # (ev, epoch, preds) of the epoch whose parameters `snapshot` holds
     snapshot = params.zeros_like()
@@ -422,28 +473,26 @@ def train(bags: list, labels, train_idx, val_idx,
         for start in range(0, order.size, hyper.batch_size):
             batch = order[start : start + hyper.batch_size]
             grad_mean.fill(0.0)
-            used, flushed = 0, False
-            for i in batch:
-                k = bags[i].n_tiles
-                if used + k > rows:  # buffer full: fold its rows into enc_w
-                    grad_mean.enc_w += d_pre[:used].T @ feats[:used]
-                    used, flushed = 0, True
-                h = feats[used : used + k]
-                np.copyto(h, bags[i].features)
-                trace = forward(params, h, hyper, train=True, rng=rng)
-                bag_loss = loss(trace.prediction, labels[i])
-                if not math.isfinite(bag_loss):
-                    raise ModelError(f"non-finite loss {bag_loss} in epoch {epoch} "
-                                     f"on slide {bags[i].slide_id!r}")
-                epoch_loss += bag_loss
-                # backward is linear in d_prediction: scaling it averages the batch
-                backward(trace, params, loss_grad(trace.prediction, labels[i]) / batch.size,
-                         acc=grad_mean, d_pre=d_pre[used : used + k])
-                used += k
-            if flushed:
-                grad_mean.enc_w += d_pre[:used].T @ feats[:used]
-            else:
-                np.matmul(d_pre[:used].T, feats[:used], out=grad_mean.enc_w)
+            batch_chunks = list(chunks(batch))
+            for chunk in batch_chunks:
+                spans = encode(params, chunk)
+                for i, span in zip(chunk, spans):
+                    trace = forward(params, feats[span], hyper, train=True, rng=rng,
+                                    embeddings=emb[span])
+                    bag_loss = loss(trace.prediction, labels[i])
+                    if not math.isfinite(bag_loss):
+                        raise ModelError(f"non-finite loss {bag_loss} in epoch {epoch} "
+                                         f"on slide {bags[i].slide_id!r}")
+                    epoch_loss += bag_loss
+                    # backward is linear in d_prediction: scaling it averages
+                    # the batch; it writes d_pre over the bag's embeddings
+                    backward(trace, params, loss_grad(trace.prediction, labels[i]) / batch.size,
+                             acc=grad_mean, d_pre=emb[span])
+                used = spans[-1].stop
+                if len(batch_chunks) == 1:
+                    np.matmul(emb[:used].T, feats[:used], out=grad_mean.enc_w)
+                else:
+                    grad_mean.enc_w += emb[:used].T @ feats[:used]
             adam_step(params, grad_mean, state, hyper)
         preds = val_predictions(params)
         ev = explained_variance(preds, labels[val_idx])

@@ -17,7 +17,7 @@ import numpy as np
 
 
 # Bytes of raster that `read_ppm_strips` holds at once, in one reused buffer.
-STRIP_BYTES = 16 << 20
+STRIP_BYTES = 4 << 20
 
 
 class PnmError(ValueError):

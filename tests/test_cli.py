@@ -641,6 +641,24 @@ class TestTrainStreaming:
         assert (out / "fold000.ckpt").exists()
         assert not (out / "ensemble.json").exists()
 
+    def test_validation_bag_of_another_dim_exits_2_before_any_epoch(self, tmp_path,
+                                                                    monkeypatch, capsys):
+        self.write_cohort(tmp_path, 8, n_tiles=5)
+        assert self.train(tmp_path, tmp_path / "first") == 0
+        plan = (tmp_path / "first" / "fold_plan.csv").read_text().splitlines()[1:]
+        sid = next(line.split(",")[0] for line in plan if line.endswith(",0"))
+        narrow = bagio.FeatureBag(slide_id=sid, features=np.ones((5, self.DIM - 1), np.float32),
+                                  tile_xy=np.zeros((5, 2)), mpp=0.5)
+        bagio.write_bag(narrow, tmp_path / "bags" / f"{sid}.bag")  # validated in fold 0
+        steps = []
+        monkeypatch.setattr(milnet, "adam_step", lambda *args: steps.append(args))
+        assert self.train(tmp_path, tmp_path / "run") == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: fold 0: bag '{sid}' has dim {self.DIM - 1}, "
+                       f"the first training bag {self.DIM}\n")
+        assert steps == []
+        assert not (tmp_path / "run" / "fold000.ckpt").exists()
+
 
 # ways to spoil the bytes of a bag whose slide id has 4 characters, and what
 # the error then says after the file's path

@@ -78,8 +78,9 @@ class TestBlockLuminance:
         small = foreground._block_luminance([pixels], 8)
         np.testing.assert_allclose(small, float_block_luminance(pixels, 8), rtol=1e-12, atol=0)
         bits = compute_foreground(slide).bits
-        monkeypatch.setattr(foreground, "_block_luminance",
-                            lambda strips, f: float_block_luminance(np.concatenate(list(strips)), f))
+        # each strip is a view of one reused buffer: copy it before the next is read
+        monkeypatch.setattr(foreground, "_block_luminance", lambda strips, f: float_block_luminance(
+            np.concatenate([strip.copy() for strip in strips]), f))
         assert np.array_equal(bits, compute_foreground(slide).bits)
 
     @pytest.fixture(scope="class")

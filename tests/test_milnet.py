@@ -220,6 +220,16 @@ class TestForward:
         assert t2.attention[1] < 1e-15
         assert abs(t2.prediction - forward(params, hot).prediction) < 1e-15
 
+    def test_embeddings_of_another_shape_rejected(self):
+        rng = np.random.default_rng(4)
+        params = init_params(0, SMALL, dim=12)
+        bag = make_bag(rng, 5, 12)
+        emb = np.maximum(bag.features.astype(np.float64) @ params.enc_w.T + params.enc_b, 0.0)
+        assert forward(params, bag, embeddings=emb).prediction == forward(params, bag).prediction
+        for shape in ((4, 16), (5, 15), (5,), (1, 5, 16)):
+            with pytest.raises(ModelError, match="embeddings of shape"):
+                forward(params, bag, embeddings=np.zeros(shape))
+
     def test_dim_mismatch(self):
         params = init_params(0, SMALL, dim=10)
         bag = make_bag(np.random.default_rng(0), 3, 11)
@@ -419,16 +429,17 @@ class TestAdam:
             assert np.array_equal(m, ref_m) and np.array_equal(v, ref_v)
 
     def test_adam_step_matches_textbook_over_all_tensors(self):
-        # enc_w holds 16 x 2100 = 33600 entries: adam_step walks it as one
-        # full block and a ragged tail; every other tensor is one short block
-        params = init_params(2, SMALL, dim=2100)
+        # enc_w holds 16 x (ADAM_BLOCK / 16 + 52) entries: adam_step walks it
+        # as one full block and a ragged tail; every other tensor is one short block
+        dim = ADAM_BLOCK // SMALL.enc_out + 52
+        params = init_params(2, SMALL, dim=dim)
         assert ADAM_BLOCK < params.enc_w.size < 2 * ADAM_BLOCK
         ref = params.copy()
         state = AdamState.for_params(params)
         m, v = ref.zeros_like(), ref.zeros_like()
         hyper = HyperParams(lr=1e-3)
         for t in range(1, 6):
-            grads = init_params(100 + t, SMALL, dim=2100)
+            grads = init_params(100 + t, SMALL, dim=dim)
             adam_step(params, grads, state, hyper)
             for name in PARAM_FIELDS:
                 textbook_adam(getattr(ref, name), getattr(grads, name), getattr(m, name),
@@ -556,11 +567,18 @@ class TestTrain:
                                                                   stack_rows):
         # Every batch-mean gradient handed to ADAM equals the sum of the full
         # per-bag `backward` gradients under the same parameters and dropout
-        # masks.  A small STACK_ROWS makes train fold enc_w in several GEMMs
-        # per batch (at 1, the buffer holds only the largest bag, so nearly
-        # every bag flushes it).
+        # masks, on two cohorts.  On the ragged one, a small STACK_ROWS makes
+        # train encode a batch, and fold enc_w, in several chunks (at 1, the
+        # buffer holds only the largest bag, so nearly every bag is a chunk of
+        # its own).  The other has 1-tile bags, whose stacked embeddings may
+        # differ in the last bit from those of a lone bag, and a validation
+        # bag larger than any training batch, which sizes the buffer: no
+        # batch overflows it, whatever STACK_ROWS is.
         rng = np.random.default_rng(17)
-        bags, labels = quick_cohort(rng, n=24, tiles=(2, 11))
+        ragged = quick_cohort(rng, n=24, tiles=(2, 11))
+        small_bags, small_labels = quick_cohort(rng, n=24, tiles=(1, 3))
+        small_bags[16] = make_bag(rng, 40, small_bags[0].dim, slide_id="large")
+        assert sum(bag.n_tiles == 1 for bag in small_bags[:16]) >= 3
         hyper = HyperParams(lr=1e-3, enc_out=8, attn_hidden=4, max_epochs=2, patience=2,
                             batch_size=6)
         if stack_rows is not None:
@@ -574,30 +592,54 @@ class TestTrain:
 
         monkeypatch.setattr(milnet, "adam_step", recording_step)
         train_idx = np.arange(16)
-        train(bags, labels, train_idx, np.arange(16, 24), hyper, seed=3)
+        largest = max(bag.n_tiles for bag in ragged[0])
+        for bags, labels in (ragged, (small_bags, small_labels)):
+            steps.clear()
+            train(bags, labels, train_idx, np.arange(16, 24), hyper, seed=3)
 
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=3, spawn_key=(1,)))
-        largest = max(bag.n_tiles for bag in bags[:16])
-        assert len(steps) == 2 * 3  # 2 epochs of batches 6, 6 and 4
-        for b, (params, got) in enumerate(steps):
-            if b % 3 == 0:
-                order = rng.permutation(train_idx)
-            batch = order[(b % 3) * 6 : (b % 3) * 6 + 6]
-            if stack_rows is not None:  # the batch overflows the buffer
-                assert sum(bags[i].n_tiles for i in batch) > max(stack_rows, largest)
-            want = params.zeros_like()
-            for i in batch:
-                trace = forward(params, bags[i], hyper, train=True, rng=rng)
-                g = backward(trace, params, loss_grad(trace.prediction, labels[i]) / batch.size)
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=3, spawn_key=(1,)))
+            assert len(steps) == 2 * 3  # 2 epochs of batches 6, 6 and 4
+            for b, (params, got) in enumerate(steps):
+                if b % 3 == 0:
+                    order = rng.permutation(train_idx)
+                batch = order[(b % 3) * 6 : (b % 3) * 6 + 6]
+                tiles = sum(bags[i].n_tiles for i in batch)
+                if bags is small_bags:  # the large validation bag sizes the buffer
+                    assert tiles < small_bags[16].n_tiles
+                elif stack_rows is not None:  # the batch overflows the buffer
+                    assert tiles > max(stack_rows, largest)
+                want = params.zeros_like()
+                for i in batch:
+                    trace = forward(params, bags[i], hyper, train=True, rng=rng)
+                    g = backward(trace, params,
+                                 loss_grad(trace.prediction, labels[i]) / batch.size)
+                    for name in PARAM_FIELDS:
+                        total = getattr(want, name)
+                        total += getattr(g, name)
                 for name in PARAM_FIELDS:
-                    total = getattr(want, name)
-                    total += getattr(g, name)
-            for name in PARAM_FIELDS:
-                assert np.allclose(getattr(got, name), getattr(want, name),
-                                   rtol=0.0, atol=1e-12), (b, name)
+                    assert np.allclose(getattr(got, name), getattr(want, name),
+                                       rtol=0.0, atol=1e-12), (b, name)
+
+    def test_val_preds_are_forward_on_each_bag(self):
+        # The validation pass encodes its stacked bags in one GEMM.  At this
+        # shape (12 -> 16), a bag of 2 or more tiles gets the rows of its own
+        # GEMM, so the prediction is forward's bit for bit; a 1-tile bag's may
+        # differ in the last bit, because numpy runs its lone product as GEMV.
+        bags, labels = quick_cohort(np.random.default_rng(20), n=32, tiles=(1, 9))
+        val_idx = np.arange(16, 32)
+        result = train(bags, labels, np.arange(16), val_idx,
+                       dataclasses.replace(SMALL, max_epochs=2, batch_size=4), seed=6)
+        sizes = [bags[i].n_tiles for i in val_idx]
+        assert 1 in sizes and max(sizes) >= 2
+        for i, got in zip(val_idx, result.val_preds, strict=True):
+            want = forward(result.params, bags[i]).prediction
+            if bags[i].n_tiles >= 2:
+                assert got == want, bags[i].slide_id
+            else:
+                assert got == pytest.approx(want, rel=0.0, abs=1e-12)
 
     def test_a_training_step_allocates_no_enc_w_sized_array(self, monkeypatch):
-        # enc_w is 64 x 2048 doubles (1 MiB, four ADAM blocks); the bags are a
+        # enc_w is 64 x 2048 doubles (1 MiB, eight ADAM blocks); the bags are a
         # few tiles each.  Between ADAM steps (one batch of forward/backward
         # plus the stacked GEMM) and inside one, traced allocations may not
         # rise by an enc_w-sized array above where they started.
@@ -654,6 +696,16 @@ class TestTrain:
         odd = bags[:2] + [make_bag(rng, 4, bags[0].dim + 1, slide_id="odd")] + bags[3:]
         with pytest.raises(ModelError, match="bag 'odd' has dim"):
             train(odd, labels, np.arange(4), np.arange(4, 6), seed=0)
+
+    def test_validation_bag_dim_checked_before_any_epoch(self, monkeypatch):
+        bags, labels = quick_cohort(np.random.default_rng(14), n=6)
+        bags[4] = make_bag(np.random.default_rng(0), 5, bags[0].dim + 1, slide_id="odd")
+        steps = []
+        monkeypatch.setattr(milnet, "adam_step", lambda *args: steps.append(args))
+        with pytest.raises(ModelError, match=rf"^bag 'odd' has dim {bags[0].dim + 1}, "
+                                             rf"the first training bag {bags[0].dim}$"):
+            train(bags, labels, np.arange(4), np.arange(4, 6), SMALL, seed=0)
+        assert steps == []
 
 
 class TestCheckpoint:
