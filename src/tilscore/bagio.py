@@ -9,6 +9,9 @@ it returns, after checking their declared size against the bytes left.
 A `BagFile` keeps a scanned bag in its file and reads its features again
 each time they are asked for.
 
+The clinical and predictions CSVs are read row by row with `csv.reader`,
+each column found by the position that the header gives it.
+
 The synthetic generator plants a latent per-tile density d in [0, 1],
 embeds (d, noise) through a fixed random linear map, and labels the slide
 with exactly mean(d) * 100.  That makes slide labels recoverable from
@@ -229,37 +232,68 @@ def _number(raw, lineno: int, column: str, kind=float):
         raise ClinicalSchemaError(f"line {lineno}: {column} {raw!r} is not {what}") from None
 
 
+def _records(reader, width: int, missing):
+    """Each non-blank row of `reader` as `csv.DictReader` reads it under a
+    header of `width` names: extra cells dropped, absent ones `missing`.  One
+    more `missing` cell follows, for a column the header lacks to read at -1."""
+    for row in reader:
+        if len(row) != width:
+            if not row:
+                continue
+            row = row[:width] + [missing] * (width - len(row))
+        row.append(missing)
+        yield row
+
+
+def _column_index(header: list[str]) -> dict[str, int]:
+    """Each header name's cell index.  A repeated name takes its last
+    occurrence, as in `csv.DictReader`, and keeps the place of its first."""
+    return {name: i for i, name in enumerate(header)}
+
+
 def load_clinical(path) -> list[SlideRecord]:
     """Read the clinical CSV schema into typed records.
 
     When two pathologist score columns are present, the record stores their
-    mean.  Unknown columns become covariates (numeric when parseable,
-    verbatim strings otherwise); empty cells are missing values.  A slide id
-    may appear on one line only.
+    mean.  Unknown columns become covariates in header order (numeric when
+    parseable, verbatim strings otherwise); empty cells are missing values.
+    A slide id may appear on one line only.  The table reads as
+    `csv.DictReader` reads it: a repeated column name reads its last
+    occurrence, a short row's missing cells are empty, extra cells are
+    ignored and blank lines are skipped.  Errors name the file's physical
+    line, blank lines included.
     """
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        header = next(reader, [])
         for col in MANDATORY_COLUMNS:
             if col not in header:
                 raise ClinicalSchemaError(f"missing mandatory column {col!r}")
-        has_second = "til_score_pct_2" in header
+        index = _column_index(header)
+        i_sid, i_score, i_second, i_months, i_event, i_cohort, i_centre = (
+            index.get(col, -1) for col in ("slide_id", "til_score_pct", "til_score_pct_2",
+                                           "os_months", "os_event", "cohort", "centre"))
+        covariate_cols = [(key, i) for key, i in index.items() if key not in RESERVED_COLUMNS]
+        # covariate cells repeat down a column (a grade, a histology), so
+        # each distinct cell is parsed once
+        parsed: dict[str, float | str] = {}
         records, line_of = [], {}
-        for lineno, row in enumerate(reader, start=2):
-            sid = (row.get("slide_id") or "").strip()
+        for row in _records(reader, len(header), ""):
+            lineno = reader.line_num
+            sid = row[i_sid].strip()
             if not sid:
                 raise ClinicalSchemaError(f"line {lineno}: empty slide_id")
             _check_repeat(line_of, sid, lineno)
-            raw_score = (row.get("til_score_pct") or "").strip()
+            raw_score = row[i_score].strip()
             if not raw_score:
                 raise ClinicalSchemaError(f"line {lineno}: missing til_score_pct")
             score = _number(raw_score, lineno, "til_score_pct")
-            if has_second and (row.get("til_score_pct_2") or "").strip():
-                score = (score + _number(row["til_score_pct_2"], lineno, "til_score_pct_2")) / 2.0
+            if row[i_second].strip():
+                score = (score + _number(row[i_second], lineno, "til_score_pct_2")) / 2.0
             if not 0.0 <= score <= 100.0:
                 raise ClinicalSchemaError(f"line {lineno}: til_score_pct {score} outside [0, 100]")
-            raw_months = (row.get("os_months") or "").strip()
-            raw_event = (row.get("os_event") or "").strip()
+            raw_months = row[i_months].strip()
+            raw_event = row[i_event].strip()
             if bool(raw_months) != bool(raw_event):
                 raise ClinicalSchemaError(f"line {lineno}: os_months and os_event must both be present or both absent")
             os_months = _number(raw_months, lineno, "os_months") if raw_months else None
@@ -271,19 +305,20 @@ def load_clinical(path) -> list[SlideRecord]:
             if os_event not in (None, 0, 1):
                 raise ClinicalSchemaError(f"line {lineno}: os_event must be 0 or 1")
             covariates = {}
-            for key, val in row.items():
-                if key in RESERVED_COLUMNS or key is None:
-                    continue
-                val = (val or "").strip()
+            for key, i in covariate_cols:
+                val = row[i].strip()
                 if val:
-                    value = covariates[key] = _parse_covariate(val)
+                    value = parsed.get(val)
+                    if value is None:
+                        value = parsed[val] = _parse_covariate(val)
+                    covariates[key] = value
                     if isinstance(value, float) and not math.isfinite(value):
                         raise ClinicalSchemaError(
                             f"line {lineno}: covariate {key!r} value {val!r} is not finite")
             records.append(SlideRecord(
                 slide_id=sid,
-                cohort=(row.get("cohort") or "").strip(),
-                centre=(row.get("centre") or "").strip(),
+                cohort=row[i_cohort].strip(),
+                centre=row[i_centre].strip(),
                 til_score_pct=score,
                 covariates=covariates,
                 os_months=os_months,
@@ -320,17 +355,27 @@ def write_predictions(pairs: list[tuple[str, float]], path) -> None:
 
 
 def read_predictions(path) -> dict[str, float]:
+    """Each slide id's score in [0, 1], read as `load_clinical` reads its
+    table: ids stripped, columns by position, errors by physical line.  A
+    short row's missing score reads as None, as `csv.DictReader` had it."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"slide_id", "ectil_score"} <= set(reader.fieldnames):
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or not {"slide_id", "ectil_score"} <= set(header):
             raise ClinicalSchemaError("predictions CSV needs slide_id and ectil_score columns")
+        index = _column_index(header)
+        i_sid, i_score = index["slide_id"], index["ectil_score"]
         out, line_of = {}, {}
-        for lineno, row in enumerate(reader, start=2):
-            _check_repeat(line_of, row["slide_id"], lineno)
-            score = _number(row["ectil_score"], lineno, "ectil_score")
+        for row in _records(reader, len(header), None):
+            lineno = reader.line_num
+            sid = (row[i_sid] or "").strip()
+            if not sid:
+                raise ClinicalSchemaError(f"line {lineno}: empty slide_id")
+            _check_repeat(line_of, sid, lineno)
+            score = _number(row[i_score], lineno, "ectil_score")
             if not 0.0 <= score <= 1.0:
-                raise ClinicalSchemaError(f"prediction {score} outside [0, 1] for {row['slide_id']!r}")
-            out[row["slide_id"]] = score
+                raise ClinicalSchemaError(f"prediction {score} outside [0, 1] for {sid!r}")
+            out[sid] = score
     return out
 
 

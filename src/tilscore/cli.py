@@ -17,7 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, bagio, concord, foreground, milnet, pnm, survstats
+# survstats, foreground and pnm are imported by the commands that use them:
+# each stage runs in a process of its own, and compiling and loading a module
+# that the stage never calls costs its start-up
+from . import __version__, bagio, concord, milnet
 from .folds import (
     ensemble_predict,
     leave_one_cohort_out,
@@ -128,6 +131,12 @@ def _finite_positive(value: float, flag: str) -> float:
 
 
 def cmd_tile(args) -> int:
+    from . import foreground, pnm
+
+    if args.tile_size is None:
+        args.tile_size = foreground.TILE_SIZE_PX
+    if args.target_mpp is None:
+        args.target_mpp = foreground.TARGET_MPP
     overrides = _load_config(args.config, "--config", "fesi")
     params = _dataclass_from(foreground.FesiParams, overrides.get("fesi", {}), '"fesi"')
     params.validate()
@@ -350,6 +359,8 @@ def _write_km_csv(path, curves) -> None:
 
 
 def _km_split(out, name, times, events, group_ids, summary) -> None:
+    from . import survstats
+
     curves = survstats.km_curve(times, events, group_ids)
     _write_km_csv(out / f"km_{name}.csv", curves)
     entry = {"three_year_os": {c.group: c.survival_at(36.0) for c in curves},
@@ -362,6 +373,8 @@ def _km_split(out, name, times, events, group_ids, summary) -> None:
 
 
 def _fit_block(name, dataset) -> dict:
+    from . import survstats
+
     fit = survstats.cox_fit(dataset)
     block = {"model": name, "n": int(dataset.times.size), "events": int(dataset.events.sum()),
              "concordance": fit.concordance, "loglik": fit.loglik, "lr_p": fit.lr_p,
@@ -377,6 +390,8 @@ def _fit_block(name, dataset) -> dict:
 
 
 def cmd_survival(args) -> int:
+    from . import survstats
+
     cutoffs = sorted(_parse_cutoffs(args.cutoffs))
     covs = _load_config(args.spec, "--spec", "covariates").get("covariates", [])
     if not isinstance(covs, list):
@@ -410,8 +425,12 @@ def cmd_survival(args) -> int:
         variants += [("model_multivariable", [score_spec, *cov_specs]),
                      ("pathologist_multivariable", [path_spec, *cov_specs]),
                      ("no_tils", cov_specs)]
-    cox_blocks = [_fit_block(name, survstats.build_dataset(times, events, columns, specs))
-                  for name, specs in variants]
+    try:
+        cox_blocks = [_fit_block(name, survstats.build_dataset(times, events, columns, specs))
+                      for name, specs in variants]
+    except survstats.NonConvergenceError as exc:  # only cox_fit raises it
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NONCONVERGENCE
 
     out = _out_dir(args)
     km_summary: dict = {}
@@ -466,6 +485,8 @@ def _infer_step(coords: np.ndarray) -> int | None:
 
 
 def cmd_heatmap(args) -> int:
+    from . import pnm
+
     ensemble = load_ensemble(args.model)
     if len(ensemble.members) != 1:
         raise CliError("heatmap needs a single checkpoint, not an ensemble")
@@ -528,8 +549,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tile", help="foreground mask and tile manifest for one PPM slide")
     p.add_argument("image")
     p.add_argument("--mpp", type=float, help="microns per pixel (else <image>.mpp sidecar)")
-    p.add_argument("--tile-size", type=int, default=foreground.TILE_SIZE_PX, dest="tile_size")
-    p.add_argument("--target-mpp", type=float, default=foreground.TARGET_MPP, dest="target_mpp")
+    # None stands for foreground's TILE_SIZE_PX and TARGET_MPP, which cmd_tile
+    # fills in, so that parsing loads no foreground
+    p.add_argument("--tile-size", type=int, dest="tile_size")
+    p.add_argument("--target-mpp", type=float, dest="target_mpp")
     p.add_argument("--out", required=True)
     p.add_argument("--config", help='JSON file with "fesi" masking overrides')
     p.set_defaults(func=cmd_tile)
@@ -597,9 +620,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except survstats.NonConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
     except (CliError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

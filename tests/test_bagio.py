@@ -1,4 +1,7 @@
+import csv
 import hashlib
+import io
+import math
 import re
 import struct
 import tracemalloc
@@ -9,12 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tilscore.bagio import (
+    RESERVED_COLUMNS,
     BadMagicError,
     BagFile,
     BagFormatError,
     ClinicalSchemaError,
     DimMismatchError,
     FeatureBag,
+    SlideRecord,
     SynthConfig,
     TruncatedStreamError,
     load_clinical,
@@ -379,3 +384,270 @@ class TestPredictionsCsv:
         path.write_text("slide_id,ectil_score\na,0.5\nb\n")
         with pytest.raises(ClinicalSchemaError, match="line 3: ectil_score None is not a number"):
             read_predictions(path)
+
+    def test_ids_are_stripped(self, tmp_path):
+        path = tmp_path / "preds.csv"
+        path.write_text("slide_id,ectil_score\n s1 ,0.5\ns2\t,0.25\n")
+        assert read_predictions(path) == {"s1": 0.5, "s2": 0.25}
+        clinical = csv_file(tmp_path, "slide_id,til_score_pct\ns1,10\n")
+        assert [r.slide_id for r in load_clinical(clinical)] == list(read_predictions(path))[:1]
+
+    @pytest.mark.parametrize("text, line", [("a,0.5\n,0.25\n", 3), ("  ,0.5\n", 2)])
+    def test_empty_id_names_line(self, tmp_path, text, line):
+        path = tmp_path / "preds.csv"
+        path.write_text("slide_id,ectil_score\n" + text)
+        with pytest.raises(ClinicalSchemaError, match=f"^line {line}: empty slide_id$"):
+            read_predictions(path)
+
+    def test_stripped_ids_repeat(self, tmp_path):
+        path = tmp_path / "preds.csv"
+        path.write_text("slide_id,ectil_score\na,0.1\n a,0.3\n")
+        with pytest.raises(ClinicalSchemaError, match="slide_id 'a' repeats on lines 2 and 3"):
+            read_predictions(path)
+
+
+class TestPhysicalLines:
+    """Errors name the line of the file, counting blank lines and the lines
+    of a quoted cell that spans several."""
+
+    @pytest.mark.parametrize("loader, header, bad", [
+        (load_clinical, "slide_id,til_score_pct", "s2,abc"),
+        (read_predictions, "slide_id,ectil_score", "s2,abc"),
+    ])
+    def test_bad_cell_after_a_blank_line(self, tmp_path, loader, header, bad):
+        path = csv_file(tmp_path, f"{header}\ns1,0.1\n\n{bad}\n")
+        with pytest.raises(ClinicalSchemaError, match=r"^line 4: \w+ 'abc' is not a number$"):
+            loader(path)
+
+    @pytest.mark.parametrize("loader, header", [
+        (load_clinical, "slide_id,til_score_pct"),
+        (read_predictions, "slide_id,ectil_score"),
+    ])
+    def test_repeat_after_blank_lines(self, tmp_path, loader, header):
+        path = csv_file(tmp_path, f"{header}\n\na,0.1\n\n\na,0.2\n")
+        with pytest.raises(ClinicalSchemaError, match="slide_id 'a' repeats on lines 3 and 6"):
+            loader(path)
+
+    def test_quoted_cell_over_two_lines(self, tmp_path):
+        path = csv_file(tmp_path, 'slide_id,til_score_pct,note\na,10,"two\nlines"\nb,x,\n')
+        with pytest.raises(ClinicalSchemaError, match="^line 4: til_score_pct 'x' is not a number$"):
+            load_clinical(path)
+
+
+# ---------------------------------------------------------------------------
+# Parity of the positional CSV readers with csv.DictReader
+# ---------------------------------------------------------------------------
+
+
+def dict_load_clinical(path) -> list[SlideRecord]:
+    """The former `csv.DictReader` `load_clinical`, kept as a reference.  It
+    departs from it only in taking line numbers from `reader.line_num`."""
+    from tilscore.bagio import _check_repeat, _number, _parse_covariate
+
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        for col in ("slide_id", "til_score_pct"):
+            if col not in header:
+                raise ClinicalSchemaError(f"missing mandatory column {col!r}")
+        has_second = "til_score_pct_2" in header
+        records, line_of = [], {}
+        for row in reader:
+            lineno = reader.line_num
+            sid = (row.get("slide_id") or "").strip()
+            if not sid:
+                raise ClinicalSchemaError(f"line {lineno}: empty slide_id")
+            _check_repeat(line_of, sid, lineno)
+            raw_score = (row.get("til_score_pct") or "").strip()
+            if not raw_score:
+                raise ClinicalSchemaError(f"line {lineno}: missing til_score_pct")
+            score = _number(raw_score, lineno, "til_score_pct")
+            if has_second and (row.get("til_score_pct_2") or "").strip():
+                score = (score + _number(row["til_score_pct_2"], lineno, "til_score_pct_2")) / 2.0
+            if not 0.0 <= score <= 100.0:
+                raise ClinicalSchemaError(f"line {lineno}: til_score_pct {score} outside [0, 100]")
+            raw_months = (row.get("os_months") or "").strip()
+            raw_event = (row.get("os_event") or "").strip()
+            if bool(raw_months) != bool(raw_event):
+                raise ClinicalSchemaError(f"line {lineno}: os_months and os_event must both be present or both absent")
+            os_months = _number(raw_months, lineno, "os_months") if raw_months else None
+            if os_months is not None and not math.isfinite(os_months):
+                raise ClinicalSchemaError(f"line {lineno}: os_months {raw_months!r} is not finite")
+            if os_months is not None and os_months <= 0.0:
+                raise ClinicalSchemaError(f"line {lineno}: os_months {raw_months!r} is not positive")
+            os_event = _number(raw_event, lineno, "os_event", int) if raw_event else None
+            if os_event not in (None, 0, 1):
+                raise ClinicalSchemaError(f"line {lineno}: os_event must be 0 or 1")
+            covariates = {}
+            for key, val in row.items():
+                if key in RESERVED_COLUMNS or key is None:
+                    continue
+                val = (val or "").strip()
+                if val:
+                    value = covariates[key] = _parse_covariate(val)
+                    if isinstance(value, float) and not math.isfinite(value):
+                        raise ClinicalSchemaError(
+                            f"line {lineno}: covariate {key!r} value {val!r} is not finite")
+            records.append(SlideRecord(
+                slide_id=sid, cohort=(row.get("cohort") or "").strip(),
+                centre=(row.get("centre") or "").strip(), til_score_pct=score,
+                covariates=covariates, os_months=os_months, os_event=os_event))
+    return records
+
+
+def dict_read_predictions(path) -> dict[str, float]:
+    """The former `csv.DictReader` `read_predictions`, kept as a reference.
+    It departs from it in taking line numbers from `reader.line_num`, and in
+    stripping slide ids and rejecting an empty one, as `load_clinical` does."""
+    from tilscore.bagio import _check_repeat, _number
+
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or not {"slide_id", "ectil_score"} <= set(reader.fieldnames):
+            raise ClinicalSchemaError("predictions CSV needs slide_id and ectil_score columns")
+        out, line_of = {}, {}
+        for row in reader:
+            lineno = reader.line_num
+            sid = (row["slide_id"] or "").strip()
+            if not sid:
+                raise ClinicalSchemaError(f"line {lineno}: empty slide_id")
+            _check_repeat(line_of, sid, lineno)
+            score = _number(row["ectil_score"], lineno, "ectil_score")
+            if not 0.0 <= score <= 1.0:
+                raise ClinicalSchemaError(f"prediction {score} outside [0, 1] for {sid!r}")
+            out[sid] = score
+    return out
+
+
+CLINICAL_OPTIONAL = [["cohort"], ["centre"], ["til_score_pct_2"], ["os_months", "os_event"]]
+# one bad cell of each kind that the readers name: (column, cell)
+CLINICAL_BAD_CELLS = [
+    ("slide_id", ""), ("slide_id", "  "), ("slide_id", "REPEAT"),
+    ("til_score_pct", ""), ("til_score_pct", "abc"), ("til_score_pct", "101"),
+    ("til_score_pct", "-0.5"), ("til_score_pct_2", "x"), ("til_score_pct_2", "400"),
+    ("os_months", ""), ("os_months", "soon"), ("os_months", "inf"), ("os_months", "nan"),
+    ("os_months", "0"), ("os_months", "-3"), ("os_event", ""), ("os_event", "1.0"),
+    ("os_event", "2"), ("os_event", "yes"), ("age", "inf"), ("age", "-Infinity"),
+    ("age", "NaN"),
+]
+PREDICTION_BAD_CELLS = [("slide_id", ""), ("slide_id", " "), ("slide_id", "REPEAT"),
+                        ("ectil_score", ""), ("ectil_score", "x"), ("ectil_score", "1.5"),
+                        ("ectil_score", "-0.1"), ("ectil_score", "nan")]
+
+
+def clinical_cell(rng, col: str, i: int) -> str:
+    if col == "slide_id":
+        return f"{' ' * int(rng.integers(0, 2))}s{i}{' ' * int(rng.integers(0, 2))}"
+    if col in ("til_score_pct", "til_score_pct_2"):
+        return "" if col.endswith("_2") and rng.random() < 0.3 else f"{rng.uniform(0, 100):.3f}"
+    if col == "os_months":
+        return f"{rng.uniform(0.5, 120):.2f}"
+    if col == "os_event":
+        return str(int(rng.integers(0, 2)))
+    if col in ("cohort", "centre"):
+        return f" {col}{int(rng.integers(0, 3))} "
+    # covariates: numbers, words, quoted commas and quotes, empty cells
+    return str(rng.choice(["", "52.5", " 7 ", "G2", "BC, NST", 'say "hi"', "1e3", "two\nlines"]))
+
+
+def random_table(rng, columns: list[str], cell, n_rows: int, bad: tuple | None) -> str:
+    """A CSV of `n_rows` records under `columns`, with blank lines, short and
+    long rows and, with `bad`, one cell of column bad[0] set to bad[1].  A
+    short row may drop the bad cell: then that row reads as a missing cell."""
+    rows = [[cell(rng, col, i) for col in columns] for i in range(n_rows)]
+    # survival cells come in pairs unless a bad cell breaks one
+    for row in rows:
+        if "os_months" in columns and "os_event" in columns and rng.random() < 0.3:
+            row[columns.index("os_months")] = row[columns.index("os_event")] = ""
+    if bad is not None and bad[0] in columns and n_rows:
+        r = int(rng.integers(0, n_rows))
+        j = max(i for i, col in enumerate(columns) if col == bad[0])
+        rows[r][j] = rows[max(r - 1, 0)][j] if bad[1] == "REPEAT" else bad[1]
+        if bad[1] == "REPEAT" and r == 0 and n_rows > 1:
+            rows[1][j] = rows[0][j]
+    for row in rows:
+        u = rng.random()
+        if u < 0.04:
+            del row[int(rng.integers(1, len(row) + 1)):]  # short
+        elif u < 0.12:
+            row += ["extra"] * int(rng.integers(1, 3))  # long
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        if rng.random() < 0.1:
+            buf.write("\n" * int(rng.integers(1, 3)))
+        writer.writerow(row)
+    return buf.getvalue()
+
+
+def random_header(rng, mandatory: list[str], optional: list[list[str]],
+                  extra: list[str]) -> list[str]:
+    cols = mandatory + [c for group in optional if rng.random() < 0.6 for c in group]
+    cols += [c for c in extra if rng.random() < 0.6]
+    for _ in range(int(rng.integers(0, 3))):  # duplicate columns
+        cols.append(str(rng.choice(cols)))
+    return [cols[k] for k in rng.permutation(len(cols))]
+
+
+def error_kind(outcome) -> str:
+    """An error outcome's message with its numbers and quoted cells blanked."""
+    return (re.sub(r"-?\d[\d.e+-]*|'[^']*'|None|nan", "#", outcome[1])
+            if isinstance(outcome, tuple) else "ok")
+
+
+def outcome(loader, path):
+    """What `loader` makes of `path`: its result, or its error's class and message."""
+    try:
+        result = loader(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    if isinstance(result, list):  # covariates in header order, not only equal
+        return [(r, list(r.covariates.items())) for r in result]
+    return list(result.items())
+
+
+class TestDictReaderParity:
+    """The positional readers against their `csv.DictReader` references on
+    seeded random tables."""
+
+    def test_clinical_tables(self, tmp_path):
+        rng = np.random.default_rng(20240)
+        path = tmp_path / "clinical.csv"
+        kinds = set()
+        for case in range(400):
+            header = random_header(rng, ["slide_id", "til_score_pct"], CLINICAL_OPTIONAL,
+                                   ["age", "grade", "note", ""])
+            bad = CLINICAL_BAD_CELLS[case % len(CLINICAL_BAD_CELLS)] if case % 3 else None
+            path.write_text(random_table(rng, header, clinical_cell,
+                                         int(rng.integers(0, 12)), bad))
+            want = outcome(dict_load_clinical, path)
+            assert outcome(load_clinical, path) == want, path.read_text()
+            kinds.add(error_kind(want))
+        assert len(kinds) == 14, kinds  # no error, and each of the 13 row messages
+
+    def test_prediction_tables(self, tmp_path):
+        rng = np.random.default_rng(20241)
+        path = tmp_path / "preds.csv"
+
+        def cell(rng, col, i):
+            if col == "ectil_score":
+                return f"{rng.random():.6f}"
+            return clinical_cell(rng, col, i)
+
+        kinds = set()
+        for case in range(300):
+            header = random_header(rng, ["slide_id", "ectil_score"], [], ["age", "til_score_pct"])
+            bad = PREDICTION_BAD_CELLS[case % len(PREDICTION_BAD_CELLS)] if case % 3 else None
+            path.write_text(random_table(rng, header, cell, int(rng.integers(0, 12)), bad))
+            want = outcome(dict_read_predictions, path)
+            assert outcome(read_predictions, path) == want, path.read_text()
+            kinds.add(error_kind(want))
+        assert len(kinds) == 5, kinds  # no error, and each of the 4 row messages
+
+    @pytest.mark.parametrize("text", ["", "\n", "slide_id\n", "ectil_score,x\n"])
+    def test_headers_without_the_columns(self, tmp_path, text):
+        path = csv_file(tmp_path, text)
+        for loader, reference in [(load_clinical, dict_load_clinical),
+                                  (read_predictions, dict_read_predictions)]:
+            assert outcome(loader, path) == outcome(reference, path)

@@ -65,6 +65,9 @@ from tilscore.cli import main
 root = sys.argv[1]
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def stage_modules():
+    return sorted(m for m in ("tilscore.survstats", "tilscore.foreground", "tilscore.pnm")
+                  if m in sys.modules)
 
 codes = [main(["synth", root + "/cfg.json", "--out", root]),
          main(["train", "--bags", root + "/bags", "--clinical", root + "/clinical.csv",
@@ -72,28 +75,35 @@ codes = [main(["synth", root + "/cfg.json", "--out", root]),
                "--attn-hidden", "4", "--max-epochs", "2"]),
          main(["predict", "--model", root + "/run", "--bags", root + "/bags",
                "--out", root + "/pred"]),
-         main(["heatmap", "--model", root + "/run/fold000.ckpt",
-               "--bag", root + "/bags/synth0000.bag", "--out", root + "/hm"]),
-         main(["tile", root + "/slide.ppm", "--mpp", "0.5", "--out", root + "/tile"])]
-model_stages = scipy_modules()
+         main(["evaluate", "--predictions", root + "/pred/predictions.csv",
+               "--clinical", root + "/clinical.csv", "--out", root + "/eval"])]
+csv_stages = stage_modules()
+codes += [main(["heatmap", "--model", root + "/run/fold000.ckpt",
+                "--bag", root + "/bags/synth0000.bag", "--out", root + "/hm"]),
+          main(["tile", root + "/slide.ppm", "--mpp", "0.5", "--out", root + "/tile"])]
+model_stages, tile_stages = scipy_modules(), stage_modules()
 codes.append(main(["survival", "--predictions", root + "/pred/predictions.csv",
                    "--clinical", root + "/clinical.csv", "--out", root + "/surv"]))
-print(json.dumps({"codes": codes, "model_stages": model_stages,
-                  "survival": scipy_modules()}))
+print(json.dumps({"codes": codes, "model_stages": model_stages, "survival": scipy_modules(),
+                  "csv_stages": csv_stages, "tile_stages": tile_stages}))
 """
 
 
 def test_model_stages_run_without_scipy(tmp_path):
-    # train, predict, heatmap and tile need numpy only; survival shows that
-    # the check sees scipy when a stage does load it
+    # train, predict, evaluate, heatmap and tile need numpy only; survival
+    # shows that the check sees scipy when a stage does load it.  Each stage
+    # loads only the tilscore modules it calls: train, predict and evaluate
+    # load none of survstats, foreground and pnm, and tile no survstats.
     write_synth_config(tmp_path / "cfg.json", survival=True)
     write_ppm(tmp_path / "slide.ppm", noisy_disc(n=512, radius=150.0)[0])
     out = subprocess.run([sys.executable, "-c", MODEL_STAGES_THEN_SURVIVAL, str(tmp_path)],
                          env=subprocess_env(), capture_output=True, text=True, check=True)
     result = json.loads(out.stdout.splitlines()[-1])
-    assert result["codes"] == [0, 0, 0, 0, 0, 0], out.stderr
+    assert result["codes"] == [0] * 7, out.stderr
     assert result["model_stages"] == []
     assert "scipy.special" in result["survival"]
+    assert result["csv_stages"] == []
+    assert result["tile_stages"] == ["tilscore.foreground", "tilscore.pnm"]
 
 
 # every required argument is present, so exit 2 can only come from the flag
