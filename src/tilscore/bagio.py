@@ -232,16 +232,16 @@ def _number(raw, lineno: int, column: str, kind=float):
         raise ClinicalSchemaError(f"line {lineno}: {column} {raw!r} is not {what}") from None
 
 
-def _records(reader, width: int, missing):
+def _records(reader, width: int):
     """Each non-blank row of `reader` as `csv.DictReader` reads it under a
-    header of `width` names: extra cells dropped, absent ones `missing`.  One
-    more `missing` cell follows, for a column the header lacks to read at -1."""
+    header of `width` names: extra cells dropped, absent ones empty.  One
+    more empty cell follows, for a column the header lacks to read at -1."""
     for row in reader:
         if len(row) != width:
             if not row:
                 continue
-            row = row[:width] + [missing] * (width - len(row))
-        row.append(missing)
+            row = row[:width] + [""] * (width - len(row))
+        row.append("")
         yield row
 
 
@@ -278,7 +278,7 @@ def load_clinical(path) -> list[SlideRecord]:
         # each distinct cell is parsed once
         parsed: dict[str, float | str] = {}
         records, line_of = [], {}
-        for row in _records(reader, len(header), ""):
+        for row in _records(reader, len(header)):
             lineno = reader.line_num
             sid = row[i_sid].strip()
             if not sid:
@@ -356,8 +356,8 @@ def write_predictions(pairs: list[tuple[str, float]], path) -> None:
 
 def read_predictions(path) -> dict[str, float]:
     """Each slide id's score in [0, 1], read as `load_clinical` reads its
-    table: ids stripped, columns by position, errors by physical line.  A
-    short row's missing score reads as None, as `csv.DictReader` had it."""
+    table: ids stripped, columns by position, errors by physical line, and
+    a short row's absent score cell missing, like an empty one."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -366,13 +366,16 @@ def read_predictions(path) -> dict[str, float]:
         index = _column_index(header)
         i_sid, i_score = index["slide_id"], index["ectil_score"]
         out, line_of = {}, {}
-        for row in _records(reader, len(header), None):
+        for row in _records(reader, len(header)):
             lineno = reader.line_num
-            sid = (row[i_sid] or "").strip()
+            sid = row[i_sid].strip()
             if not sid:
                 raise ClinicalSchemaError(f"line {lineno}: empty slide_id")
             _check_repeat(line_of, sid, lineno)
-            score = _number(row[i_score], lineno, "ectil_score")
+            raw_score = row[i_score].strip()
+            if not raw_score:
+                raise ClinicalSchemaError(f"line {lineno}: missing ectil_score")
+            score = _number(raw_score, lineno, "ectil_score")
             if not 0.0 <= score <= 1.0:
                 raise ClinicalSchemaError(f"prediction {score} outside [0, 1] for {sid!r}")
             out[sid] = score

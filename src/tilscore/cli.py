@@ -491,9 +491,7 @@ def cmd_heatmap(args) -> int:
     if len(ensemble.members) != 1:
         raise CliError("heatmap needs a single checkpoint, not an ensemble")
     params = ensemble.members[0]
-    bag = bagio.read_bag(args.bag)
-    if bag.dim != params.dim:
-        raise CliError(f"bag dim {bag.dim} does not match checkpoint dim {params.dim}")
+    bag = bagio.read_bag(args.bag, expect_dim=params.dim)
     trace = milnet.forward(params, bag)
 
     xs = bag.tile_xy[:, 0].astype(np.int64)
@@ -592,7 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="concordance and calibration panel")
     p.add_argument("--predictions", required=True)
     p.add_argument("--clinical", required=True)
-    p.add_argument("--cutoffs", default="10,30,50,75")
+    p.add_argument("--cutoffs", default=",".join(f"{c:g}" for c in concord.DEFAULT_CUTOFFS))
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)
 

@@ -24,8 +24,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .bagio import FeatureBag
-
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -137,12 +135,11 @@ class ForwardTrace:
     embeddings: np.ndarray  # (K, enc_out), post-ReLU
     gate_t: np.ndarray  # tanh branch (K, attn_hidden)
     gate_g: np.ndarray  # sigmoid branch (K, attn_hidden)
-    attn_logits: np.ndarray  # (K,)
     attention: np.ndarray  # (K,), sums to 1
     score_input: np.ndarray  # (K, enc_out): embeddings after dropout mask
     tile_scores: np.ndarray  # (K,), each in (0, 1)
     prediction: float
-    dropout_mask: np.ndarray | None  # None in eval mode
+    dropout_mask: np.ndarray | None  # None without dropout
 
 
 def _keep_scaled(draws: np.ndarray, keep: float) -> np.ndarray:
@@ -184,26 +181,23 @@ def _encode(params: ModelParams, h: np.ndarray, out: np.ndarray | None = None) -
     return np.maximum(emb, 0.0, out=emb)
 
 
-def forward(params: ModelParams, bag: FeatureBag | np.ndarray, hyper: HyperParams | None = None,
-            train: bool = False, rng: np.random.Generator | None = None,
-            dropout_mask: np.ndarray | None = None,
+def forward(params: ModelParams, bag, dropout_mask: np.ndarray | None = None,
             embeddings: np.ndarray | None = None) -> ForwardTrace:
-    """Run the model over one bag.
+    """Run the model over one bag: a `(K, dim)` array, or any object whose
+    `features` is one.
 
-    Eval mode (default) is deterministic.  Train mode draws the dropout
-    masks from `rng`; the attention path always sees undropped embeddings.
-    An explicit `dropout_mask` replays fixed masks (gradient checks).
-    Given `embeddings` (the bag's post-ReLU encoder output, K x enc_out,
-    computed by the caller), the encoder is not run again; the trace then
-    holds that array, which `backward` may overwrite with its `d_pre`.
+    Deterministic.  A `dropout_mask` (K x enc_out, as `_dropout_mask` draws
+    it) multiplies the embeddings the score head sees; the attention path
+    always sees them undropped.  Given `embeddings` (the bag's post-ReLU
+    encoder output, K x enc_out, computed by the caller), the encoder is not
+    run again; the trace then holds that array, which `backward` may
+    overwrite with its `d_pre`.
     """
-    h = np.asarray(bag.features if isinstance(bag, FeatureBag) else bag, dtype=np.float64)
+    h = np.asarray(getattr(bag, "features", bag), dtype=np.float64)
     if h.ndim != 2:
         raise ModelError("bag features must be 2-d")
     if h.shape[1] != params.dim:
         raise ModelError(f"bag dim {h.shape[1]} does not match model dim {params.dim}")
-    if train and rng is None and dropout_mask is None:
-        raise ModelError("train-mode forward needs an rng for dropout")
 
     if embeddings is None:
         emb = _encode(params, h)
@@ -218,15 +212,12 @@ def forward(params: ModelParams, bag: FeatureBag | np.ndarray, hyper: HyperParam
     shifted = np.exp(logits - logits.max())
     attention = shifted / shifted.sum()
 
-    mask = dropout_mask
-    if mask is None and train:
-        mask = _dropout_mask(emb.shape, hyper or HyperParams(), rng)
-    score_in = emb if mask is None else emb * mask
+    score_in = emb if dropout_mask is None else emb * dropout_mask
     tile_scores = _sigmoid(score_in @ params.score_w + params.score_b[0])
     prediction = float(attention @ tile_scores)
     return ForwardTrace(features=h, embeddings=emb, gate_t=gate_t, gate_g=gate_g,
-                        attn_logits=logits, attention=attention, score_input=score_in,
-                        tile_scores=tile_scores, prediction=prediction, dropout_mask=mask)
+                        attention=attention, score_input=score_in, tile_scores=tile_scores,
+                        prediction=prediction, dropout_mask=dropout_mask)
 
 
 def loss(prediction: float, label: float) -> float:
@@ -398,10 +389,13 @@ def train(bags: list, labels, train_idx, val_idx,
     bag of 2 or more tiles gets the embeddings of `forward` on it alone, bit
     for bit; a 1-tile bag's (numpy runs a one-row product as GEMV), or a
     small bag's at some small model shapes, can differ in the last bit.
-    Every bag's dim is checked before the first epoch, and a non-finite
-    loss raises ModelError naming the epoch and slide.  Returns the
-    snapshot from the best validation epoch, kept by copying each improving
-    epoch into one buffer.  Deterministic for a fixed seed.
+    One generator, seeded from `seed`, draws each epoch's bag order and then,
+    right before each training bag's `forward`, that bag's dropout mask
+    under `hyper`'s rates; validation runs without dropout.  Every bag's
+    dim is checked before the first epoch, and a non-finite loss raises
+    ModelError naming the epoch and slide.  Returns the snapshot from the
+    best validation epoch, kept by copying each improving epoch into one
+    buffer.  Deterministic for a fixed seed.
     """
     hyper = hyper or HyperParams()
     hyper.validate()
@@ -477,8 +471,8 @@ def train(bags: list, labels, train_idx, val_idx,
             for chunk in batch_chunks:
                 spans = encode(params, chunk)
                 for i, span in zip(chunk, spans):
-                    trace = forward(params, feats[span], hyper, train=True, rng=rng,
-                                    embeddings=emb[span])
+                    mask = _dropout_mask(emb[span].shape, hyper, rng)
+                    trace = forward(params, feats[span], mask, embeddings=emb[span])
                     bag_loss = loss(trace.prediction, labels[i])
                     if not math.isfinite(bag_loss):
                         raise ModelError(f"non-finite loss {bag_loss} in epoch {epoch} "

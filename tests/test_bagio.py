@@ -381,9 +381,10 @@ class TestPredictionsCsv:
 
     def test_short_row_names_line_and_column(self, tmp_path):
         path = tmp_path / "preds.csv"
-        path.write_text("slide_id,ectil_score\na,0.5\nb\n")
-        with pytest.raises(ClinicalSchemaError, match="line 3: ectil_score None is not a number"):
-            read_predictions(path)
+        for row in ("b", "b, "):  # a short row, an empty score cell
+            path.write_text(f"slide_id,ectil_score\na,0.5\n{row}\n")
+            with pytest.raises(ClinicalSchemaError, match="^line 3: missing ectil_score$"):
+                read_predictions(path)
 
     def test_ids_are_stripped(self, tmp_path):
         path = tmp_path / "preds.csv"
@@ -497,8 +498,9 @@ def dict_load_clinical(path) -> list[SlideRecord]:
 
 def dict_read_predictions(path) -> dict[str, float]:
     """The former `csv.DictReader` `read_predictions`, kept as a reference.
-    It departs from it in taking line numbers from `reader.line_num`, and in
-    stripping slide ids and rejecting an empty one, as `load_clinical` does."""
+    It departs from it in taking line numbers from `reader.line_num`, in
+    stripping slide ids and rejecting an empty one, and in naming an empty
+    or absent score missing, as `load_clinical` does."""
     from tilscore.bagio import _check_repeat, _number
 
     with open(path, newline="") as fh:
@@ -512,7 +514,10 @@ def dict_read_predictions(path) -> dict[str, float]:
             if not sid:
                 raise ClinicalSchemaError(f"line {lineno}: empty slide_id")
             _check_repeat(line_of, sid, lineno)
-            score = _number(row["ectil_score"], lineno, "ectil_score")
+            raw_score = (row["ectil_score"] or "").strip()
+            if not raw_score:
+                raise ClinicalSchemaError(f"line {lineno}: missing ectil_score")
+            score = _number(raw_score, lineno, "ectil_score")
             if not 0.0 <= score <= 1.0:
                 raise ClinicalSchemaError(f"prediction {score} outside [0, 1] for {sid!r}")
             out[sid] = score
@@ -643,7 +648,7 @@ class TestDictReaderParity:
             want = outcome(dict_read_predictions, path)
             assert outcome(read_predictions, path) == want, path.read_text()
             kinds.add(error_kind(want))
-        assert len(kinds) == 5, kinds  # no error, and each of the 4 row messages
+        assert len(kinds) == 6, kinds  # no error, and each of the 5 row messages
 
     @pytest.mark.parametrize("text", ["", "\n", "slide_id\n", "ectil_score,x\n"])
     def test_headers_without_the_columns(self, tmp_path, text):

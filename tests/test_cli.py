@@ -15,7 +15,7 @@ import pytest
 
 from conftest import noisy_disc, read_manifest
 import tilscore
-from tilscore import bagio, foreground, milnet, pnm, survstats
+from tilscore import bagio, concord, foreground, milnet, pnm, survstats
 from tilscore.cli import build_parser, main
 from tilscore.milnet import (PARAM_FIELDS, HyperParams, ModelParams, init_params,
                              load_checkpoint, save_checkpoint)
@@ -56,6 +56,21 @@ def test_import_skips_unused_scipy_subpackages():
     out = subprocess.run([sys.executable, "-c", code], env=subprocess_env(),
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_milnet_imports_no_other_tilscore_module():
+    code = ("import sys, tilscore.milnet; "
+            "print(sorted(m for m in sys.modules if m.startswith('tilscore.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=subprocess_env(),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "['tilscore.milnet']"
+
+
+def test_evaluate_cutoffs_default_is_concord_default():
+    args = build_parser().parse_args(["evaluate", "--predictions", "p.csv",
+                                      "--clinical", "c.csv", "--out", "o"])
+    assert args.cutoffs == "10,30,50,75"
+    assert tuple(map(float, args.cutoffs.split(","))) == concord.DEFAULT_CUTOFFS
 
 
 MODEL_STAGES_THEN_SURVIVAL = """
@@ -958,10 +973,11 @@ class TestHeatmap:
         sidecar = json.loads((out / "heatmap.json").read_text())
         assert len(sidecar["tiles"]) == 4
 
-    def test_dim_mismatch_error(self, tmp_path):
+    def test_dim_mismatch_error(self, tmp_path, capsys):
         ckpt = self._checkpoint(tmp_path)
         bag = bagio.FeatureBag(slide_id="wide", features=np.ones((2, 3), dtype=np.float32),
                                tile_xy=np.array([[0, 0], [512, 0]]), mpp=0.5)
         bag_path = tmp_path / "wide.bag"
         bagio.write_bag(bag, bag_path)
         assert run("heatmap", "--model", ckpt, "--bag", bag_path, "--out", tmp_path / "o") == 2
+        assert f"error: {bag_path}: bag 'wide' has dim 3, expected 1" in capsys.readouterr().err

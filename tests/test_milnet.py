@@ -60,7 +60,7 @@ def naive_forward(params, feats):
 
 
 def loss_of(params, bag, label, mask=None):
-    trace = forward(params, bag, train=mask is not None, dropout_mask=mask)
+    trace = forward(params, bag, dropout_mask=mask)
     return loss(trace.prediction, label)
 
 
@@ -119,7 +119,8 @@ def reference_train(bags, labels, train_idx, hyper, seed):
             batch = order[start : start + hyper.batch_size]
             grad_sum = params.zeros_like()
             for i in batch:
-                trace = forward(params, bags[i], hyper, train=True, rng=rng)
+                mask = milnet._dropout_mask((bags[i].n_tiles, hyper.enc_out), hyper, rng)
+                trace = forward(params, bags[i], mask)
                 g = backward(trace, params, loss_grad(trace.prediction, labels[i]))
                 for name in PARAM_FIELDS:
                     acc = getattr(grad_sum, name)
@@ -216,7 +217,8 @@ class TestForward:
         both = FeatureBag(slide_id="both", features=np.array([[5.0], [0.0]], dtype=np.float32),
                           tile_xy=np.zeros((2, 2)), mpp=0.5)
         t2 = forward(params, both)
-        assert t2.attn_logits[0] - t2.attn_logits[1] >= 39.9
+        logits = (t2.gate_t * t2.gate_g) @ params.attn_w
+        assert logits[0] - logits[1] >= 39.9
         assert t2.attention[1] < 1e-15
         assert abs(t2.prediction - forward(params, hot).prediction) < 1e-15
 
@@ -241,8 +243,10 @@ class TestForward:
         params = init_params(8, SMALL, dim=10)
         bag = make_bag(rng, 30, 10)
         assert forward(params, bag).prediction == forward(params, bag).prediction
-        ta = forward(params, bag, SMALL, train=True, rng=np.random.default_rng(1))
-        tb = forward(params, bag, SMALL, train=True, rng=np.random.default_rng(2))
+        ta = forward(params, bag, milnet._dropout_mask((30, SMALL.enc_out), SMALL,
+                                                       np.random.default_rng(1)))
+        tb = forward(params, bag, milnet._dropout_mask((30, SMALL.enc_out), SMALL,
+                                                       np.random.default_rng(2)))
         assert ta.prediction != tb.prediction
 
 
@@ -343,7 +347,8 @@ class TestBackward:
         rng = np.random.default_rng(9)
         params = init_params(31, SMALL, dim=9)
         bag = make_bag(rng, 6, 9)
-        trace = forward(params, bag, SMALL, train=True, rng=np.random.default_rng(3))
+        trace = forward(params, bag, milnet._dropout_mask((6, SMALL.enc_out), SMALL,
+                                                          np.random.default_rng(3)))
         mask = trace.dropout_mask
         assert mask is not None and (mask == 0).any()
         label = 0.4
@@ -356,7 +361,9 @@ class TestBackward:
         params = init_params(32, SMALL, dim=9)
         for train_mode in (False, True):
             bag = make_bag(rng, 7, 9)
-            trace = forward(params, bag, SMALL, train=train_mode, rng=np.random.default_rng(4))
+            mask = (milnet._dropout_mask((7, SMALL.enc_out), SMALL, np.random.default_rng(4))
+                    if train_mode else None)
+            trace = forward(params, bag, mask)
             full = backward(trace, params, 0.3)
             acc = init_params(33, SMALL, dim=9)  # nonzero: backward must add, not write
             start = acc.copy()
@@ -610,7 +617,8 @@ class TestTrain:
                     assert tiles > max(stack_rows, largest)
                 want = params.zeros_like()
                 for i in batch:
-                    trace = forward(params, bags[i], hyper, train=True, rng=rng)
+                    mask = milnet._dropout_mask((bags[i].n_tiles, hyper.enc_out), hyper, rng)
+                    trace = forward(params, bags[i], mask)
                     g = backward(trace, params,
                                  loss_grad(trace.prediction, labels[i]) / batch.size)
                     for name in PARAM_FIELDS:
