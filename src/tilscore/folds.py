@@ -28,21 +28,10 @@ class FoldError(ValueError):
 @dataclass
 class FoldPlan:
     k: int
-    group_key: str
     assignment: dict[str, int]  # slide_id -> fold index
 
     def fold_of(self, slide_id: str) -> int:
         return self.assignment[slide_id]
-
-    def validate_groups(self, records: list[SlideRecord]) -> None:
-        """Assert group purity: every group lives in exactly one fold."""
-        seen: dict[str, int] = {}
-        for r in records:
-            group = getattr(r, self.group_key)
-            fold = self.assignment[r.slide_id]
-            if group in seen and seen[group] != fold:
-                raise FoldError(f"group {group!r} straddles folds {seen[group]} and {fold}")
-            seen[group] = fold
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -55,7 +44,8 @@ def split_by_group(records: list[SlideRecord], group_key: str, k: int, seed: int
     """Greedy size-balanced grouped k-fold.
 
     Groups are placed largest-first onto the currently smallest fold; the
-    seed only breaks ties between equal-sized groups.
+    seed only breaks ties between equal-sized groups.  Each group is
+    assigned whole, so no group straddles two folds.
     """
     if group_key not in GROUP_KEYS:
         raise FoldError(f"group_key must be one of {GROUP_KEYS}")
@@ -75,17 +65,17 @@ def split_by_group(records: list[SlideRecord], group_key: str, k: int, seed: int
         fold_sizes[fold] += len(groups[g])
         for sid in groups[g]:
             assignment[sid] = fold
-    return FoldPlan(k=k, group_key=group_key, assignment=assignment)
+    return FoldPlan(k=k, assignment=assignment)
 
 
 def leave_one_cohort_out(records: list[SlideRecord]) -> FoldPlan:
-    """One fold per cohort; fold i's validation set is exactly cohort i."""
+    """One fold per cohort; fold i's validation set is exactly cohort i, so
+    no cohort straddles two folds."""
     cohorts = sorted({r.cohort for r in records})
     if len(cohorts) < 2:
         raise FoldError("leave-one-cohort-out needs at least 2 cohorts")
     index = {c: i for i, c in enumerate(cohorts)}
-    return FoldPlan(k=len(cohorts), group_key="cohort",
-                    assignment={r.slide_id: index[r.cohort] for r in records})
+    return FoldPlan(k=len(cohorts), assignment={r.slide_id: index[r.cohort] for r in records})
 
 
 @dataclass

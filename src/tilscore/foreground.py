@@ -47,10 +47,6 @@ class ForegroundError(ValueError):
     pass
 
 
-class GeometryMismatchError(ForegroundError):
-    """Mask and tile grid disagree about the slide extent."""
-
-
 @dataclass
 class PpmSlide:
     """An RGB slide left in its P6 file, which masking reads strip by strip;
@@ -102,9 +98,6 @@ class ForegroundMask:
             raise ForegroundError("mask bits do not match declared shape")
         if not 0.0 < self.scale <= 1.0:
             raise ForegroundError("scale must be in (0, 1]")
-
-    def to_pgm(self, path) -> None:
-        pnm.write_pgm(path, self.bits.astype(np.uint8) * 255)
 
 
 def _block_sums(a: np.ndarray, f: int, axis: int, acc: np.dtype) -> np.ndarray:
@@ -357,7 +350,7 @@ def filter_tiles(grid: TileGrid, mask: ForegroundMask) -> TileGrid:
     exp_w = int(np.ceil(grid.slide_width_px * mask.scale))
     exp_h = int(np.ceil(grid.slide_height_px * mask.scale))
     if mask.width != exp_w or mask.height != exp_h:
-        raise GeometryMismatchError(
+        raise ForegroundError(
             f"mask {mask.width}x{mask.height} does not cover slide "
             f"{grid.slide_width_px}x{grid.slide_height_px} at scale {mask.scale}")
     span = grid.source_span

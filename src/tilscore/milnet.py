@@ -206,6 +206,9 @@ def forward(params: ModelParams, bag, dropout_mask: np.ndarray | None = None,
     else:
         raise ModelError(f"embeddings of shape {embeddings.shape} do not match the bag's "
                          f"{(h.shape[0], params.enc_out)}")
+    if dropout_mask is not None and dropout_mask.shape != emb.shape:
+        raise ModelError(f"dropout mask of shape {dropout_mask.shape} does not match the "
+                         f"bag's {emb.shape}")
     gate_t = np.tanh(emb @ params.attn_v.T + params.attn_v_b)
     gate_g = _sigmoid(emb @ params.attn_u.T + params.attn_u_b)
     logits = (gate_t * gate_g) @ params.attn_w
@@ -408,10 +411,10 @@ def train(bags: list, labels, train_idx, val_idx,
         raise ModelError("train and validation sets overlap")
     if np.any(labels < 0.0) or np.any(labels > 1.0):
         raise ModelError("labels must be fractions in [0, 1]")
-    if val_idx.size and np.var(labels[val_idx]) == 0.0:
-        raise ModelError("validation labels are constant; explained variance undefined")
     if val_idx.size == 0:
         raise ModelError("empty validation set")
+    if np.var(labels[val_idx]) == 0.0:
+        raise ModelError("validation labels are constant; explained variance undefined")
 
     dim = bags[train_idx[0]].dim
     every_idx = np.concatenate([train_idx, val_idx])
@@ -460,7 +463,6 @@ def train(bags: list, labels, train_idx, val_idx,
     best = None  # (ev, epoch, preds) of the epoch whose parameters `snapshot` holds
     snapshot = params.zeros_like()
     history: list[EpochRecord] = []
-    since_improve = 0
     for epoch in range(1, hyper.max_epochs + 1):
         order = rng.permutation(train_idx)
         epoch_loss = 0.0
@@ -495,10 +497,7 @@ def train(bags: list, labels, train_idx, val_idx,
             best = (ev, epoch, preds)
             for name in PARAM_FIELDS:
                 np.copyto(getattr(snapshot, name), getattr(params, name))
-            since_improve = 0
-        else:
-            since_improve += 1
-        if since_improve >= hyper.patience:
+        elif epoch - best[1] >= hyper.patience:
             break
     return TrainResult(params=snapshot, history=history, best_epoch=best[1],
                        best_val_ev=best[0], val_preds=best[2])

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -242,7 +243,9 @@ PROBES = {
            ("second-score-not-a-number", "clinical.csv",
             "slide_id,til_score_pct,til_score_pct_2\ns0,10,\ns1,40,y\n", "til_score_pct_2 'y'"),
            ("prediction-not-a-number", "preds.csv", "slide_id,ectil_score\ns0,0.1\ns1,abc\n",
-            "ectil_score 'abc'")]},
+            "ectil_score 'abc'"),
+           ("prediction-out-of-range", "preds.csv", "slide_id,ectil_score\ns0,0.1\ns1,1.5\n",
+            "ectil_score 1.5 outside [0, 1]")]},
     # the slide is a header without its raster, so each flag must be checked
     # before the raster is read
     **{f"tile-{name}": ("tile", flags, {"slide.ppm": "P6\n700 600\n255\n", **files}, words)
@@ -547,6 +550,61 @@ class TestTrainPredict:
             assert preds_clone[sid] == pytest.approx(val, abs=1e-12)
 
 
+@pytest.fixture(scope="module")
+def chain(tmp_path_factory):
+    """One synth -> train -> predict -> evaluate -> survival -> heatmap chain
+    and one tile run, each command's --out named after it."""
+    root = tmp_path_factory.mktemp("chain")
+    write_synth_config(root / "cfg.json", survival=True)
+    write_ppm(root / "white.ppm", np.full((1024, 1024, 3), 255, dtype=np.uint8))
+    cohort = root / "synth"
+    joined = ["--predictions", root / "predict" / "predictions.csv",
+              "--clinical", cohort / "clinical.csv"]
+    steps = {
+        "synth": [root / "cfg.json"],
+        "train": ["--bags", cohort / "bags", "--clinical", cohort / "clinical.csv",
+                  "--plan", "centre:3", *TRAIN_FLAGS, "--max-epochs", 2],
+        "predict": ["--model", root / "train", "--bags", cohort / "bags"],
+        "evaluate": joined,
+        "survival": joined,
+        "heatmap": ["--model", root / "train" / "fold000.ckpt",
+                    "--bag", cohort / "bags" / "synth0000.bag"],
+        "tile": [root / "white.ppm", "--mpp", 0.5],
+    }
+    for command, argv in steps.items():
+        assert run(command, *argv, "--out", root / command) == 0
+    return root
+
+
+def run_config_extra(command: str, root: Path) -> dict:
+    """The values that `command` adds to its run_config.json."""
+    records = bagio.load_clinical(root / "synth" / "clinical.csv")
+    cfg = json.loads((root / "cfg.json").read_text())
+    hyper = HyperParams(enc_out=8, attn_hidden=4, lr=3e-3, batch_size=8, max_epochs=2,
+                        patience=12)
+    return {
+        "synth": {"effective_config": dataclasses.asdict(bagio.SynthConfig(**cfg))},
+        "train": {"hyper": dataclasses.asdict(hyper), "k": 3},
+        "predict": {"n_slides": len(records), "n_members": 3},
+        "evaluate": {"n": len(records)},
+        "survival": {"n": sum(r.os_months is not None for r in records)},
+        "heatmap": {"n_tiles": bagio.read_bag(root / "synth" / "bags" / "synth0000.bag").n_tiles},
+        "tile": {"mpp": 0.5, "n_tiles": 4, "n_kept": 0},
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "predict", "evaluate", "survival",
+                                     "heatmap", "tile"])
+def test_run_config_echoes_command_version_and_extras(chain, command):
+    config = json.loads((chain / command / "run_config.json").read_text())
+    assert config["command"] == command
+    assert config["version"] == tilscore.__version__
+    assert config["out"] == str(chain / command)
+    assert "func" not in config
+    extra = run_config_extra(command, chain)
+    assert {key: config.get(key) for key in extra} == extra
+
+
 def write_bags(bag_dir: Path, n: int, dim: int, n_tiles: int = 300, seed: int = 0) -> None:
     bag_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
@@ -649,6 +707,7 @@ class TestTrainStreaming:
         self.write_cohort(tmp_path, 8, n_tiles=5)
         out = tmp_path / "run"
         assert self.train(tmp_path, out) == 0  # leaves an ensemble.json behind
+        (out / "run_config.json").unlink()
         folds_begun = []
         real_train = milnet.train
 
@@ -665,6 +724,8 @@ class TestTrainStreaming:
         assert "6x256" in err
         assert (out / "fold000.ckpt").exists()
         assert not (out / "ensemble.json").exists()
+        # written when the run opened its directory, before fold 0 began
+        assert json.loads((out / "run_config.json").read_text())["k"] == 2
 
     def test_validation_bag_of_another_dim_exits_2_before_any_epoch(self, tmp_path,
                                                                     monkeypatch, capsys):

@@ -54,7 +54,10 @@ class TestSplitByGroup:
         recs = records_with({"a": 3, "b": 5, "c": 2, "d": 7})
         plan = split_by_group(recs, "centre", k=3, seed=1)
         assert sorted(plan.assignment) == sorted(r.slide_id for r in recs)
-        plan.validate_groups(recs)
+        folds_of = {}
+        for r in recs:
+            folds_of.setdefault(r.centre, set()).add(plan.fold_of(r.slide_id))
+        assert all(len(f) == 1 for f in folds_of.values()), folds_of
 
     def test_fewer_groups_than_k(self):
         recs = records_with({"a": 3, "b": 3})

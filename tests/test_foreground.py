@@ -9,7 +9,6 @@ from tilscore.foreground import (
     FesiParams,
     ForegroundError,
     ForegroundMask,
-    GeometryMismatchError,
     compute_foreground,
     filter_tiles,
     grid_tiles,
@@ -302,7 +301,7 @@ class TestFilterTiles:
 
     def test_geometry_mismatch(self):
         grid = grid_tiles(1024, 1024, mpp=0.5)
-        with pytest.raises(GeometryMismatchError):
+        with pytest.raises(ForegroundError, match="mask 64x64 does not cover slide 1024x1024"):
             filter_tiles(grid, full_mask(64, 64))
 
     def test_blob_keeps_tiles_over_blob(self, disc_slide):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -231,6 +232,15 @@ class TestForward:
         for shape in ((4, 16), (5, 15), (5,), (1, 5, 16)):
             with pytest.raises(ModelError, match="embeddings of shape"):
                 forward(params, bag, embeddings=np.zeros(shape))
+
+    def test_dropout_mask_of_another_shape_rejected(self):
+        params = init_params(0, HyperParams(enc_out=8, attn_hidden=4), dim=6)
+        bag = make_bag(np.random.default_rng(4), 3, 6)
+        assert forward(params, bag, np.ones((3, 8))).prediction == forward(params, bag).prediction
+        for shape in ((8,), (3, 1), (1, 8)):
+            with pytest.raises(ModelError, match=re.escape(
+                    f"dropout mask of shape {shape} does not match the bag's (3, 8)")):
+                forward(params, bag, np.ones(shape))
 
     def test_dim_mismatch(self):
         params = init_params(0, SMALL, dim=10)
@@ -701,6 +711,8 @@ class TestTrain:
             train(bags, const, np.arange(3), np.arange(3, 6), seed=0)
         with pytest.raises(ModelError):
             train(bags, labels, np.arange(4), np.arange(3, 6), seed=0)  # overlap
+        with pytest.raises(ModelError, match="^empty validation set$"):
+            train(bags, labels, np.arange(3), np.array([], dtype=int), seed=0)
         odd = bags[:2] + [make_bag(rng, 4, bags[0].dim + 1, slide_id="odd")] + bags[3:]
         with pytest.raises(ModelError, match="bag 'odd' has dim"):
             train(odd, labels, np.arange(4), np.arange(4, 6), seed=0)
