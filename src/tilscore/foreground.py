@@ -16,11 +16,15 @@ imports no scipy module.
 
 A slide is a `PpmSlide`: a P6 file left on disk, whose header and size
 are checked when it is opened.  Masking streams it in row strips of about
-`pnm.STRIP_BYTES`, each a whole number of mask rows tall, and folds each
-strip into per-channel block sums before the next is read.  Besides the
-mask-scale arrays it holds one strip and that strip's row sums (2/f of its
-bytes at downsample f <= 16, 4/f above).  No full-resolution array is
-built, from a file or in floats.
+`pnm.STRIP_BYTES`, each a whole number of mask rows tall: each strip is
+folded into per-channel block sums, and their luminance written into its
+rows of the map, before the next is read.  Every later mask-scale step
+writes into one of two float64 arrays of the mask's shape, and the
+separable filters run in bands of `_BAND_ROWS` rows, so no intermediate
+image is ever whole.  So besides at most two mask-scale arrays it holds one
+band, or one strip and that strip's row sums (2/f of its bytes at
+downsample f <= 16, 4/f above).  No full-resolution array is built, from a
+file or in floats.
 
 Tiles are laid on an exact grid in target-resolution space (512 px at
 0.5 mpp by default) and reported as source-pixel coordinates; a tile is
@@ -30,7 +34,7 @@ kept when its footprint holds at least one foreground mask pixel.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from contextlib import closing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -118,83 +122,107 @@ def _block_sums(a: np.ndarray, f: int, axis: int, acc: np.dtype) -> np.ndarray:
     return out
 
 
-def _block_luminance(strips: Iterable[np.ndarray], f: int) -> np.ndarray:
+def _block_luminance(strips: Iterable[np.ndarray], f: int, shape: tuple[int, int]) -> np.ndarray:
     """Mean luminance of each f x f block of an (h, w, 3) uint8 raster given
     as consecutive row strips, each but the last a whole number of blocks
-    tall; edge blocks are padded by replication.
+    tall, as a float64 array of the mask `shape`; edge blocks are padded by
+    replication.
 
     Each channel is summed per block exactly, rows first and then columns,
     in the smallest unsigned type that holds f*f*255 (uint16 up to f = 16,
-    uint32 above), and only the block sums are weighted in float64.  So the
-    result does not depend on where the strips are cut.
+    uint32 above), and only the block sums are weighted in float64, each
+    strip straight into its rows of the result.  So the result does not
+    depend on where the strips are cut.
     """
     acc = np.min_scalar_type(f * f * 255)
-    parts = []
+    out = np.empty(shape)
+    r0 = 0
     for strip in strips:
         sums = _block_sums(_block_sums(strip, f, 0, acc), f, 1, acc)
-        parts.append((0.299 * sums[..., 0] + 0.587 * sums[..., 1] + 0.114 * sums[..., 2])
-                     / (f * f))
-    return np.concatenate(parts)
+        r1 = r0 + len(sums)
+        np.divide(0.299 * sums[..., 0] + 0.587 * sums[..., 1] + 0.114 * sums[..., 2], f * f,
+                  out=out[r0:r1])
+        r0 = r1
+    return out
+
+
+def _split_means(values: np.ndarray, t: float) -> tuple[float | None, float | None]:
+    """Means of the values at most t and of those above t, None for an empty
+    side.  One side's gather is freed before the other's is taken."""
+    below = values[values <= t]
+    lo = float(below.mean()) if below.size else None
+    del below
+    above = values[values > t]
+    return lo, float(above.mean()) if above.size else None
 
 
 def _isodata_threshold(values: np.ndarray, iters: int) -> float:
     t = float(values.mean())
     for _ in range(iters):
-        below = values[values <= t]
-        above = values[values > t]
-        if below.size == 0 or above.size == 0:
+        lo, hi = _split_means(values, t)
+        if lo is None or hi is None:
             break
-        new_t = 0.5 * (float(below.mean()) + float(above.mean()))
+        new_t = 0.5 * (lo + hi)
         if new_t == t:
             break
         t = new_t
     return t
 
 
-_BAND_ROWS = 32  # rows per band of `_correlate1d`, so its operands stay in cache
+# rows per band of `_correlate_bands`: the operands of a band stay in cache,
+# and the filters below never hold more than one band of an intermediate
+_BAND_ROWS = 32
 
 
-def _correlate1d(x: np.ndarray, w: np.ndarray, axis: int) -> np.ndarray:
+def _correlate_bands(x: np.ndarray, w: np.ndarray, axis: int) -> Iterator[tuple[slice, np.ndarray]]:
     """`scipy.ndimage.correlate1d(x, w, axis, mode="reflect")` of a 2-d
-    float64 array for a symmetric kernel `w` of odd length, summed in the
-    order of scipy's symmetric path: out = x[i]*w[r], then for j = r..1,
+    float64 array for a symmetric kernel `w` of odd length, as (rows, band)
+    pairs of `_BAND_ROWS` rows each, top to bottom.  Each band is summed in
+    the order of scipy's symmetric path: out = x[i]*w[r], then for j = r..1,
     out += (x[i-j] + x[i+j])*w[r-j].  Reflect mode mirrors the edge sample
     (d c b a | a b c d), repeatedly for kernels longer than the axis."""
     r, n = len(w) // 2, x.shape[axis]
     k = np.arange(-r, n + r) % (2 * n)
     k = np.minimum(k, 2 * n - 1 - k)  # index of each padded sample along `axis`
-    out = np.empty_like(x)
     for b in range(0, x.shape[0], _BAND_ROWS):
-        o = out[b : b + _BAND_ROWS]
+        rows = slice(b, min(b + _BAND_ROWS, x.shape[0]))
         # the band padded along `axis`; tap s starts s samples into the padding
-        src = x[k[b : b + len(o) + 2 * r]] if axis == 0 else x[b : b + len(o)][:, k]
-        m = o.shape[axis]
+        src = x[k[b : rows.stop + 2 * r]] if axis == 0 else x[rows][:, k]
+        m = rows.stop - b if axis == 0 else n
         taps = [src[(slice(None),) * axis + (slice(s, s + m),)] for s in range(2 * r + 1)]
-        np.multiply(taps[r], w[r], out=o)
+        band = taps[r] * w[r]
         for j in range(r, 0, -1):
             pair = taps[r - j] + taps[r + j]
             pair *= w[r - j]
-            o += pair
-    return out
+            band += pair
+        yield rows, band
 
 
-def _gaussian_filter(x: np.ndarray, sigma: float) -> np.ndarray:
+def _gaussian_filter(x: np.ndarray, sigma: float, out: np.ndarray | None = None) -> np.ndarray:
     """`scipy.ndimage.gaussian_filter(x, sigma)` of a 2-d float64 array:
-    reflect mode, the kernel truncated at 4 sigma, axis 0 then axis 1."""
+    reflect mode, the kernel truncated at 4 sigma, axis 0 then axis 1.  Each
+    band of the axis-0 pass is filtered along axis 1 at once, into `out`
+    (new if None, never `x`)."""
+    out = np.empty_like(x) if out is None else out
     if sigma <= 1e-15:
-        return x.copy()
+        out[...] = x
+        return out
     r = int(4.0 * float(sigma) + 0.5)
     w = np.exp(-0.5 / (sigma * sigma) * np.arange(-r, r + 1) ** 2)
     w = w / w.sum()
-    return _correlate1d(_correlate1d(x, w, 0), w, 1)
+    for rows, band in _correlate_bands(x, w, 0):
+        out[rows] = next(_correlate_bands(band, w, 1))[1]
+    return out
 
 
-def _laplace(x: np.ndarray) -> np.ndarray:
+def _laplace(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """`scipy.ndimage.laplace(x)` of a 2-d float64 array: the [1, -2, 1]
-    second difference along axis 0 plus that along axis 1, reflect mode."""
+    second difference along axis 0 plus that along axis 1, reflect mode,
+    band by band into `out` (new if None, never `x`)."""
     w = np.array([1.0, -2.0, 1.0])
-    out = _correlate1d(x, w, 0)
-    out += _correlate1d(x, w, 1)
+    out = np.empty_like(x) if out is None else out
+    for (rows, d0), (_, d1) in zip(_correlate_bands(x, w, 0), _correlate_bands(x, w, 1)):
+        np.add(d0, d1, out=out[rows])
     return out
 
 
@@ -271,22 +299,21 @@ def compute_foreground(slide: PpmSlide, params: FesiParams | None = None) -> For
         raise ForegroundError(
             f"slide {slide.width_px}x{slide.height_px} is smaller than one {f}px mask cell")
     with closing(pnm.read_ppm_strips(slide.path, f)) as strips:  # closes the file on every path
-        small = _block_luminance(strips, f)
-    structure = _laplace(_gaussian_filter(small, params.pre_sigma))
-    del small  # the mask-scale arrays set the stage's peak memory: each goes once used
-    np.abs(structure, out=structure)
-    smooth = _gaussian_filter(structure, params.smooth_sigma)
-    del structure  # before the threshold's copies of `smooth`
+        a = _block_luminance(strips, f, (-(-slide.height_px // f), -(-slide.width_px // f)))
+    # the mask-scale arrays set the stage's peak memory: every step writes
+    # into `a` or `b`, and `a` goes before the threshold's gathers of `smooth`
+    b = _gaussian_filter(a, params.pre_sigma, out=np.empty_like(a))
+    np.abs(_laplace(b, out=a), out=a)
+    smooth = _gaussian_filter(a, params.smooth_sigma, out=b)
+    del a, b
 
     fg_level = float(smooth.max())
     if fg_level <= params.structure_floor:
         bits = np.zeros_like(smooth, dtype=bool)
     else:
         t = _isodata_threshold(smooth, params.isodata_iters)
-        below = smooth[smooth <= t]
-        above = smooth[smooth > t]
-        lo = float(below.mean()) if below.size else 0.0
-        hi = float(above.mean()) if above.size else fg_level
+        lo, hi = _split_means(smooth, t)
+        lo, hi = 0.0 if lo is None else lo, fg_level if hi is None else hi
         if hi - lo < params.uniform_rel_gap * hi:
             # structurally uniform image: everything is tissue (or nothing,
             # handled by the floor above)

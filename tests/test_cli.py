@@ -376,6 +376,20 @@ class TestTile:
         assert peak < pixels.nbytes / 4, f"peak {peak} of {pixels.nbytes} bytes"
         assert np.array_equal(read_pgm(out / "mask.pgm") > 0, one_strip)
 
+    def test_outputs_across_blas_thread_counts(self, tmp_path):
+        # masking makes no BLAS call, so the thread count cannot reorder a sum
+        img = tmp_path / "disc.ppm"
+        write_ppm(img, noisy_disc(n=1024, radius=300.0, seed=3)[0])
+        runs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            subprocess.run([sys.executable, "-m", "tilscore.cli", "tile", str(img), "--mpp", "0.5",
+                            "--out", str(out)],
+                           env=subprocess_env(OPENBLAS_NUM_THREADS=threads),
+                           capture_output=True, check=True)
+            runs.append({name: (out / name).read_bytes() for name in ("mask.pgm", "tiles.tsv")})
+        assert runs[0] == runs[1]
+
     def test_truncated_raster_exits_2_before_any_strip(self, tmp_path, monkeypatch, capsys):
         img = tmp_path / "short.ppm"
         img.write_bytes(b"P6\n700 600\n255\n" + bytes(1000))

@@ -65,6 +65,11 @@ def float_block_luminance(pixels, f):
     return lum.reshape(hh // f, f, ww // f, f).mean(axis=(1, 3))
 
 
+def mask_shape(pixels, f):
+    """The mask shape of `pixels` at downsample f: one cell per started block."""
+    return -(-pixels.shape[0] // f), -(-pixels.shape[1] // f)
+
+
 # disc fixtures: (side, radius, seed); 1001 is not a multiple of any downsample
 DISCS = [(2048, 800.0, 0), (1001, 350.0, 1), (1536, 500.0, 2), (1024, 300.0, 3)]
 
@@ -74,12 +79,13 @@ class TestBlockLuminance:
     def test_mask_matches_float_reference(self, side, radius, seed, tmp_path, monkeypatch):
         pixels, _ = noisy_disc(n=side, radius=radius, seed=seed)
         slide = ppm_slide(tmp_path, pixels)
-        small = foreground._block_luminance([pixels], 8)
+        small = foreground._block_luminance([pixels], 8, mask_shape(pixels, 8))
         np.testing.assert_allclose(small, float_block_luminance(pixels, 8), rtol=1e-12, atol=0)
         bits = compute_foreground(slide).bits
         # each strip is a view of one reused buffer: copy it before the next is read
-        monkeypatch.setattr(foreground, "_block_luminance", lambda strips, f: float_block_luminance(
-            np.concatenate([strip.copy() for strip in strips]), f))
+        monkeypatch.setattr(foreground, "_block_luminance",
+                            lambda strips, f, shape: float_block_luminance(
+                                np.concatenate([strip.copy() for strip in strips]), f))
         assert np.array_equal(bits, compute_foreground(slide).bits)
 
     @pytest.fixture(scope="class")
@@ -94,7 +100,7 @@ class TestBlockLuminance:
         pixels = odd_disc[: shape[0], : shape[1]].copy()
         pixels[-1] = 255  # saturated edge rows and columns, replicated by the padding
         pixels[:, -1] = 0
-        np.testing.assert_allclose(foreground._block_luminance([pixels], f),
+        np.testing.assert_allclose(foreground._block_luminance([pixels], f, mask_shape(pixels, f)),
                                    float_block_luminance(pixels, f), rtol=1e-12, atol=0)
 
     # strips of 1, 2 and 5 mask rows; every shape leaves a last strip shorter
@@ -103,11 +109,11 @@ class TestBlockLuminance:
     @pytest.mark.parametrize("shape", [(1001, 1001), (1001, 777), (640, 1203)])
     def test_strips_match_the_whole_raster_bytewise(self, odd_disc, f, shape):
         pixels = odd_disc[: shape[0], : shape[1]]
-        whole = foreground._block_luminance([pixels], f)
+        whole = foreground._block_luminance([pixels], f, mask_shape(pixels, f))
         for blocks in (1, 2, 5):
             rows = blocks * f
             strips = (pixels[r0 : r0 + rows] for r0 in range(0, shape[0], rows))
-            small = foreground._block_luminance(strips, f)
+            small = foreground._block_luminance(strips, f, whole.shape)
             assert small.shape == whole.shape and small.tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("f", [1, 8, 17])
@@ -115,14 +121,15 @@ class TestBlockLuminance:
         pixels = odd_disc[:1001, :777]
         slide = ppm_slide(tmp_path, pixels)
         monkeypatch.setattr(pnm, "STRIP_BYTES", 80 << 10)  # 35 rows of 777 pixels
-        whole = foreground._block_luminance([pixels], f).tobytes()
+        shape = mask_shape(pixels, f)
+        whole = foreground._block_luminance([pixels], f, shape).tobytes()
         strips = pnm.read_ppm_strips(slide.path, f)
-        assert foreground._block_luminance(strips, f).tobytes() == whole
+        assert foreground._block_luminance(strips, f, shape).tobytes() == whole
 
     def test_saturated_blocks_do_not_wrap(self):
         for f in (16, 17, 300):
             pixels = np.full((f + 1, 2 * f - 1, 3), 255, dtype=np.uint8)
-            np.testing.assert_allclose(foreground._block_luminance([pixels], f),
+            np.testing.assert_allclose(foreground._block_luminance([pixels], f, (2, 2)),
                                        np.full((2, 2), 255.0), rtol=1e-12, atol=0)
 
     def test_traced_peak_is_a_fraction_of_the_slide(self, disc_slide, monkeypatch):
@@ -136,6 +143,20 @@ class TestBlockLuminance:
         finally:
             tracemalloc.stop()
         assert peak < nbytes / 2, f"peak {peak} of {nbytes} bytes"
+
+    def test_traced_peak_is_under_three_mask_arrays(self, tmp_path, monkeypatch):
+        # the mask-scale steps write into two float64 arrays, and the
+        # threshold's gathers come after the first is freed
+        slide = ppm_slide(tmp_path, noisy_disc(n=1024, radius=300.0, seed=3)[0])
+        mask_bytes = 1024 * 1024 * 8
+        monkeypatch.setattr(pnm, "STRIP_BYTES", 1 << 20)
+        tracemalloc.start()
+        try:
+            compute_foreground(slide, FesiParams(downsample=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * mask_bytes, f"peak {peak / mask_bytes:.2f} mask arrays"
 
     @pytest.mark.parametrize("f", [0, -8, 8.0])
     def test_bad_downsample_rejected(self, f, tmp_path):
@@ -191,10 +212,16 @@ class TestScipyOracle:
         rng = np.random.default_rng(sum(shape))
         x = rng.normal(size=shape) * 50.0
         sigmas = [0, 0.5, 2, 8, 1e-16, *rng.uniform(0.0, 12.0, 20)]
+        buf = np.full_like(x, np.nan)
         for sigma in sigmas:
             assert np.array_equal(foreground._gaussian_filter(x, sigma),
                                   ndimage.gaussian_filter(x, sigma)), sigma
+            assert foreground._gaussian_filter(x, sigma, out=buf) is buf
+            assert np.array_equal(buf, ndimage.gaussian_filter(x, sigma)), sigma
         assert np.array_equal(foreground._laplace(x), ndimage.laplace(x))
+        buf[...] = np.nan
+        assert foreground._laplace(x, out=buf) is buf
+        assert np.array_equal(buf, ndimage.laplace(x))
 
     @pytest.mark.parametrize("shape", ORACLE_SHAPES)
     @pytest.mark.parametrize("m", range(1, 7))
