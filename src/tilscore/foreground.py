@@ -15,16 +15,18 @@ masks.  So masks match those of the scipy calls they replace, and `tile`
 imports no scipy module.
 
 A slide is a `PpmSlide`: a P6 file left on disk, whose header and size
-are checked when it is opened.  Masking streams it in row strips of about
-`pnm.STRIP_BYTES`, each a whole number of mask rows tall: each strip is
-folded into per-channel block sums, and their luminance written into its
-rows of the map, before the next is read.  Every later mask-scale step
-writes into one of two float64 arrays of the mask's shape, and the
-separable filters run in bands of `_BAND_ROWS` rows, so no intermediate
-image is ever whole.  So besides at most two mask-scale arrays it holds one
-band, or one strip and that strip's row sums (2/f of its bytes at
-downsample f <= 16, 4/f above).  No full-resolution array is built, from a
-file or in floats.
+are checked when it is opened.  Masking streams it in row strips, each a
+whole number of mask rows tall: each strip is folded into per-channel block
+sums, and their luminance written into its rows of the map, before the next
+is read.  Every later mask-scale step writes into one of two float64 arrays
+of the mask's shape, and the separable filters run in bands of `_BAND_ROWS`
+rows, so no intermediate image is ever whole.  One worker per usable CPU
+reads its own share of the strips, within an equal part of
+`pnm.STRIP_BYTES`, and filters every nth band, each with the same sums at
+any worker count.  So besides at most two mask-scale arrays it holds one
+band per worker, or `pnm.STRIP_BYTES` of strips and their row sums (2/f of
+their bytes at downsample f <= 16, 4/f above).  No full-resolution array is
+built, from a file or in floats.
 
 Tiles are laid on an exact grid in target-resolution space (512 px at
 0.5 mpp by default) and reported as source-pixel coordinates; a tile is
@@ -34,7 +36,9 @@ kept when its footprint holds at least one foreground mask pixel.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+import os
+import threading
+from collections.abc import Callable, Iterable
 from contextlib import closing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -109,39 +113,34 @@ def _block_sums(a: np.ndarray, f: int, axis: int, acc: np.dtype) -> np.ndarray:
     unsigned type `acc`.  A last partial group is completed by repeating the
     final entry, as edge-replication padding would."""
     nq, rem = divmod(a.shape[axis], f)
-    shape = list(a.shape)
-    shape[axis] = nq + (rem > 0)
-    out = np.zeros(shape, acc)
-    # views with the groups along the first axis; `out` keeps the layout of
-    # `a`, so each strided add walks both in memory order
-    a, o = a.swapaxes(0, axis), out.swapaxes(0, axis)
+    out = np.zeros(a.shape[:axis] + (nq + (rem > 0),) + a.shape[axis + 1 :], acc)
+    at = (slice(None),) * axis  # prefix of an index along `axis`
     for i in range(f):
-        o[:nq] += a[i : nq * f : f]
+        out[at + (slice(nq),)] += a[at + (slice(i, nq * f, f),)]
     if rem:
-        o[nq] += a[nq * f :].sum(axis=0, dtype=acc) + a[-1].astype(acc) * (f - rem)
+        out[at + (nq,)] += (a[at + (slice(nq * f, None),)].sum(axis=axis, dtype=acc)
+                            + a[at + (-1,)].astype(acc) * (f - rem))
     return out
 
 
-def _block_luminance(strips: Iterable[np.ndarray], f: int, shape: tuple[int, int]) -> np.ndarray:
+def _block_luminance(strips: Iterable[np.ndarray], f: int, out: np.ndarray) -> np.ndarray:
     """Mean luminance of each f x f block of an (h, w, 3) uint8 raster given
     as consecutive row strips, each but the last a whole number of blocks
-    tall, as a float64 array of the mask `shape`; edge blocks are padded by
+    tall, into the float64 rows of `out`; edge blocks are padded by
     replication.
 
-    Each channel is summed per block exactly, rows first and then columns,
-    in the smallest unsigned type that holds f*f*255 (uint16 up to f = 16,
-    uint32 above), and only the block sums are weighted in float64, each
-    strip straight into its rows of the result.  So the result does not
-    depend on where the strips are cut.
+    Each channel is summed per block exactly, rows first and then columns
+    (channel-planar), in the smallest unsigned type that holds f*f*255
+    (uint16 up to f = 16, uint32 above), and only the block sums are
+    weighted in float64, each strip straight into its rows of `out`.  So
+    the result does not depend on where the strips are cut.
     """
     acc = np.min_scalar_type(f * f * 255)
-    out = np.empty(shape)
     r0 = 0
     for strip in strips:
-        sums = _block_sums(_block_sums(strip, f, 0, acc), f, 1, acc)
-        r1 = r0 + len(sums)
-        np.divide(0.299 * sums[..., 0] + 0.587 * sums[..., 1] + 0.114 * sums[..., 2], f * f,
-                  out=out[r0:r1])
+        sums = _block_sums(_block_sums(strip, f, 0, acc).transpose(2, 0, 1), f, 2, acc)
+        r1 = r0 + sums.shape[1]
+        np.divide(0.299 * sums[0] + 0.587 * sums[1] + 0.114 * sums[2], f * f, out=out[r0:r1])
         r0 = r1
     return out
 
@@ -169,33 +168,76 @@ def _isodata_threshold(values: np.ndarray, iters: int) -> float:
     return t
 
 
-# rows per band of `_correlate_bands`: the operands of a band stay in cache,
-# and the filters below never hold more than one band of an intermediate
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _in_shares(work: Callable[[int, int], None], shares: int) -> None:
+    """Run `work(part, parts)` for each part: one per usable CPU, at most
+    `shares`, part 0 on the calling thread and each other on a thread of its
+    own.  All are joined, then the lowest failing part's error is raised."""
+    parts = min(_cpus(), shares)
+    errors: list[BaseException | None] = [None] * parts
+
+    def run(part):
+        try:
+            work(part, parts)
+        except BaseException as exc:
+            errors[part] = exc
+
+    threads = [threading.Thread(target=run, args=(part,)) for part in range(1, parts)]
+    try:
+        for thread in threads:
+            thread.start()
+        run(0)
+    finally:
+        for thread in filter(threading.Thread.is_alive, threads):
+            thread.join()
+    for exc in filter(None, errors):
+        raise exc
+
+
+# rows per band of `_by_bands`: the operands of a band stay in cache, and
+# the filters below hold at most one band of an intermediate per part
 _BAND_ROWS = 32
 
 
-def _correlate_bands(x: np.ndarray, w: np.ndarray, axis: int) -> Iterator[tuple[slice, np.ndarray]]:
-    """`scipy.ndimage.correlate1d(x, w, axis, mode="reflect")` of a 2-d
-    float64 array for a symmetric kernel `w` of odd length, as (rows, band)
-    pairs of `_BAND_ROWS` rows each, top to bottom.  Each band is summed in
-    the order of scipy's symmetric path: out = x[i]*w[r], then for j = r..1,
-    out += (x[i-j] + x[i+j])*w[r-j].  Reflect mode mirrors the edge sample
+def _by_bands(out: np.ndarray, band: Callable[[slice], np.ndarray]) -> np.ndarray:
+    """out[rows] = band(rows) for each band of `_BAND_ROWS` rows of `out`,
+    the bands dealt in turn to the parts of `_in_shares`; returns `out`."""
+    def work(part, parts):
+        for b in range(part * _BAND_ROWS, len(out), parts * _BAND_ROWS):
+            rows = slice(b, min(b + _BAND_ROWS, len(out)))
+            out[rows] = band(rows)
+
+    _in_shares(work, -(-len(out) // _BAND_ROWS))
+    return out
+
+
+def _correlate(x: np.ndarray, w: np.ndarray, axis: int, rows: slice) -> np.ndarray:
+    """Rows `rows` of `scipy.ndimage.correlate1d(x, w, axis, mode="reflect")`
+    of a 2-d float64 array, for a symmetric kernel `w` of odd length, as a
+    new array laid out as the padded rows are.  They are summed in the order
+    of scipy's symmetric path: out = x[i]*w[r], then for j = r..1, out +=
+    (x[i-j] + x[i+j])*w[r-j].  Reflect mode mirrors the edge sample
     (d c b a | a b c d), repeatedly for kernels longer than the axis."""
     r, n = len(w) // 2, x.shape[axis]
     k = np.arange(-r, n + r) % (2 * n)
     k = np.minimum(k, 2 * n - 1 - k)  # index of each padded sample along `axis`
-    for b in range(0, x.shape[0], _BAND_ROWS):
-        rows = slice(b, min(b + _BAND_ROWS, x.shape[0]))
-        # the band padded along `axis`; tap s starts s samples into the padding
-        src = x[k[b : rows.stop + 2 * r]] if axis == 0 else x[rows][:, k]
-        m = rows.stop - b if axis == 0 else n
-        taps = [src[(slice(None),) * axis + (slice(s, s + m),)] for s in range(2 * r + 1)]
-        band = taps[r] * w[r]
-        for j in range(r, 0, -1):
-            pair = taps[r - j] + taps[r + j]
-            pair *= w[r - j]
-            band += pair
-        yield rows, band
+    # the rows padded along `axis`; tap s starts s samples into the padding.
+    # The fancy index of axis 1 lays `src` out column-major: each tap is one
+    # contiguous run, and each add below one flat loop
+    src = x[k[rows.start : rows.stop + 2 * r]] if axis == 0 else x[rows][:, k]
+    m = src.shape[axis] - 2 * r
+    taps = [src[(slice(None),) * axis + (slice(s, s + m),)] for s in range(2 * r + 1)]
+    out = taps[r] * w[r]
+    pair = np.empty_like(out)
+    for j in range(r, 0, -1):
+        np.add(taps[r - j], taps[r + j], out=pair)
+        pair *= w[r - j]
+        out += pair
+    return out
 
 
 def _gaussian_filter(x: np.ndarray, sigma: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -210,9 +252,7 @@ def _gaussian_filter(x: np.ndarray, sigma: float, out: np.ndarray | None = None)
     r = int(4.0 * float(sigma) + 0.5)
     w = np.exp(-0.5 / (sigma * sigma) * np.arange(-r, r + 1) ** 2)
     w = w / w.sum()
-    for rows, band in _correlate_bands(x, w, 0):
-        out[rows] = next(_correlate_bands(band, w, 1))[1]
-    return out
+    return _by_bands(out, lambda rows: _correlate(_correlate(x, w, 0, rows), w, 1, slice(None)))
 
 
 def _laplace(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -221,9 +261,7 @@ def _laplace(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     band by band into `out` (new if None, never `x`)."""
     w = np.array([1.0, -2.0, 1.0])
     out = np.empty_like(x) if out is None else out
-    for (rows, d0), (_, d1) in zip(_correlate_bands(x, w, 0), _correlate_bands(x, w, 1)):
-        np.add(d0, d1, out=out[rows])
-    return out
+    return _by_bands(out, lambda rows: _correlate(x, w, 0, rows) + _correlate(x, w, 1, rows))
 
 
 def _box_morphology(bits: np.ndarray, m: int, erode: bool) -> np.ndarray:
@@ -298,8 +336,14 @@ def compute_foreground(slide: PpmSlide, params: FesiParams | None = None) -> For
     if slide.width_px < f or slide.height_px < f:
         raise ForegroundError(
             f"slide {slide.width_px}x{slide.height_px} is smaller than one {f}px mask cell")
-    with closing(pnm.read_ppm_strips(slide.path, f)) as strips:  # closes the file on every path
-        a = _block_luminance(strips, f, (-(-slide.height_px // f), -(-slide.width_px // f)))
+    h = -(-slide.height_px // f)
+    a = np.empty((h, -(-slide.width_px // f)))
+
+    def luminance(part, parts):  # closing() closes the file on every path
+        with closing(pnm.read_ppm_strips(slide.path, f, part, parts)) as strips:
+            _block_luminance(strips, f, a[h * part // parts : h * (part + 1) // parts])
+
+    _in_shares(luminance, h)
     # the mask-scale arrays set the stage's peak memory: every step writes
     # into `a` or `b`, and `a` goes before the threshold's gathers of `smooth`
     b = _gaussian_filter(a, params.pre_sigma, out=np.empty_like(a))

@@ -3,7 +3,7 @@
 These are the only raster formats the pipeline touches: slides come in as
 P6 with an mpp declared on the command line or in a `<image>.mpp` sidecar,
 masks and heatmaps go out as P5 with values 0/255.  Masking reads a slide in
-row strips of about STRIP_BYTES each, so the whole raster is never held.
+row strips of about STRIP_BYTES in all, so the whole raster is never held.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 
-# Bytes of raster that `read_ppm_strips` holds at once, in one reused buffer.
+# Bytes of raster that the readers of one slide hold at once, each in one
+# reused buffer.
 STRIP_BYTES = 4 << 20
 
 
@@ -73,17 +74,22 @@ def ppm_shape(path) -> tuple[int, int]:
         return _read_header(fh, path, b"P6", 3)
 
 
-def read_ppm_strips(path, multiple: int) -> Iterator[np.ndarray]:
-    """A P6 raster as consecutive (rows, width, 3) uint8 strips.  `rows` is
-    the largest multiple of `multiple` whose rows fit STRIP_BYTES, and never
-    fewer than `multiple`; the last strip may be shorter.  Every strip is a
-    view of one buffer that the next strip overwrites."""
+def read_ppm_strips(path, multiple: int, part: int = 0, parts: int = 1) -> Iterator[np.ndarray]:
+    """Share `part` of `parts` of a P6 raster as consecutive (rows, width, 3)
+    uint8 strips: of its B blocks of `multiple` rows, those from B*part//parts
+    to B*(part+1)//parts.  `rows` is the largest multiple of `multiple` whose
+    rows fit STRIP_BYTES // parts, and never fewer than `multiple`; the last
+    strip may be shorter.  Every strip is a view of one buffer that the next
+    strip overwrites."""
     with open(path, "rb") as fh:
         height, width = _read_header(fh, path, b"P6", 3)
-        rows = max(1, STRIP_BYTES // (width * 3 * multiple)) * multiple
-        buf = np.empty((min(rows, height), width, 3), dtype=np.uint8)
-        for r0 in range(0, height, rows):
-            strip = buf[: min(rows, height - r0)]
+        blocks = -(-height // multiple)
+        start, stop = (min(blocks * p // parts * multiple, height) for p in (part, part + 1))
+        rows = max(1, STRIP_BYTES // parts // (width * 3 * multiple)) * multiple
+        buf = np.empty((min(rows, stop - start), width, 3), dtype=np.uint8)
+        fh.seek(start * width * 3, os.SEEK_CUR)
+        for r0 in range(start, stop, rows):
+            strip = buf[: min(rows, stop - r0)]
             got = fh.readinto(strip)
             if got != strip.nbytes:  # the file shrank after its size was checked
                 raise PnmError(f"{path}: raster truncated at row {r0}")

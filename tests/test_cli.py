@@ -390,6 +390,22 @@ class TestTile:
             runs.append({name: (out / name).read_bytes() for name in ("mask.pgm", "tiles.tsv")})
         assert runs[0] == runs[1]
 
+    @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                        reason="needs os.sched_getaffinity and two usable CPUs")
+    def test_outputs_across_cpu_affinity(self, tmp_path):
+        # masking splits its work between one worker per usable CPU
+        img = tmp_path / "disc.ppm"
+        write_ppm(img, noisy_disc(n=1024, radius=300.0, seed=3)[0])
+        one_cpu = min(os.sched_getaffinity(0))
+        runs = []
+        for pin in (lambda: os.sched_setaffinity(0, {one_cpu}), None):
+            out = tmp_path / ("one_cpu" if pin else "all_cpus")
+            subprocess.run([sys.executable, "-m", "tilscore.cli", "tile", str(img), "--mpp", "0.5",
+                            "--out", str(out)],
+                           env=subprocess_env(), preexec_fn=pin, capture_output=True, check=True)
+            runs.append({name: (out / name).read_bytes() for name in ("mask.pgm", "tiles.tsv")})
+        assert runs[0] == runs[1]
+
     def test_truncated_raster_exits_2_before_any_strip(self, tmp_path, monkeypatch, capsys):
         img = tmp_path / "short.ppm"
         img.write_bytes(b"P6\n700 600\n255\n" + bytes(1000))
@@ -420,6 +436,9 @@ class TestTile:
 
         monkeypatch.setattr(pnm, "open", spy_open, raising=False)
         monkeypatch.setattr(pnm, "STRIP_BYTES", 1 << 16)  # 80-row strips
+        # one worker sums the strips in order, so the injected failure ends
+        # the summing; test_foreground.py's TestWorkers fails a second worker
+        monkeypatch.setattr(foreground, "_cpus", lambda: 1)
         for image, patch, code in [(img, False, 0), (short, False, 2), (img, True, 2)]:
             if patch:
                 monkeypatch.setattr(foreground, "_block_sums", failing_block_sums)

@@ -1,3 +1,7 @@
+import io
+import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -65,9 +69,17 @@ def float_block_luminance(pixels, f):
     return lum.reshape(hh // f, f, ww // f, f).mean(axis=(1, 3))
 
 
-def mask_shape(pixels, f):
-    """The mask shape of `pixels` at downsample f: one cell per started block."""
-    return -(-pixels.shape[0] // f), -(-pixels.shape[1] // f)
+def mask_buffer(pixels, f):
+    """A float64 array of the mask shape of `pixels` at downsample f, one cell
+    per started block, for `_block_luminance` to write into."""
+    return np.empty((-(-pixels.shape[0] // f), -(-pixels.shape[1] // f)))
+
+
+def float_luminance_of_share(strips, f, out):
+    """`_block_luminance` by the float reference, for one share's strips."""
+    # each strip is a view of one reused buffer: copy it before the next is read
+    out[...] = float_block_luminance(np.concatenate([strip.copy() for strip in strips]), f)
+    return out
 
 
 # disc fixtures: (side, radius, seed); 1001 is not a multiple of any downsample
@@ -79,13 +91,10 @@ class TestBlockLuminance:
     def test_mask_matches_float_reference(self, side, radius, seed, tmp_path, monkeypatch):
         pixels, _ = noisy_disc(n=side, radius=radius, seed=seed)
         slide = ppm_slide(tmp_path, pixels)
-        small = foreground._block_luminance([pixels], 8, mask_shape(pixels, 8))
+        small = foreground._block_luminance([pixels], 8, mask_buffer(pixels, 8))
         np.testing.assert_allclose(small, float_block_luminance(pixels, 8), rtol=1e-12, atol=0)
         bits = compute_foreground(slide).bits
-        # each strip is a view of one reused buffer: copy it before the next is read
-        monkeypatch.setattr(foreground, "_block_luminance",
-                            lambda strips, f, shape: float_block_luminance(
-                                np.concatenate([strip.copy() for strip in strips]), f))
+        monkeypatch.setattr(foreground, "_block_luminance", float_luminance_of_share)
         assert np.array_equal(bits, compute_foreground(slide).bits)
 
     @pytest.fixture(scope="class")
@@ -100,7 +109,7 @@ class TestBlockLuminance:
         pixels = odd_disc[: shape[0], : shape[1]].copy()
         pixels[-1] = 255  # saturated edge rows and columns, replicated by the padding
         pixels[:, -1] = 0
-        np.testing.assert_allclose(foreground._block_luminance([pixels], f, mask_shape(pixels, f)),
+        np.testing.assert_allclose(foreground._block_luminance([pixels], f, mask_buffer(pixels, f)),
                                    float_block_luminance(pixels, f), rtol=1e-12, atol=0)
 
     # strips of 1, 2 and 5 mask rows; every shape leaves a last strip shorter
@@ -109,11 +118,11 @@ class TestBlockLuminance:
     @pytest.mark.parametrize("shape", [(1001, 1001), (1001, 777), (640, 1203)])
     def test_strips_match_the_whole_raster_bytewise(self, odd_disc, f, shape):
         pixels = odd_disc[: shape[0], : shape[1]]
-        whole = foreground._block_luminance([pixels], f, mask_shape(pixels, f))
+        whole = foreground._block_luminance([pixels], f, mask_buffer(pixels, f))
         for blocks in (1, 2, 5):
             rows = blocks * f
             strips = (pixels[r0 : r0 + rows] for r0 in range(0, shape[0], rows))
-            small = foreground._block_luminance(strips, f, whole.shape)
+            small = foreground._block_luminance(strips, f, np.empty_like(whole))
             assert small.shape == whole.shape and small.tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("f", [1, 8, 17])
@@ -121,15 +130,14 @@ class TestBlockLuminance:
         pixels = odd_disc[:1001, :777]
         slide = ppm_slide(tmp_path, pixels)
         monkeypatch.setattr(pnm, "STRIP_BYTES", 80 << 10)  # 35 rows of 777 pixels
-        shape = mask_shape(pixels, f)
-        whole = foreground._block_luminance([pixels], f, shape).tobytes()
+        whole = foreground._block_luminance([pixels], f, mask_buffer(pixels, f)).tobytes()
         strips = pnm.read_ppm_strips(slide.path, f)
-        assert foreground._block_luminance(strips, f, shape).tobytes() == whole
+        assert foreground._block_luminance(strips, f, mask_buffer(pixels, f)).tobytes() == whole
 
     def test_saturated_blocks_do_not_wrap(self):
         for f in (16, 17, 300):
             pixels = np.full((f + 1, 2 * f - 1, 3), 255, dtype=np.uint8)
-            np.testing.assert_allclose(foreground._block_luminance([pixels], f, (2, 2)),
+            np.testing.assert_allclose(foreground._block_luminance([pixels], f, np.empty((2, 2))),
                                        np.full((2, 2), 255.0), rtol=1e-12, atol=0)
 
     def test_traced_peak_is_a_fraction_of_the_slide(self, disc_slide, monkeypatch):
@@ -162,6 +170,70 @@ class TestBlockLuminance:
     def test_bad_downsample_rejected(self, f, tmp_path):
         with pytest.raises(ForegroundError, match="downsample"):
             compute_foreground(uniform_slide(tmp_path, 255, 64), FesiParams(downsample=f))
+
+
+# the FesiParams of the worker-count tests: the default, three downsamples
+# and no pre-blur with a narrow smooth
+WORKER_PARAMS = {"default": FesiParams(), "downsample4": FesiParams(downsample=4),
+                 "downsample17": FesiParams(downsample=17), "downsample1": FesiParams(downsample=1),
+                 "smooth3": FesiParams(pre_sigma=0.0, smooth_sigma=3.0)}
+
+
+class TestWorkers:
+    """Masking splits its row-independent work between one worker per usable
+    CPU (`foreground._cpus`); the masks do not depend on how many there are."""
+
+    @pytest.fixture(scope="class")
+    def slides(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("workers")
+        tall = noisy_disc(n=1391, radius=500.0, seed=5)[0][:, :777]  # 777 x 1391
+        return [ppm_slide(directory, noisy_disc(n=1203, radius=450.0, seed=4)[0], "square"),
+                ppm_slide(directory, tall, "tall")]
+
+    @pytest.mark.parametrize("params", WORKER_PARAMS.values(), ids=WORKER_PARAMS.keys())
+    def test_masks_equal_at_one_two_and_three_workers(self, slides, params, monkeypatch):
+        monkeypatch.setattr(pnm, "STRIP_BYTES", 80 << 10)  # shares of uneven strips
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, so overlapping writes would show
+        try:
+            for slide in slides:
+                masks = []
+                for workers in (1, 2, 3):
+                    monkeypatch.setattr(foreground, "_cpus", lambda n=workers: n)
+                    bits = compute_foreground(slide, params).bits
+                    masks.append((bits.shape, bits.tobytes()))
+                assert masks[1] == masks[0] and masks[2] == masks[0]
+        finally:
+            sys.setswitchinterval(interval)
+
+    # 256 rows at downsample 8 in two shares: rows 0-127 and 128-255, each
+    # read in strips of 40 rows.  A raster that ends at row 180 fails the
+    # second share only, in its strip from row 168; one that ends at row 50
+    # fails both, and the first share's strip from row 40 is named.
+    @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
+    @pytest.mark.parametrize("end_row,row", [(180, 168), (50, 40)])
+    def test_short_raster_named_by_the_first_failing_share(self, tmp_path, monkeypatch,
+                                                           end_row, row):
+        slide = uniform_slide(tmp_path, 128, 256)
+        end = slide.path.stat().st_size - (256 - end_row) * 256 * 3
+        opened = []
+
+        class ShortRaster(io.FileIO):  # the file shrank after its size was checked
+            def readinto(self, buf):
+                return super().readinto(memoryview(buf).cast("B")[: max(end - self.tell(), 0)])
+
+        def short_open(path, mode):
+            opened.append(ShortRaster(path, mode))
+            return opened[-1]
+
+        monkeypatch.setattr(pnm, "open", short_open, raising=False)
+        monkeypatch.setattr(pnm, "STRIP_BYTES", 64 << 10)
+        monkeypatch.setattr(foreground, "_cpus", lambda: 2)
+        threads = threading.active_count()
+        with pytest.raises(PnmError, match=f"^{re.escape(str(slide.path))}: raster truncated at row {row}$"):
+            compute_foreground(slide)
+        assert threading.active_count() == threads
+        assert len(opened) == 2 and all(fh.closed for fh in opened)
 
 
 # shapes for the oracle tests: single cells, single rows and columns, and
@@ -222,6 +294,13 @@ class TestScipyOracle:
         buf[...] = np.nan
         assert foreground._laplace(x, out=buf) is buf
         assert np.array_equal(buf, ndimage.laplace(x))
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES)
+    def test_gaussian_and_laplace_at_worker_counts(self, shape, workers, ndimage, monkeypatch):
+        # shapes of more than one band are split between the workers
+        monkeypatch.setattr(foreground, "_cpus", lambda: workers)
+        self.test_gaussian_and_laplace(shape, ndimage)
 
     @pytest.mark.parametrize("shape", ORACLE_SHAPES)
     @pytest.mark.parametrize("m", range(1, 7))
