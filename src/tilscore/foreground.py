@@ -16,17 +16,14 @@ imports no scipy module.
 
 A slide is a `PpmSlide`: a P6 file left on disk, whose header and size
 are checked when it is opened.  Masking streams it in row strips, each a
-whole number of mask rows tall: each strip is folded into per-channel block
-sums, and their luminance written into its rows of the map, before the next
-is read.  Every later mask-scale step writes into one of two float64 arrays
-of the mask's shape, and the separable filters run in bands of `_BAND_ROWS`
-rows, so no intermediate image is ever whole.  One worker per usable CPU
-reads its own share of the strips, within an equal part of
-`pnm.STRIP_BYTES`, and filters every nth band, each with the same sums at
-any worker count.  So besides at most two mask-scale arrays it holds one
-band per worker, or `pnm.STRIP_BYTES` of strips and their row sums (2/f of
-their bytes at downsample f <= 16, 4/f above).  No full-resolution array is
-built, from a file or in floats.
+whole number of mask rows tall, folded into per-channel block sums and their
+luminance written into its rows of the map before the next is read.  Every
+later mask-scale step writes into one of two float64 arrays of the mask's
+shape, and the separable filters run in bands of `_BAND_ROWS` rows.  Each
+step's rows are shared between up to two workers, one per usable CPU, with
+the same sums at any worker count.  So besides two mask-scale arrays it
+holds a band per worker, or about `pnm.STRIP_BYTES` of strips and their row
+sums (2/f of their bytes at downsample f <= 16, 4/f above); no full-size array.
 
 Tiles are laid on an exact grid in target-resolution space (512 px at
 0.5 mpp by default) and reported as source-pixel coordinates; a tile is
@@ -168,21 +165,24 @@ def _isodata_threshold(values: np.ndarray, iters: int) -> float:
     return t
 
 
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+def _workers() -> int:
+    """One per CPU this process may run on, at most 2: the most measured."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(cpus or 1, 2)
 
 
-def _in_shares(work: Callable[[int, int], None], shares: int) -> None:
-    """Run `work(part, parts)` for each part: one per usable CPU, at most
-    `shares`, part 0 on the calling thread and each other on a thread of its
-    own.  All are joined, then the lowest failing part's error is raised."""
-    parts = min(_cpus(), shares)
+def _in_shares(work: Callable[[slice, int], object], n: int, step: int) -> None:
+    """Call `work(rows, parts)` on runs of at most `step` of rows 0..n, in one
+    contiguous share per worker, share 0 on the calling thread and each other
+    on its own; all are joined, then the lowest failing share's error raised."""
+    parts = min(_workers(), n)
     errors: list[BaseException | None] = [None] * parts
 
     def run(part):
+        stop = n * (part + 1) // parts
         try:
-            work(part, parts)
+            for b in range(n * part // parts, stop, step):
+                work(slice(b, min(b + step, stop)), parts)
         except BaseException as exc:
             errors[part] = exc
 
@@ -198,36 +198,21 @@ def _in_shares(work: Callable[[int, int], None], shares: int) -> None:
         raise exc
 
 
-# rows per band of `_by_bands`: the operands of a band stay in cache, and
-# the filters below hold at most one band of an intermediate per part
+# rows per band of the filters below: the operands of a band stay in cache,
+# and no share holds more than one band of an intermediate
 _BAND_ROWS = 32
-
-
-def _by_bands(out: np.ndarray, band: Callable[[slice], np.ndarray]) -> np.ndarray:
-    """out[rows] = band(rows) for each band of `_BAND_ROWS` rows of `out`,
-    the bands dealt in turn to the parts of `_in_shares`; returns `out`."""
-    def work(part, parts):
-        for b in range(part * _BAND_ROWS, len(out), parts * _BAND_ROWS):
-            rows = slice(b, min(b + _BAND_ROWS, len(out)))
-            out[rows] = band(rows)
-
-    _in_shares(work, -(-len(out) // _BAND_ROWS))
-    return out
 
 
 def _correlate(x: np.ndarray, w: np.ndarray, axis: int, rows: slice) -> np.ndarray:
     """Rows `rows` of `scipy.ndimage.correlate1d(x, w, axis, mode="reflect")`
-    of a 2-d float64 array, for a symmetric kernel `w` of odd length, as a
-    new array laid out as the padded rows are.  They are summed in the order
-    of scipy's symmetric path: out = x[i]*w[r], then for j = r..1, out +=
-    (x[i-j] + x[i+j])*w[r-j].  Reflect mode mirrors the edge sample
-    (d c b a | a b c d), repeatedly for kernels longer than the axis."""
+    of a 2-d float64 array, for a symmetric kernel `w` of odd length, summed
+    in the order of scipy's symmetric path: out = x[i]*w[r], then for j =
+    r..1, out += (x[i-j] + x[i+j])*w[r-j].  Reflect mode mirrors the edge
+    sample (d c b a | a b c d), repeatedly for kernels longer than the axis."""
     r, n = len(w) // 2, x.shape[axis]
     k = np.arange(-r, n + r) % (2 * n)
     k = np.minimum(k, 2 * n - 1 - k)  # index of each padded sample along `axis`
-    # the rows padded along `axis`; tap s starts s samples into the padding.
-    # The fancy index of axis 1 lays `src` out column-major: each tap is one
-    # contiguous run, and each add below one flat loop
+    # padded rows, column-major along axis 1; tap s starts s samples into the pad
     src = x[k[rows.start : rows.stop + 2 * r]] if axis == 0 else x[rows][:, k]
     m = src.shape[axis] - 2 * r
     taps = [src[(slice(None),) * axis + (slice(s, s + m),)] for s in range(2 * r + 1)]
@@ -252,7 +237,9 @@ def _gaussian_filter(x: np.ndarray, sigma: float, out: np.ndarray | None = None)
     r = int(4.0 * float(sigma) + 0.5)
     w = np.exp(-0.5 / (sigma * sigma) * np.arange(-r, r + 1) ** 2)
     w = w / w.sum()
-    return _by_bands(out, lambda rows: _correlate(_correlate(x, w, 0, rows), w, 1, slice(None)))
+    _in_shares(lambda rows, _: np.copyto(
+        out[rows], _correlate(_correlate(x, w, 0, rows), w, 1, slice(None))), len(out), _BAND_ROWS)
+    return out
 
 
 def _laplace(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -261,7 +248,9 @@ def _laplace(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     band by band into `out` (new if None, never `x`)."""
     w = np.array([1.0, -2.0, 1.0])
     out = np.empty_like(x) if out is None else out
-    return _by_bands(out, lambda rows: _correlate(x, w, 0, rows) + _correlate(x, w, 1, rows))
+    _in_shares(lambda rows, _: np.add(_correlate(x, w, 0, rows), _correlate(x, w, 1, rows),
+                                      out=out[rows]), len(out), _BAND_ROWS)
+    return out
 
 
 def _box_morphology(bits: np.ndarray, m: int, erode: bool) -> np.ndarray:
@@ -336,14 +325,13 @@ def compute_foreground(slide: PpmSlide, params: FesiParams | None = None) -> For
     if slide.width_px < f or slide.height_px < f:
         raise ForegroundError(
             f"slide {slide.width_px}x{slide.height_px} is smaller than one {f}px mask cell")
-    h = -(-slide.height_px // f)
-    a = np.empty((h, -(-slide.width_px // f)))
+    a = np.empty((-(-slide.height_px // f), -(-slide.width_px // f)))
 
-    def luminance(part, parts):  # closing() closes the file on every path
-        with closing(pnm.read_ppm_strips(slide.path, f, part, parts)) as strips:
-            _block_luminance(strips, f, a[h * part // parts : h * (part + 1) // parts])
+    def luminance(rows, parts):  # closing() closes the file on every path
+        with closing(pnm.read_ppm_strips(slide.path, f, rows, parts)) as strips:
+            _block_luminance(strips, f, a[rows])
 
-    _in_shares(luminance, h)
+    _in_shares(luminance, len(a), len(a))
     # the mask-scale arrays set the stage's peak memory: every step writes
     # into `a` or `b`, and `a` goes before the threshold's gathers of `smooth`
     b = _gaussian_filter(a, params.pre_sigma, out=np.empty_like(a))

@@ -16,8 +16,7 @@ from pathlib import Path
 import numpy as np
 
 
-# Bytes of raster that the readers of one slide hold at once, each in one
-# reused buffer.
+# Raster bytes the readers of one slide hold at once in all, each at least one block of rows.
 STRIP_BYTES = 4 << 20
 
 
@@ -74,17 +73,15 @@ def ppm_shape(path) -> tuple[int, int]:
         return _read_header(fh, path, b"P6", 3)
 
 
-def read_ppm_strips(path, multiple: int, part: int = 0, parts: int = 1) -> Iterator[np.ndarray]:
-    """Share `part` of `parts` of a P6 raster as consecutive (rows, width, 3)
-    uint8 strips: of its B blocks of `multiple` rows, those from B*part//parts
-    to B*(part+1)//parts.  `rows` is the largest multiple of `multiple` whose
-    rows fit STRIP_BYTES // parts, and never fewer than `multiple`; the last
-    strip may be shorter.  Every strip is a view of one buffer that the next
-    strip overwrites."""
+def read_ppm_strips(path, multiple: int, blocks=slice(None), parts=1) -> Iterator[np.ndarray]:
+    """The rows of a P6 raster in `blocks`, a slice of its blocks of
+    `multiple` rows, as consecutive (rows, width, 3) uint8 strips.  `rows` is
+    the largest multiple of `multiple` whose rows fit STRIP_BYTES // parts,
+    and never fewer than `multiple`; the last strip may be shorter.  Every
+    strip is a view of one buffer that the next strip overwrites."""
     with open(path, "rb") as fh:
         height, width = _read_header(fh, path, b"P6", 3)
-        blocks = -(-height // multiple)
-        start, stop = (min(blocks * p // parts * multiple, height) for p in (part, part + 1))
+        start, stop = (min(b * multiple, height) for b in blocks.indices(height)[:2])
         rows = max(1, STRIP_BYTES // parts // (width * 3 * multiple)) * multiple
         buf = np.empty((min(rows, stop - start), width, 3), dtype=np.uint8)
         fh.seek(start * width * 3, os.SEEK_CUR)

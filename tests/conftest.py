@@ -1,3 +1,4 @@
+import os
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +56,13 @@ def read_manifest(path) -> tuple[int, float, np.ndarray, np.ndarray]:
 def mask_iou(a: np.ndarray, b: np.ndarray) -> float:
     union = np.logical_or(a, b).sum()
     return float(np.logical_and(a, b).sum() / union) if union else 1.0
+
+
+@pytest.fixture
+def eight_cpus(monkeypatch):
+    """The process may run on eight CPUs, whatever the host has, so masking
+    runs its largest number of workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
 
 
 @pytest.fixture

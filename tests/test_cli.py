@@ -359,7 +359,7 @@ class TestTile:
         assert run("tile", img, "--mpp", 0.5, "--out", out, "--config", cfg) == 0
         assert read_pgm(out / "mask.pgm").shape == (64, 64)
 
-    def test_raster_is_streamed_in_strips(self, tmp_path, monkeypatch):
+    def test_raster_is_streamed_in_strips(self, tmp_path, monkeypatch, eight_cpus):
         pixels, _ = noisy_disc(n=2048, radius=800.0)
         img = tmp_path / "blob.ppm"
         write_ppm(img, pixels)
@@ -393,7 +393,7 @@ class TestTile:
     @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
                         reason="needs os.sched_getaffinity and two usable CPUs")
     def test_outputs_across_cpu_affinity(self, tmp_path):
-        # masking splits its work between one worker per usable CPU
+        # masking splits its work between one worker per usable CPU, up to two
         img = tmp_path / "disc.ppm"
         write_ppm(img, noisy_disc(n=1024, radius=300.0, seed=3)[0])
         one_cpu = min(os.sched_getaffinity(0))
@@ -438,7 +438,7 @@ class TestTile:
         monkeypatch.setattr(pnm, "STRIP_BYTES", 1 << 16)  # 80-row strips
         # one worker sums the strips in order, so the injected failure ends
         # the summing; test_foreground.py's TestWorkers fails a second worker
-        monkeypatch.setattr(foreground, "_cpus", lambda: 1)
+        monkeypatch.setattr(foreground, "_workers", lambda: 1)
         for image, patch, code in [(img, False, 0), (short, False, 2), (img, True, 2)]:
             if patch:
                 monkeypatch.setattr(foreground, "_block_sums", failing_block_sums)

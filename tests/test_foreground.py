@@ -1,4 +1,5 @@
 import io
+import os
 import re
 import sys
 import threading
@@ -140,7 +141,7 @@ class TestBlockLuminance:
             np.testing.assert_allclose(foreground._block_luminance([pixels], f, np.empty((2, 2))),
                                        np.full((2, 2), 255.0), rtol=1e-12, atol=0)
 
-    def test_traced_peak_is_a_fraction_of_the_slide(self, disc_slide, monkeypatch):
+    def test_traced_peak_is_a_fraction_of_the_slide(self, disc_slide, monkeypatch, eight_cpus):
         slide, _ = disc_slide
         nbytes = slide.width_px * slide.height_px * 3
         monkeypatch.setattr(pnm, "STRIP_BYTES", 1 << 20)  # 1 MiB: 13 strips
@@ -152,9 +153,10 @@ class TestBlockLuminance:
             tracemalloc.stop()
         assert peak < nbytes / 2, f"peak {peak} of {nbytes} bytes"
 
-    def test_traced_peak_is_under_three_mask_arrays(self, tmp_path, monkeypatch):
+    def test_traced_peak_is_under_three_mask_arrays(self, tmp_path, monkeypatch, eight_cpus):
         # the mask-scale steps write into two float64 arrays, and the
-        # threshold's gathers come after the first is freed
+        # threshold's gathers come after the first is freed; each worker
+        # adds a band
         slide = ppm_slide(tmp_path, noisy_disc(n=1024, radius=300.0, seed=3)[0])
         mask_bytes = 1024 * 1024 * 8
         monkeypatch.setattr(pnm, "STRIP_BYTES", 1 << 20)
@@ -181,7 +183,17 @@ WORKER_PARAMS = {"default": FesiParams(), "downsample4": FesiParams(downsample=4
 
 class TestWorkers:
     """Masking splits its row-independent work between one worker per usable
-    CPU (`foreground._cpus`); the masks do not depend on how many there are."""
+    CPU, at most two (`foreground._workers`); the masks do not depend on how
+    many there are.  Three workers never run, but split the rows unevenly."""
+
+    def test_at_most_two_workers(self, monkeypatch, eight_cpus):
+        assert foreground._workers() == 2
+        seen = []
+        foreground._in_shares(lambda rows, parts: seen.append((rows, parts)), 100, 30)
+        assert sorted(seen, key=lambda run: run[0].start) == [
+            (slice(0, 30), 2), (slice(30, 50), 2), (slice(50, 80), 2), (slice(80, 100), 2)]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        assert foreground._workers() == 1
 
     @pytest.fixture(scope="class")
     def slides(self, tmp_path_factory):
@@ -199,7 +211,7 @@ class TestWorkers:
             for slide in slides:
                 masks = []
                 for workers in (1, 2, 3):
-                    monkeypatch.setattr(foreground, "_cpus", lambda n=workers: n)
+                    monkeypatch.setattr(foreground, "_workers", lambda n=workers: n)
                     bits = compute_foreground(slide, params).bits
                     masks.append((bits.shape, bits.tobytes()))
                 assert masks[1] == masks[0] and masks[2] == masks[0]
@@ -228,7 +240,7 @@ class TestWorkers:
 
         monkeypatch.setattr(pnm, "open", short_open, raising=False)
         monkeypatch.setattr(pnm, "STRIP_BYTES", 64 << 10)
-        monkeypatch.setattr(foreground, "_cpus", lambda: 2)
+        monkeypatch.setattr(foreground, "_workers", lambda: 2)
         threads = threading.active_count()
         with pytest.raises(PnmError, match=f"^{re.escape(str(slide.path))}: raster truncated at row {row}$"):
             compute_foreground(slide)
@@ -299,7 +311,7 @@ class TestScipyOracle:
     @pytest.mark.parametrize("shape", ORACLE_SHAPES)
     def test_gaussian_and_laplace_at_worker_counts(self, shape, workers, ndimage, monkeypatch):
         # shapes of more than one band are split between the workers
-        monkeypatch.setattr(foreground, "_cpus", lambda: workers)
+        monkeypatch.setattr(foreground, "_workers", lambda: workers)
         self.test_gaussian_and_laplace(shape, ndimage)
 
     @pytest.mark.parametrize("shape", ORACLE_SHAPES)
