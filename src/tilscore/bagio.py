@@ -9,8 +9,8 @@ it returns, after checking their declared size against the bytes left.
 A `BagFile` keeps a scanned bag in its file and reads its features again
 each time they are asked for.
 
-The clinical and predictions CSVs are read row by row with `csv.reader`,
-each column found by the position that the header gives it.
+The clinical and predictions CSVs are UTF-8 text read by one positional
+`csv.reader` loop, `_csv_table`, whose errors name the file and its line.
 
 The synthetic generator plants a latent per-tile density d in [0, 1],
 embeds (d, noise) through a fixed random linear map, and labels the slide
@@ -24,6 +24,7 @@ import csv
 import math
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -183,8 +184,8 @@ class BagFile:
 # Clinical records
 # ---------------------------------------------------------------------------
 
-MANDATORY_COLUMNS = ("slide_id", "til_score_pct")
-RESERVED_COLUMNS = MANDATORY_COLUMNS + ("cohort", "centre", "til_score_pct_2", "os_months", "os_event")
+RESERVED_COLUMNS = ("slide_id", "til_score_pct", "cohort", "centre", "til_score_pct_2", "os_months",
+                    "os_event")
 
 
 @dataclass
@@ -220,23 +221,50 @@ def _number(raw, lineno: int, column: str, kind=float):
         raise ClinicalSchemaError(f"line {lineno}: {column} {raw!r} is not {what}") from None
 
 
-def _records(reader, width: int):
-    """Each non-blank row of `reader` as `csv.DictReader` reads it under a
-    header of `width` names: extra cells dropped, absent ones empty.  One
-    more empty cell follows, for a column the header lacks to read at -1."""
+def _rows(reader, width: int, i_sid: int, i_score: int, score_col: str):
+    """(physical line, stripped slide id, `score_col` number, row) for each
+    non-blank row, read as `csv.DictReader` reads it under a header of
+    `width` names: extra cells dropped, absent ones empty, and one more
+    empty cell for a column the header lacks to read at -1."""
+    line_of = {}
     for row in reader:
         if len(row) != width:
             if not row:
                 continue
             row = row[:width] + [""] * (width - len(row))
         row.append("")
-        yield row
+        lineno = reader.line_num
+        sid = row[i_sid].strip()
+        if not sid:
+            raise ClinicalSchemaError(f"line {lineno}: empty slide_id")
+        _check_repeat(line_of, sid, lineno)
+        raw_score = row[i_score].strip()
+        if not raw_score:
+            raise ClinicalSchemaError(f"line {lineno}: missing {score_col}")
+        yield lineno, sid, _number(raw_score, lineno, score_col), row
 
 
-def _column_index(header: list[str]) -> dict[str, int]:
-    """Each header name's cell index.  A repeated name takes its last
-    occurrence, as in `csv.DictReader`, and keeps the place of its first."""
-    return {name: i for i, name in enumerate(header)}
+@contextmanager
+def _csv_table(path, score_col: str, missing: str):
+    """Each header name's cell index and the `_rows` of the UTF-8 CSV `path`;
+    `missing.format(column)` is the error for a header without `slide_id` or
+    `score_col`.  Every error in the `with` block, the caller's too, names the path."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # -sig: skip a byte-order mark
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None) or []
+            for col in ("slide_id", score_col):
+                if col not in header:
+                    raise ClinicalSchemaError(missing.format(col))
+            # a repeated name reads its last cell and keeps its first place, as in csv.DictReader
+            index = {name: i for i, name in enumerate(header)}
+            yield index, _rows(reader, len(header), index["slide_id"], index[score_col], score_col)
+        except (ClinicalSchemaError, csv.Error) as exc:  # csv.Error: a cell over csv's size limit
+            raise ClinicalSchemaError(f"{path}: {exc}") from None
+        except UnicodeDecodeError as exc:  # exc.start counts from the chunk being decoded
+            at = fh.buffer.tell() - len(exc.object) + exc.start
+            raise ClinicalSchemaError(
+                f"{path}: not UTF-8 text ({exc.reason} at byte {at})") from None
 
 
 def load_clinical(path) -> list[SlideRecord]:
@@ -248,34 +276,18 @@ def load_clinical(path) -> list[SlideRecord]:
     A slide id may appear on one line only.  The table reads as
     `csv.DictReader` reads it: a repeated column name reads its last
     occurrence, a short row's missing cells are empty, extra cells are
-    ignored and blank lines are skipped.  Errors name the file's physical
-    line, blank lines included.
+    ignored and blank lines are skipped.  Errors name the path and the
+    file's physical line, blank lines included.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        for col in MANDATORY_COLUMNS:
-            if col not in header:
-                raise ClinicalSchemaError(f"missing mandatory column {col!r}")
-        index = _column_index(header)
-        i_sid, i_score, i_second, i_months, i_event, i_cohort, i_centre = (
-            index.get(col, -1) for col in ("slide_id", "til_score_pct", "til_score_pct_2",
-                                           "os_months", "os_event", "cohort", "centre"))
+    with _csv_table(path, "til_score_pct", "missing mandatory column {!r}") as (index, rows):
+        i_second, i_months, i_event, i_cohort, i_centre = (index.get(col, -1) for col in (
+            "til_score_pct_2", "os_months", "os_event", "cohort", "centre"))
         covariate_cols = [(key, i) for key, i in index.items() if key not in RESERVED_COLUMNS]
         # covariate cells repeat down a column (a grade, a histology), so
         # each distinct cell is parsed once
         parsed: dict[str, float | str] = {}
-        records, line_of = [], {}
-        for row in _records(reader, len(header)):
-            lineno = reader.line_num
-            sid = row[i_sid].strip()
-            if not sid:
-                raise ClinicalSchemaError(f"line {lineno}: empty slide_id")
-            _check_repeat(line_of, sid, lineno)
-            raw_score = row[i_score].strip()
-            if not raw_score:
-                raise ClinicalSchemaError(f"line {lineno}: missing til_score_pct")
-            score = _number(raw_score, lineno, "til_score_pct")
+        records = []
+        for lineno, sid, score, row in rows:
             if row[i_second].strip():
                 score = (score + _number(row[i_second], lineno, "til_score_pct_2")) / 2.0
             if not 0.0 <= score <= 100.0:
@@ -322,7 +334,7 @@ def write_clinical(records: list[SlideRecord], path) -> None:
     if has_surv:
         header += ["os_months", "os_event"]
     header += cov_cols
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         for r in records:
@@ -335,7 +347,7 @@ def write_clinical(records: list[SlideRecord], path) -> None:
 
 
 def write_predictions(pairs: list[tuple[str, float]], path) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["slide_id", "ectil_score"])
         for sid, score in pairs:
@@ -344,26 +356,11 @@ def write_predictions(pairs: list[tuple[str, float]], path) -> None:
 
 def read_predictions(path) -> dict[str, float]:
     """Each slide id's score in [0, 1], read as `load_clinical` reads its
-    table: ids stripped, columns by position, errors by physical line, and
-    a short row's absent score cell missing, like an empty one."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or not {"slide_id", "ectil_score"} <= set(header):
-            raise ClinicalSchemaError("predictions CSV needs slide_id and ectil_score columns")
-        index = _column_index(header)
-        i_sid, i_score = index["slide_id"], index["ectil_score"]
-        out, line_of = {}, {}
-        for row in _records(reader, len(header)):
-            lineno = reader.line_num
-            sid = row[i_sid].strip()
-            if not sid:
-                raise ClinicalSchemaError(f"line {lineno}: empty slide_id")
-            _check_repeat(line_of, sid, lineno)
-            raw_score = row[i_score].strip()
-            if not raw_score:
-                raise ClinicalSchemaError(f"line {lineno}: missing ectil_score")
-            score = _number(raw_score, lineno, "ectil_score")
+    table; a short row's absent score cell is missing, like an empty one."""
+    out = {}
+    with _csv_table(path, "ectil_score",
+                    "predictions CSV needs slide_id and ectil_score columns") as (_, rows):
+        for lineno, sid, score, _ in rows:
             if not 0.0 <= score <= 1.0:
                 raise ClinicalSchemaError(f"line {lineno}: ectil_score {score} outside [0, 1]")
             out[sid] = score

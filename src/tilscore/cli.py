@@ -441,7 +441,7 @@ def cmd_survival(args) -> int:
               "normalization": {"min": norm_min, "max": norm_max},
               "cox": cox_blocks, "km": km_summary}
     _write_json(out / "survival.json", report)
-    with open(out / "cox_report.csv", "w") as fh:
+    with open(out / "cox_report.csv", "w", encoding="utf-8") as fh:
         fh.write("model,variable,hr,ci_low,ci_high,p\n")
         for block in cox_blocks:
             for row in block["rows"]:

@@ -156,10 +156,12 @@ def build_dataset(times, events, columns: dict, specs: list[CovariateSpec]) -> S
         else:
             strs = vals[present].astype(str)
             seen = np.unique(strs)
-            ref = spec.ref if spec.ref is not None else seen[0]
+            ref = spec.ref if spec.ref is not None else str(seen[0])
             if ref not in seen:
                 raise SurvivalError(f"reference level {spec.ref!r} not observed in {spec.column!r}")
             levels = seen[seen != ref]
+            if not levels.size:  # no indicator column: the models would silently lose it
+                raise RankDeficiencyError(f"factor {spec.column!r} has only one level, {ref!r}")
             block = np.zeros((n, levels.size))
             block[present] = strs[:, None] == levels
             names.extend(f"{spec.column}={lv}" for lv in levels)
@@ -281,7 +283,7 @@ def _check_design(X: np.ndarray, columns: list[str]) -> None:
         centered = X - X.mean(axis=0)
         s = np.linalg.svd(centered, compute_uv=False)
         if s[-1] < 1e-10 * max(s[0], 1.0):
-            _, _, vt = np.linalg.svd(centered)
+            _, _, vt = np.linalg.svd(centered, full_matrices=False)  # no n x n U
             j = int(np.argmax(np.abs(vt[-1])))
             raise RankDeficiencyError(f"design is rank deficient (involves {columns[j]!r})")
 

@@ -2,15 +2,20 @@ import csv
 import hashlib
 import io
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tilscore
 from tilscore.bagio import (
     RESERVED_COLUMNS,
     BagFile,
@@ -380,7 +385,8 @@ class TestPredictionsCsv:
         path = tmp_path / "preds.csv"
         for row in ("b", "b, "):  # a short row, an empty score cell
             path.write_text(f"slide_id,ectil_score\na,0.5\n{row}\n")
-            with pytest.raises(ClinicalSchemaError, match="^line 3: missing ectil_score$"):
+            with pytest.raises(ClinicalSchemaError,
+                               match=f"^{re.escape(str(path))}: line 3: missing ectil_score$"):
                 read_predictions(path)
 
     def test_ids_are_stripped(self, tmp_path):
@@ -394,7 +400,8 @@ class TestPredictionsCsv:
     def test_empty_id_names_line(self, tmp_path, text, line):
         path = tmp_path / "preds.csv"
         path.write_text("slide_id,ectil_score\n" + text)
-        with pytest.raises(ClinicalSchemaError, match=f"^line {line}: empty slide_id$"):
+        with pytest.raises(ClinicalSchemaError,
+                           match=f"^{re.escape(str(path))}: line {line}: empty slide_id$"):
             read_predictions(path)
 
     def test_stripped_ids_repeat(self, tmp_path):
@@ -414,7 +421,8 @@ class TestPhysicalLines:
     ])
     def test_bad_cell_after_a_blank_line(self, tmp_path, loader, header, bad):
         path = csv_file(tmp_path, f"{header}\ns1,0.1\n\n{bad}\n")
-        with pytest.raises(ClinicalSchemaError, match=r"^line 4: \w+ 'abc' is not a number$"):
+        with pytest.raises(ClinicalSchemaError, match=f"^{re.escape(str(path))}: "
+                                                      r"line 4: \w+ 'abc' is not a number$"):
             loader(path)
 
     @pytest.mark.parametrize("loader, header", [
@@ -428,8 +436,80 @@ class TestPhysicalLines:
 
     def test_quoted_cell_over_two_lines(self, tmp_path):
         path = csv_file(tmp_path, 'slide_id,til_score_pct,note\na,10,"two\nlines"\nb,x,\n')
-        with pytest.raises(ClinicalSchemaError, match="^line 4: til_score_pct 'x' is not a number$"):
+        with pytest.raises(ClinicalSchemaError, match=f"^{re.escape(str(path))}: "
+                                                      "line 4: til_score_pct 'x' is not a number$"):
             load_clinical(path)
+
+
+class TestCsvFiles:
+    """Both CSVs are UTF-8 text, and every error starts with the file's path."""
+
+    @pytest.mark.parametrize("loader, text", [
+        (load_clinical, "slide_id,til_score_pct,grade\nsé,10,G1\nb,20,\n"),
+        (read_predictions, "slide_id,ectil_score\nsé,0.1\nb,0.2\n"),
+    ], ids=["clinical", "predictions"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, loader, text):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(text.encode("utf-8-sig"))  # as Excel's "CSV UTF-8" writes it
+        assert loader(marked) == loader(plain)
+
+    # a bad byte in the first chunk that the text layer decodes, and far past
+    # it, behind two-byte characters that may straddle a chunk's end
+    @pytest.mark.parametrize("rows", [0, 2000])
+    @pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"], ids=["plain", "marked"])
+    def test_non_utf8_names_file_and_byte(self, tmp_path, rows, mark):
+        path = tmp_path / "latin.csv"
+        head = mark + "slide_id,til_score_pct,note\n".encode() + b"".join(
+            f"s{i},1,{'é' * (i % 5)}\n".encode() for i in range(rows)) + b"a,10,caf"
+        path.write_bytes(head + "é\n".encode("latin-1"))
+        message = f"{path}: not UTF-8 text (invalid continuation byte at byte {len(head)})"
+        with pytest.raises(ClinicalSchemaError, match=f"^{re.escape(message)}$"):
+            load_clinical(path)
+
+    def test_overlong_cell_names_the_file(self, tmp_path):
+        # an unclosed quote takes the rest of the file into one cell
+        path = csv_file(tmp_path, 'slide_id,ectil_score\na,0.1\nb,"0.2\n' + "x" * 200_000 + "\n")
+        with pytest.raises(ClinicalSchemaError, match=f"^{re.escape(str(path))}: "
+                                                      r"field larger than field limit \(\d+\)$"):
+            read_predictions(path)
+
+    @pytest.mark.parametrize("loader, text, message", [
+        (load_clinical, "slide_id,cohort\na,c\n", "missing mandatory column 'til_score_pct'"),
+        (load_clinical, "slide_id,til_score_pct\na,101\n",
+         "line 2: til_score_pct 101.0 outside [0, 100]"),
+        (load_clinical, "slide_id,til_score_pct,os_event\na,10,2\n",
+         "line 2: os_months and os_event must both be present or both absent"),
+        (read_predictions, "slide_id\n", "predictions CSV needs slide_id and ectil_score columns"),
+        (read_predictions, "slide_id,ectil_score\na,0.5\nb,1.5\n",
+         "line 3: ectil_score 1.5 outside [0, 1]"),
+    ], ids=["clinical-header", "clinical-range", "clinical-survival", "predictions-header",
+            "predictions-range"])
+    def test_errors_start_with_the_path(self, tmp_path, loader, text, message):
+        path = csv_file(tmp_path, text)
+        with pytest.raises(ClinicalSchemaError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            loader(path)
+
+    def test_written_and_read_as_utf8_in_an_ascii_locale(self, tmp_path):
+        # the child's command line must be ASCII too, so its code spells "é" as \u00e9
+        code = ("import sys\n"
+                "from tilscore.bagio import (SlideRecord, load_clinical, read_predictions,\n"
+                "                            write_clinical, write_predictions)\n"
+                "r = SlideRecord('s\\u00e9', til_score_pct=10.0, covariates={'g': 'G\\u00e9'})\n"
+                "write_clinical([r], sys.argv[1])\n"
+                "write_predictions([('s\\u00e9', 0.5)], sys.argv[2])\n"
+                "assert load_clinical(sys.argv[1]) == [r]\n"
+                "assert read_predictions(sys.argv[2]) == {'s\\u00e9': 0.5}\n")
+        paths = [tmp_path / "clinical.csv", tmp_path / "preds.csv"]
+        src = str(Path(tilscore.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C",
+               "PYTHONPATH": os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        done = subprocess.run([sys.executable, "-c", code, *map(str, paths)], env=env,
+                              capture_output=True)
+        assert done.returncode == 0, done.stderr
+        assert paths[0].read_bytes() == ("slide_id,cohort,centre,til_score_pct,g\r\n"
+                                         "sé,,,10.0,Gé\r\n").encode()
+        assert paths[1].read_bytes() == "slide_id,ectil_score\r\nsé,0.5\r\n".encode()
 
 
 # ---------------------------------------------------------------------------
@@ -437,9 +517,22 @@ class TestPhysicalLines:
 # ---------------------------------------------------------------------------
 
 
+def naming_the_file(reader):
+    """`reader` with each error's message prefixed by the path, as the
+    readers name the file."""
+    def read(path):
+        try:
+            return reader(path)
+        except ClinicalSchemaError as exc:
+            raise ClinicalSchemaError(f"{path}: {exc}") from None
+    return read
+
+
+@naming_the_file
 def dict_load_clinical(path) -> list[SlideRecord]:
     """The former `csv.DictReader` `load_clinical`, kept as a reference.  It
-    departs from it only in taking line numbers from `reader.line_num`."""
+    departs from it only in taking line numbers from `reader.line_num` and
+    in naming the file in its errors."""
     from tilscore.bagio import _check_repeat, _number, _parse_covariate
 
     with open(path, newline="") as fh:
@@ -493,12 +586,13 @@ def dict_load_clinical(path) -> list[SlideRecord]:
     return records
 
 
+@naming_the_file
 def dict_read_predictions(path) -> dict[str, float]:
     """The former `csv.DictReader` `read_predictions`, kept as a reference.
     It departs from it in taking line numbers from `reader.line_num`, in
     stripping slide ids and rejecting an empty one, in naming an empty or
-    absent score missing, and in naming the line of an out-of-range score,
-    as `load_clinical` does."""
+    absent score missing, in naming the line of an out-of-range score, as
+    `load_clinical` does, and in naming the file in its errors."""
     from tilscore.bagio import _check_repeat, _number
 
     with open(path, newline="") as fh:

@@ -246,6 +246,14 @@ PROBES = {
             "ectil_score 'abc'"),
            ("prediction-out-of-range", "preds.csv", "slide_id,ectil_score\ns0,0.1\ns1,1.5\n",
             "ectil_score 1.5 outside [0, 1]")]},
+    # a factor of one level would leave no indicator column, so the
+    # multivariable models would silently be the univariable ones
+    "survival-single-level-factor": (
+        "survival", ["--spec", "spec.json"],
+        {"clinical.csv": "slide_id,til_score_pct,os_months,os_event,grade\n"
+                         "s0,10,12.5,1,G1\ns1,40,30,0,G1\ns2,70,8,1,G1\ns3,90,40,0,G1\n",
+         "spec.json": '{"covariates": [{"column": "grade", "kind": "factor"}]}'},
+        ["factor 'grade' has only one level, 'G1'"]),
     # the slide is a header without its raster, so each flag must be checked
     # before the raster is read
     **{f"tile-{name}": ("tile", flags, {"slide.ppm": "P6\n700 600\n255\n", **files}, words)
@@ -299,6 +307,35 @@ def test_bad_input_exits_2_by_name(case, tmp_path, capsys):
     for word in words:
         assert word in err, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "survival"])
+@pytest.mark.parametrize("bad", ["preds.csv", "clinical.csv"])
+def test_csv_error_names_its_file(command, bad, tmp_path, capsys):
+    # both tables word their faults alike, so only the path tells them apart
+    (tmp_path / "clinical.csv").write_text(PROBE_CLINICAL)
+    bagio.write_predictions([(f"s{i}", 0.1 + 0.2 * i) for i in range(4)],
+                            tmp_path / "preds.csv")
+    path = tmp_path / bad
+    lines = path.read_text().splitlines(keepends=True)
+    lines[2] = lines[2][lines[2].index(","):]  # line 3 loses its slide id
+    path.write_text("".join(lines))
+    assert run(command, "--predictions", tmp_path / "preds.csv",
+               "--clinical", tmp_path / "clinical.csv", "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err == f"error: {path}: line 3: empty slide_id\n"
+
+
+@pytest.mark.parametrize("command", ["evaluate", "survival"])
+def test_latin1_cell_names_the_file(command, tmp_path, capsys):
+    clinical = tmp_path / "clinical.csv"
+    head = b"slide_id,til_score_pct,os_months,os_event,note\ns0,10,12.5,1,caf"
+    clinical.write_bytes(head + "é\ns1,40,30,0,\n".encode("latin-1"))
+    bagio.write_predictions([(f"s{i}", 0.1 + 0.2 * i) for i in range(4)],
+                            tmp_path / "preds.csv")
+    assert run(command, "--predictions", tmp_path / "preds.csv", "--clinical", clinical,
+               "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err == (f"error: {clinical}: not UTF-8 text "
+                                       f"(invalid continuation byte at byte {len(head)})\n")
 
 
 class TestTile:
@@ -1002,6 +1039,19 @@ class TestSurvival:
         assert run("survival", "--predictions", preds, "--clinical", clinical,
                    "--spec", spec, "--out", tmp_path / "o") == 2
         assert f"column {column!r} has no value for any subject" in capsys.readouterr().err
+
+    def test_non_ascii_level_in_an_ascii_locale(self, tmp_path):
+        # the tables and cox_report.csv are UTF-8 whatever the locale
+        clinical, preds, *_ = make_survival_inputs(tmp_path, n=60)
+        clinical.write_text(clinical.read_text().replace(",pos", ",pós"), encoding="utf-8")
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"covariates": [{"column": "biomarker", "kind": "factor"}]}))
+        env = subprocess_env(PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C")
+        done = subprocess.run([sys.executable, "-m", "tilscore.cli", "survival", "--predictions",
+                               str(preds), "--clinical", str(clinical), "--spec", str(spec),
+                               "--out", str(tmp_path / "o")], env=env, capture_output=True)
+        assert done.returncode == 0, done.stderr
+        assert "biomarker=pós" in (tmp_path / "o" / "cox_report.csv").read_text(encoding="utf-8")
 
     def test_no_survival_rows_is_error(self, tmp_path):
         clinical = tmp_path / "clinical.csv"

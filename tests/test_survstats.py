@@ -1,6 +1,7 @@
 import math
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -357,6 +358,22 @@ class TestCoxFit:
         with pytest.raises(RankDeficiencyError):
             cox_fit(ds)
 
+    def test_rank_error_holds_no_n_by_n_matrix(self):
+        # naming the column once took an SVD with a full n x n U: 128 MB at n = 4000
+        rng = np.random.default_rng(5)
+        x, y = rng.normal(size=(2, 4000))
+        ds = SurvivalDataset(times=rng.uniform(1, 9, 4000), events=rng.integers(0, 2, 4000),
+                             design=np.column_stack([x, y, x - y]), columns=["a", "b", "c"])
+        tracemalloc.start()
+        try:
+            with pytest.raises(RankDeficiencyError,
+                               match=r"^design is rank deficient \(involves 'b'\)$"):
+                cox_fit(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6, peak
+
     def test_grid_search_oracle_small(self):
         rng = np.random.default_rng(77)
         for _ in range(10):
@@ -483,6 +500,14 @@ class TestBuildDataset:
             build_dataset(self.TIMES, self.EVENTS, columns,
                           [CovariateSpec("tils"), CovariateSpec("grade", kind="factor")])
 
+    @pytest.mark.parametrize("ref", [None, "G1"])
+    def test_single_level_factor_named(self, ref):
+        # no indicator column would be left, so the factor would drop out of the model
+        grade = {"grade": ["G1", "G1", None, "G1"], "tils": self.COLUMNS["tils"]}
+        with pytest.raises(RankDeficiencyError, match="^factor 'grade' has only one level, 'G1'$"):
+            build_dataset(self.TIMES, self.EVENTS, grade,
+                          [CovariateSpec("tils"), CovariateSpec("grade", kind="factor", ref=ref)])
+
     def test_matches_row_loop_reference(self):
         rng = np.random.default_rng(43)
         for _ in range(200):
@@ -543,6 +568,8 @@ def loop_build_dataset(rows, specs, time_key="os_months", event_key="os_event"):
             if spec.ref is not None and spec.ref not in seen:
                 raise SurvivalError(f"reference level {spec.ref!r} not observed in {spec.column!r}")
             levels[spec.column] = [lv for lv in seen if lv != ref]
+            if not levels[spec.column]:
+                raise SurvivalError(f"factor {spec.column!r} has only one level, {ref!r}")
         elif spec.kind != "numeric":
             raise SurvivalError(f"unknown covariate kind {spec.kind!r}")
 
