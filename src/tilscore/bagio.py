@@ -21,6 +21,7 @@ features by construction, which is what the training-recovery tests lean on.
 from __future__ import annotations
 
 import csv
+import json
 import math
 import os
 import struct
@@ -327,31 +328,50 @@ def load_clinical(path) -> list[SlideRecord]:
     return records
 
 
+def write_table(path, rows, delimiter: str = ",") -> None:
+    """Write the rows, header included, to the file `path` through `csv.writer`:
+    UTF-8, quoted as `csv.writer` quotes, every line ended by CRLF."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, delimiter=delimiter).writerows(rows)
+
+
+def write_json(path, obj, sort_keys: bool = True) -> None:
+    """Write `obj` to the file `path` as indented, ASCII-escaped JSON and a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=sort_keys)
+        fh.write("\n")
+
+
+def read_json(path):
+    """The JSON document in the UTF-8 file `path`; a file that is not UTF-8,
+    or not JSON, raises a ValueError that starts with the path."""
+    try:
+        return json.loads(Path(path).read_bytes().decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def write_clinical(records: list[SlideRecord], path) -> None:
     cov_cols = sorted({k for r in records for k in r.covariates})
     has_surv = any(r.os_months is not None for r in records)
     header = ["slide_id", "cohort", "centre", "til_score_pct"]
     if has_surv:
         header += ["os_months", "os_event"]
-    header += cov_cols
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for r in records:
-            row = [r.slide_id, r.cohort, r.centre, repr(float(r.til_score_pct))]
-            if has_surv:
-                row += ["" if r.os_months is None else repr(float(r.os_months)),
-                        "" if r.os_event is None else str(r.os_event)]
-            row += [str(r.covariates.get(c, "")) for c in cov_cols]
-            w.writerow(row)
+    rows = [header + cov_cols]
+    for r in records:
+        row = [r.slide_id, r.cohort, r.centre, repr(float(r.til_score_pct))]
+        if has_surv:
+            row += ["" if r.os_months is None else repr(float(r.os_months)),
+                    "" if r.os_event is None else str(r.os_event)]
+        rows.append(row + [str(r.covariates.get(c, "")) for c in cov_cols])
+    write_table(path, rows)
 
 
 def write_predictions(pairs: list[tuple[str, float]], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["slide_id", "ectil_score"])
-        for sid, score in pairs:
-            w.writerow([sid, repr(float(score))])
+    write_table(path, [["slide_id", "ectil_score"],
+                       *([sid, repr(float(score))] for sid, score in pairs)])
 
 
 def read_predictions(path) -> dict[str, float]:

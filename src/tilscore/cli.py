@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import sys
 from pathlib import Path
@@ -38,18 +37,11 @@ class CliError(ValueError):
     """Validation failure surfaced as exit code 2."""
 
 
-def _write_json(path: Path, obj, sort_keys: bool = True) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=sort_keys)
-        fh.write("\n")
-
-
 def _load_config(path: str | None, flag: str, key: str) -> dict:
     """The JSON object in `path`, whose only key may be `key`."""
     if not path:
         return {}
-    with open(path) as fh:
-        data = json.load(fh)
+    data = bagio.read_json(path)
     if not isinstance(data, dict):
         raise CliError(f"{flag} must hold a JSON object, not {type(data).__name__}")
     unknown = sorted(set(data) - {key})
@@ -112,7 +104,7 @@ def _open_run(args: argparse.Namespace, extra: dict) -> Path:
         if key != "func":
             payload[key] = str(val) if isinstance(val, Path) else val
     payload.update(extra)
-    _write_json(out / "run_config.json", payload)
+    bagio.write_json(out / "run_config.json", payload)
     return out
 
 
@@ -175,8 +167,7 @@ def cmd_tile(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    with open(args.config_file) as fh:
-        cfg = _dataclass_from(bagio.SynthConfig, json.load(fh), "synth config")
+    cfg = _dataclass_from(bagio.SynthConfig, bagio.read_json(args.config_file), "synth config")
     if args.seed is not None:
         cfg.seed = args.seed
     cfg.validate()
@@ -269,7 +260,7 @@ def cmd_train(args) -> int:
         del result
 
     plan.to_csv(out / "fold_plan.csv")
-    _write_json(out / "history.json", history)
+    bagio.write_json(out / "history.json", history)
     save_manifest(out, [c["checkpoint"] for c in champions],
                   extra={"plan": args.plan, "champions": champions})
     for c in champions:
@@ -325,7 +316,7 @@ def cmd_evaluate(args) -> int:
     report = concord.evaluate(preds, labels, cutoffs)
     curve = concord.calibration(preds, labels)
     out = _open_run(args, {"n": report["n"]})
-    _write_json(out / "metrics.json", report, sort_keys=False)
+    bagio.write_json(out / "metrics.json", report, sort_keys=False)
     curve.to_csv(out / "calibration.csv")
     summary = ", ".join(
         f"{k}={report[k]:.4f}" if report[k] is not None else f"{k}=NA"
@@ -339,20 +330,16 @@ def cmd_evaluate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _write_km_csv(path, curves) -> None:
-    with open(path, "w") as fh:
-        fh.write("group,t,survival,at_risk\n")
-        for curve in curves:
-            fh.write(f"{curve.group},0,1,{curve.n}\n")
-            for t, s, r in zip(curve.times, curve.survival, curve.n_risk):
-                fh.write(f"{curve.group},{t:.10g},{s:.10g},{r}\n")
-
-
 def _km_split(out, name, times, events, group_ids, summary) -> None:
     from . import survstats
 
     curves = survstats.km_curve(times, events, group_ids)
-    _write_km_csv(out / f"km_{name}.csv", curves)
+    rows = [["group", "t", "survival", "at_risk"]]
+    for c in curves:
+        rows.append([c.group, 0, 1, c.n])
+        rows += ([c.group, f"{t:.10g}", f"{s:.10g}", r]
+                 for t, s, r in zip(c.times, c.survival, c.n_risk))
+    bagio.write_table(out / f"km_{name}.csv", rows)
     entry = {"three_year_os": {c.group: c.survival_at(36.0) for c in curves},
              "groups": {c.group: c.n for c in curves}}
     if len(curves) > 1 and events.sum() > 0:
@@ -440,13 +427,11 @@ def cmd_survival(args) -> int:
     report = {"n": len(recs), "events": int(events.sum()),
               "normalization": {"min": norm_min, "max": norm_max},
               "cox": cox_blocks, "km": km_summary}
-    _write_json(out / "survival.json", report)
-    with open(out / "cox_report.csv", "w", encoding="utf-8") as fh:
-        fh.write("model,variable,hr,ci_low,ci_high,p\n")
-        for block in cox_blocks:
-            for row in block["rows"]:
-                fh.write(f"{block['model']},{row['variable']},{row['hr']:.10g},"
-                         f"{row['ci_low']:.10g},{row['ci_high']:.10g},{row['p']:.10g}\n")
+    bagio.write_json(out / "survival.json", report)
+    columns = ("hr", "ci_low", "ci_high", "p")
+    bagio.write_table(out / "cox_report.csv", [["model", "variable", *columns], *(
+        [block["model"], row["variable"], *(f"{row[k]:.10g}" for k in columns)]
+        for block in cox_blocks for row in block["rows"])])
     for block in cox_blocks:
         tils_rows = [r for r in block["rows"] if r["variable"].endswith("per_10pct")]
         hr_txt = (f"HR {tils_rows[0]['hr']:.3f} [{tils_rows[0]['ci_low']:.3f}-"
@@ -516,7 +501,7 @@ def cmd_heatmap(args) -> int:
             for k in range(bag.n_tiles)
         ],
     }
-    _write_json(out / "heatmap.json", sidecar)
+    bagio.write_json(out / "heatmap.json", sidecar)
     print(f"heatmaps for {bag.slide_id} ({bag.n_tiles} tiles) -> {out}")
     return EXIT_OK
 
@@ -606,7 +591,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:  # CliError and json.JSONDecodeError are ValueErrors
+    except (ValueError, OSError) as exc:  # CliError and read_json's errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

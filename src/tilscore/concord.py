@@ -9,11 +9,12 @@ explicit ``None`` entries instead of aborting.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .bagio import write_table
 
 DEFAULT_CUTOFFS = (10.0, 30.0, 50.0, 75.0)
 CALIBRATION_BINS = 20
@@ -176,14 +177,11 @@ class CalibrationCurve:
     n: int
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["bin", "lo", "hi", "count", "mean", "min", "p10", "p90", "max"])
-            for i, b in enumerate(self.bins):
-                w.writerow(
-                    [i, f"{b.lo:.10g}", f"{b.hi:.10g}", b.count]
-                    + ["" if v is None else f"{v:.10g}" for v in (b.mean, b.min, b.p10, b.p90, b.max)]
-                )
+        write_table(path, [
+            ["bin", "lo", "hi", "count", "mean", "min", "p10", "p90", "max"],
+            *([i, f"{b.lo:.10g}", f"{b.hi:.10g}", b.count]
+              + ["" if v is None else f"{v:.10g}" for v in (b.mean, b.min, b.p10, b.p90, b.max)]
+              for i, b in enumerate(self.bins))])
 
 
 def calibration(preds_fraction, labels_pct, n_bins: int = CALIBRATION_BINS) -> CalibrationCurve:

@@ -7,13 +7,13 @@ size balancing; leave-one-cohort-out makes one fold per cohort.
 
 from __future__ import annotations
 
-import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .bagio import FeatureBag, SlideRecord
+from .bagio import FeatureBag, SlideRecord, read_json, write_json, write_table
 # not called here: kept as `folds.pearson`, which perfbench's tracer test rebinds
 from .concord import pearson  # noqa: F401
 from .milnet import HyperParams, ModelParams, forward, load_checkpoint, save_checkpoint
@@ -34,10 +34,7 @@ class FoldPlan:
         return self.assignment[slide_id]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("slide_id,fold\n")
-            for sid in sorted(self.assignment):
-                fh.write(f"{sid},{self.assignment[sid]}\n")
+        write_table(path, [["slide_id", "fold"], *sorted(self.assignment.items())])
 
 
 def split_by_group(records: list[SlideRecord], group_key: str, k: int, seed: int = 0) -> FoldPlan:
@@ -101,9 +98,8 @@ def ensemble_predict(ensemble: Ensemble, bag: FeatureBag) -> float:
 def save_manifest(out_dir, names: list[str], extra: dict | None = None) -> None:
     """Write `ensemble.json`, listing the member checkpoints `names` in
     `out_dir`; written after them, it marks the ensemble complete."""
-    with open(Path(out_dir) / "ensemble.json", "w") as fh:
-        json.dump({"members": names, **(extra or {})}, fh, indent=2)
-        fh.write("\n")
+    write_json(Path(out_dir) / "ensemble.json", {"members": names, **(extra or {})},
+               sort_keys=False)
 
 
 def save_ensemble(ensemble: Ensemble, out_dir, extra: dict | None = None) -> None:
@@ -122,8 +118,7 @@ def load_ensemble(path) -> Ensemble:
     path = Path(path)
     if path.is_dir():
         manifest_path = path / "ensemble.json"
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
+        manifest = read_json(manifest_path)
         if not isinstance(manifest, dict) or "members" not in manifest:
             raise FoldError(f'{manifest_path}: expected a JSON object with a "members" list')
         names = manifest["members"]
@@ -132,7 +127,8 @@ def load_ensemble(path) -> Ensemble:
                             f"not {names!r}")
         members, hyper = [], None
         for name in names:
-            params, hyper = load_checkpoint(path / name)
+            # a name is UTF-8 text: the file named by its UTF-8 bytes in any locale
+            params, hyper = load_checkpoint(path / os.fsdecode(name.encode("utf-8")))
             members.append(params)
         return Ensemble(members=members, hyper=hyper)
     params, hyper = load_checkpoint(path)

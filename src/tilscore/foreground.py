@@ -43,6 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from . import pnm
+from .bagio import write_table
 
 TILE_SIZE_PX = 512
 TARGET_MPP = 0.5
@@ -424,9 +425,7 @@ def filter_tiles(grid: TileGrid, mask: ForegroundMask) -> TileGrid:
 
 
 def write_manifest(grid: TileGrid, path) -> None:
-    """Tile list as text: two header lines then x<TAB>y<TAB>kept rows."""
-    with open(path, "w") as fh:
-        fh.write(f"tile_size\t{grid.tile_size_px}\n")
-        fh.write(f"rescale\t{grid.rescale:.10g}\n")
-        for (x, y), k in zip(grid.tiles, grid.kept):
-            fh.write(f"{x}\t{y}\t{int(k)}\n")
+    """Tile list as a tab-separated table: two header lines then x, y, kept rows."""
+    write_table(path, [["tile_size", grid.tile_size_px], ["rescale", f"{grid.rescale:.10g}"],
+                       *([x, y, int(k)] for (x, y), k in zip(grid.tiles.tolist(), grid.kept))],
+                delimiter="\t")

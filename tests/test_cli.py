@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import hashlib
 import itertools
@@ -180,6 +181,11 @@ BAD_CONFIGS = {
     "train-top-level-key": ("train", {"hyperr": {}}, "unknown key 'hyperr'"),
     "synth-unknown-key": ("synth", {"n_slide": 3}, "unknown key 'n_slide'"),
     "synth-value-type": ("synth", {"survival": 1}, "'survival' must be bool, not int"),
+    # bytes are written as they are: JSON that is cut short, or not UTF-8
+    "survival-truncated": ("survival", b'{"covariates": [',
+                           "cfg.json: Expecting value: line 1 column 17 (char 16)"),
+    "synth-not-utf8": ("synth", b'{"seed": "\xe9"}',
+                       "cfg.json: not UTF-8 text (invalid continuation byte at byte 10)"),
 }
 
 
@@ -187,7 +193,7 @@ BAD_CONFIGS = {
 def test_bad_json_config_exits_2_by_name(case, tmp_path, capsys):
     command, config, message = BAD_CONFIGS[case]
     cfg, out = tmp_path / "cfg.json", tmp_path / "o"
-    cfg.write_text(json.dumps(config))
+    cfg.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
     # the configuration is read before any input, so the inputs need not exist
     argv = {"synth": [cfg],
             "tile": [tmp_path / "img.ppm", "--mpp", 0.5, "--config", cfg],
@@ -222,6 +228,8 @@ PROBES = {
                               ["ensemble.json", "JSON object"]),
     "predict-member-number": ("predict", [], {"model/ensemble.json": '{"members": [0]}'},
                               ["ensemble.json", '"members"']),
+    "predict-manifest-truncated": ("predict", [], {"model/ensemble.json": '{"members": '},
+                                   ["ensemble.json: Expecting value: line 1 column 13"]),
     **{f"{command}-cutoffs-{value}": (command, ["--cutoffs", f"10,{value}"], {},
                                       ["--cutoffs", repr(value)])
        for command in ("evaluate", "survival") for value in ("nan", "inf", "-5", "150")},
@@ -1041,17 +1049,45 @@ class TestSurvival:
         assert f"column {column!r} has no value for any subject" in capsys.readouterr().err
 
     def test_non_ascii_level_in_an_ascii_locale(self, tmp_path):
-        # the tables and cox_report.csv are UTF-8 whatever the locale
+        # every table and JSON file is UTF-8 whatever the locale: a column
+        # and a level in survival's inputs, --spec and cox_report.csv, slide
+        # ids in train's fold_plan.csv, a member name in predict's ensemble.json
         clinical, preds, *_ = make_survival_inputs(tmp_path, n=60)
-        clinical.write_text(clinical.read_text().replace(",pos", ",pós"), encoding="utf-8")
+        clinical.write_text(clinical.read_text().replace(",pos", ",pós").replace(
+            "biomarker", "marcadór"), encoding="utf-8")
         spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"covariates": [{"column": "biomarker", "kind": "factor"}]}))
+        spec.write_text(json.dumps({"covariates": [{"column": "marcadór", "kind": "factor"}]},
+                                   ensure_ascii=False), encoding="utf-8")
+        bags, ids = tmp_path / "bags", [f"sé{i:02d}" for i in range(12)]
+        bags.mkdir()
+        rng = np.random.default_rng(0)
+        for i, sid in enumerate(ids):
+            bagio.write_bag(bagio.FeatureBag(sid, rng.standard_normal((3, 4)), np.zeros((3, 2)),
+                                             mpp=0.5), bags / f"{i}.bag")
+        bagio.write_clinical([bagio.SlideRecord(sid, centre=f"c{i % 3}", til_score_pct=5.0 * i)
+                              for i, sid in enumerate(ids)], tmp_path / "train.csv")
+        hyper = HyperParams(enc_out=2, attn_hidden=2)
+        (tmp_path / "model").mkdir()
+        save_checkpoint(init_params(0, hyper, dim=4), hyper, tmp_path / "model" / "fó.ckpt")
+        (tmp_path / "model" / "ensemble.json").write_text('{"members": ["fó.ckpt"]}',
+                                                          encoding="utf-8")
+        steps = [["survival", "--predictions", preds, "--clinical", clinical, "--spec", spec],
+                 ["train", "--bags", bags, "--clinical", tmp_path / "train.csv",
+                  "--plan", "centre:3", "--enc-out", 2, "--attn-hidden", 2, "--max-epochs", 1],
+                 ["predict", "--model", tmp_path / "model", "--bags", bags]]
+        argvs = [[*map(str, step), "--out", str(tmp_path / step[0])] for step in steps]
+        # one child runs every step; json.dumps escapes, so its command line is ASCII
+        code = ("import json, sys\nfrom tilscore.cli import main\n"
+                "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))\n")
         env = subprocess_env(PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C")
-        done = subprocess.run([sys.executable, "-m", "tilscore.cli", "survival", "--predictions",
-                               str(preds), "--clinical", str(clinical), "--spec", str(spec),
-                               "--out", str(tmp_path / "o")], env=env, capture_output=True)
+        done = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=env,
+                              capture_output=True)
         assert done.returncode == 0, done.stderr
-        assert "biomarker=pós" in (tmp_path / "o" / "cox_report.csv").read_text(encoding="utf-8")
+        assert "marcadór=pós" in (tmp_path / "survival" / "cox_report.csv").read_text(
+            encoding="utf-8")
+        plan = (tmp_path / "train" / "fold_plan.csv").read_text(encoding="utf-8").splitlines()
+        assert [row.split(",")[0] for row in plan[1:]] == ids
+        assert set(bagio.read_predictions(tmp_path / "predict" / "predictions.csv")) == set(ids)
 
     def test_no_survival_rows_is_error(self, tmp_path):
         clinical = tmp_path / "clinical.csv"
@@ -1075,6 +1111,55 @@ class TestSurvival:
             [90, 80, 70, 60, 50, 40])], preds)
         assert run("survival", "--predictions", preds, "--clinical", clinical,
                    "--out", tmp_path / "o") == 3
+
+
+def test_commas_and_quotes_read_back_from_every_table(tmp_path):
+    # a slide id and a factor level holding the delimiter and the quote must
+    # read back with csv.reader to the fields that were written
+    write_synth_config(tmp_path / "cfg.json", survival=True)
+    assert run("synth", tmp_path / "cfg.json", "--out", tmp_path) == 0
+    records = bagio.load_clinical(tmp_path / "clinical.csv")
+    for i, rec in enumerate(records):
+        rec.slide_id = rec.slide_id.replace("synth", 'BC, "12" ')
+        rec.covariates["grade"] = 'G2, "high"' if i % 2 else "G1"
+    bagio.write_clinical(records, tmp_path / "clinical.csv")
+    for path in (tmp_path / "bags").glob("*.bag"):
+        bag = bagio.read_bag(path)
+        bag.slide_id = bag.slide_id.replace("synth", 'BC, "12" ')
+        bagio.write_bag(bag, path)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"covariates": [{"column": "grade", "kind": "factor"}]}))
+    assert run("train", "--bags", tmp_path / "bags", "--clinical", tmp_path / "clinical.csv",
+               "--plan", "centre:3", *TRAIN_FLAGS, "--max-epochs", 2,
+               "--out", tmp_path / "train") == 0
+    assert run("predict", "--model", tmp_path / "train", "--bags", tmp_path / "bags",
+               "--out", tmp_path / "predict") == 0
+    out = tmp_path / "survival"
+    assert run("survival", "--predictions", tmp_path / "predict" / "predictions.csv",
+               "--clinical", tmp_path / "clinical.csv", "--spec", spec, "--out", out) == 0
+
+    def table(path):
+        with open(path, newline="", encoding="utf-8") as fh:
+            return list(csv.reader(fh))
+
+    folds = json.loads((tmp_path / "train" / "ensemble.json").read_text())
+    plan = table(tmp_path / "train" / "fold_plan.csv")
+    assert plan[0] == ["slide_id", "fold"]
+    assert all(len(row) == 2 for row in plan)
+    assert sorted(sid for sid, _ in plan[1:]) == sorted(r.slide_id for r in records)
+    assert {int(fold) for _, fold in plan[1:]} == {c["fold"] for c in folds["champions"]}
+    report = json.loads((out / "survival.json").read_text())
+    cox = table(out / "cox_report.csv")
+    columns = ("hr", "ci_low", "ci_high", "p")
+    assert cox == [["model", "variable", *columns]] + [
+        [block["model"], row["variable"], *(f"{row[k]:.10g}" for k in columns)]
+        for block in report["cox"] for row in block["rows"]]
+    assert ["no_tils", 'grade=G2, "high"'] == cox[-1][:2]
+    for name, entry in report["km"].items():
+        km = table(out / f"km_{name}.csv")
+        assert km[0] == ["group", "t", "survival", "at_risk"]
+        assert all(len(row) == 4 for row in km)
+        assert {row[0] for row in km[1:]} == set(entry["groups"])
 
 
 class TestHeatmap:

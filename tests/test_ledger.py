@@ -50,7 +50,8 @@ def platform_record() -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"python": platform.python_version(), "numpy": np.__version__,
             "scipy": scipy.__version__,
-            "blas": blas.get("openblas configuration") or f"{blas.get('name')} {blas.get('version')}",
+            "blas": (blas.get("openblas configuration")
+                     or f"{blas.get('name')} {blas.get('version')}"),
             "cpu_features": " ".join(sorted(name for name, on in __cpu_features__.items() if on))}
 
 
