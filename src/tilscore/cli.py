@@ -502,7 +502,8 @@ def cmd_heatmap(args) -> int:
         ],
     }
     bagio.write_json(out / "heatmap.json", sidecar)
-    print(f"heatmaps for {bag.slide_id} ({bag.n_tiles} tiles) -> {out}")
+    # ascii(): a slide id is printable whatever the locale's encoding
+    print(f"heatmaps for {bag.slide_id!a} ({bag.n_tiles} tiles) -> {out}")
     return EXIT_OK
 
 

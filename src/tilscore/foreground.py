@@ -6,7 +6,10 @@ blur it broadly, threshold, clean up morphologically, and fill enclosed
 background holes.  Thresholding is Ridler-Calvard isodata with a guard for
 structurally uniform images (an all-texture slide maps to all-foreground,
 a flat slide to all-background); a plain global-mean cut systematically
-overshoots sharp tissue boundaries.
+overshoots sharp tissue boundaries.  The threshold keeps the rim where
+tissue meets glass, and hole filling the inside; so that tissue the slide's
+edge cuts is filled too, the edge counts as tissue beside each dark border
+cell (`_edge_ring`), judged by the border's luminance, which is kept.
 
 The filters are numpy routines that reproduce `scipy.ndimage`'s arithmetic
 bit for bit: the reflect-mode Gaussian and Laplacian sum in scipy's order,
@@ -23,7 +26,8 @@ shape, and the separable filters run in bands of `_BAND_ROWS` rows.  Each
 step's rows are shared between up to two workers, one per usable CPU, with
 the same sums at any worker count.  So besides two mask-scale arrays it
 holds a band per worker, or about `pnm.STRIP_BYTES` of strips and their row
-sums (2/f of their bytes at downsample f <= 16, 4/f above); no full-size array.
+sums (2/f of their bytes at downsample f <= 16, 4/f above), and the border's
+luminance; no full-size array.
 
 Tiles are laid on an exact grid in target-resolution space (512 px at
 0.5 mpp by default) and reported as source-pixel coordinates; a tile is
@@ -145,11 +149,13 @@ def _block_luminance(strips: Iterable[np.ndarray], f: int, out: np.ndarray) -> n
 
 def _split_means(values: np.ndarray, t: float) -> tuple[float | None, float | None]:
     """Means of the values at most t and of those above t, None for an empty
-    side.  One side's gather is freed before the other's is taken."""
-    below = values[values <= t]
+    side.  One comparison makes the mask, which is inverted in place for the
+    other side; one side's gather is freed before the other's is taken."""
+    side = values <= t
+    below = values[side]
     lo = float(below.mean()) if below.size else None
     del below
-    above = values[values > t]
+    above = values[np.logical_not(side, out=side)]
     return lo, float(above.mean()) if above.size else None
 
 
@@ -314,6 +320,28 @@ def _fill_holes(bits: np.ndarray) -> np.ndarray:
     return bits | np.logical_xor.accumulate(edges, axis=1)
 
 
+# a border cell darker than EDGE_DARK times the median luminance of the
+# border cells left out of the mask is tissue that the slide's edge cuts:
+# below 220 on white glass at 255
+EDGE_DARK = 0.86
+
+
+def _edge_ring(bits: np.ndarray, border: list[np.ndarray]) -> np.ndarray:
+    """`bits` in a one-cell ring, foreground beside each dark border cell;
+    `border` is the luminance of the top, bottom, left and right border
+    cells.  Background that meets the border only where tissue does is then
+    a hole for `_fill_holes`; with no dark border cell nothing changes."""
+    edges = [bits[0], bits[-1], bits[:, 0], bits[:, -1]]
+    background = np.concatenate([lum[~edge] for lum, edge in zip(border, edges)])
+    ring = np.zeros((bits.shape[0] + 2, bits.shape[1] + 2), dtype=bool)
+    ring[1:-1, 1:-1] = bits
+    if background.size:
+        dark = EDGE_DARK * float(np.median(background))
+        ring[0, 1:-1], ring[-1, 1:-1], ring[1:-1, 0], ring[1:-1, -1] = (
+            lum < dark for lum in border)
+    return ring
+
+
 def compute_foreground(slide: PpmSlide, params: FesiParams | None = None) -> ForegroundMask:
     """Binary tissue mask at 1/downsample of slide resolution.
 
@@ -333,6 +361,7 @@ def compute_foreground(slide: PpmSlide, params: FesiParams | None = None) -> For
             _block_luminance(strips, f, a[rows])
 
     _in_shares(luminance, len(a), len(a))
+    border = [a[0].copy(), a[-1].copy(), a[:, 0].copy(), a[:, -1].copy()]  # for _edge_ring
     # the mask-scale arrays set the stage's peak memory: every step writes
     # into `a` or `b`, and `a` goes before the threshold's gathers of `smooth`
     b = _gaussian_filter(a, params.pre_sigma, out=np.empty_like(a))
@@ -353,6 +382,7 @@ def compute_foreground(slide: PpmSlide, params: FesiParams | None = None) -> For
             bits = smooth > params.structure_floor
         else:
             bits = smooth > t
+    del smooth  # freed before the morphology, the edge ring and hole filling
     if params.morph_size > 1 and bits.any():
         m = params.morph_size
         # closing, then opening; erosion treats the outside as foreground,
@@ -360,7 +390,7 @@ def compute_foreground(slide: PpmSlide, params: FesiParams | None = None) -> For
         bits = _box_morphology(_box_morphology(bits, m, erode=False), m, erode=True)
         bits = _box_morphology(_box_morphology(bits, m, erode=True), m, erode=False)
     if params.fill_holes and bits.any():
-        bits = _fill_holes(bits)
+        bits = _fill_holes(_edge_ring(bits, border))[1:-1, 1:-1]
     h, w = bits.shape
     return ForegroundMask(width=w, height=h, scale=1.0 / f, bits=bits)
 

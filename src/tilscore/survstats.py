@@ -8,6 +8,8 @@ all read one risk-set table (`_risk_sets`): a stable descending-time sort in
 which the risk set at each distinct event time is a prefix, so every
 risk-set sum is a prefix sum.  Harrell's C keeps its own sorted count.
 All subjects enter at t=0; no delayed entry or time-dependent covariates.
+The p-values need only two scalar tails, chi-square at an integer df and
+the normal, both closed forms over `math`, so the module uses numpy alone.
 """
 
 from __future__ import annotations
@@ -50,10 +52,29 @@ class DegenerateSplitError(SurvivalError):
 
 
 def _chi2_sf(x: float, df: int) -> float:
-    """Chi-square upper tail, 1 below the support (as scipy.stats.chi2.sf)."""
-    from scipy.special import chdtrc  # imported here: stages that fit no model start without it
+    """Chi-square upper tail at x on an integer df >= 1, 1 for x <= 0.
 
-    return float(chdtrc(df, max(x, 0.0)))
+    With y = x/2: e^-y sum_{k < df/2} y^k / k! for even df, and for odd df
+    erfc(sqrt(y)) + e^-y sum_{k=1}^{(df-1)/2} y^(k-1/2) / Gamma(k+1/2).  All
+    terms are positive; within 1e-12 relative of `scipy.special.chdtrc` for
+    df 1-9 and x in [0, 1400], wherever that is at least 1e-300.
+    """
+    if x <= 0.0:
+        return 1.0
+    if x == math.inf:
+        return 0.0
+    y, odd = 0.5 * x, df % 2
+    total = math.erfc(math.sqrt(y)) if odd else 0.0
+    term = math.exp(-y) * (2.0 * math.sqrt(y / math.pi) if odd else 1.0)
+    for k in range(df // 2):  # term = e^-y y^(a-1) / Gamma(a), a = k + 1 or k + 3/2
+        total += term
+        term *= y / (k + 1.0 + 0.5 * odd)
+    return total
+
+
+def _wald_p(z: float) -> float:
+    """Two-sided normal p-value of a Wald z, 2 * Phi(-|z|)."""
+    return math.erfc(abs(z) * math.sqrt(0.5))
 
 
 def _safe_exp(x: float) -> float:
@@ -294,8 +315,6 @@ def cox_fit(data: SurvivalDataset) -> CoxFit:
     Hazard ratios are per unit of each design column; `CovariateSpec.scale`
     sets that unit (e.g. 10 TIL percentage points) when the design is built.
     """
-    from scipy.special import ndtr  # imported here, as chdtrc in _chi2_sf
-
     X = data.design
     n_events = int(data.events.sum())
     if n_events < 1:
@@ -344,11 +363,10 @@ def cox_fit(data: SurvivalDataset) -> CoxFit:
     coefs = []
     for j, name in enumerate(data.columns):
         b, s = float(beta[j]), float(se[j])
-        z = b / s
         coefs.append(CoxCoef(
             name=name, beta=b, se=s, hr=_safe_exp(b),
             ci_low=_safe_exp(b - WALD_Z * s), ci_high=_safe_exp(b + WALD_Z * s),
-            p=float(2.0 * ndtr(-abs(z))),
+            p=_wald_p(b / s),
         ))
     risk = X @ beta
     c_index = harrell_c(data.times, data.events, risk)

@@ -49,9 +49,10 @@ def subprocess_env(**extra) -> dict:
 
 
 def test_import_skips_unused_scipy_subpackages():
-    # scipy.stats, scipy.ndimage and scipy.special cost most of the start-up
-    # of every stage; the stages that need one import it when they run.
-    # concurrent.futures has no user left, since train and predict are serial.
+    # scipy.stats, scipy.ndimage and scipy.special once cost most of the
+    # start-up of every stage; no stage uses scipy now (the next test runs
+    # all seven with it blocked).  concurrent.futures has no user left,
+    # since train and predict are serial.
     code = ("import sys, tilscore.cli; "
             "print(sorted(m for m in ('scipy.stats', 'scipy.ndimage', 'scipy.special', "
             "'concurrent.futures') if m in sys.modules))")
@@ -75,17 +76,33 @@ def test_evaluate_cutoffs_default_is_concord_default():
     assert tuple(map(float, args.cutoffs.split(","))) == concord.DEFAULT_CUTOFFS
 
 
-MODEL_STAGES_THEN_SURVIVAL = """
-import json, sys
+SEVEN_STAGES_WITHOUT_SCIPY = """
+import importlib.abc, json, sys
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    \"\"\"Makes every import of scipy or its submodules fail, and records it.\"\"\"
+    tried = []
+
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            self.tried.append(name)
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, NoScipy())
+try:
+    import scipy
+    control = "imported"
+except ImportError as exc:
+    control = str(exc)
+
 from tilscore.cli import main
 
-root = sys.argv[1]
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 def stage_modules():
     return sorted(m for m in ("tilscore.survstats", "tilscore.foreground", "tilscore.pnm")
                   if m in sys.modules)
 
+root, survival = sys.argv[1], json.loads(sys.argv[2])
 codes = [main(["synth", root + "/cfg.json", "--out", root]),
          main(["train", "--bags", root + "/bags", "--clinical", root + "/clinical.csv",
                "--plan", "loco", "--out", root + "/run", "--enc-out", "8",
@@ -98,29 +115,44 @@ csv_stages = stage_modules()
 codes += [main(["heatmap", "--model", root + "/run/fold000.ckpt",
                 "--bag", root + "/bags/synth0000.bag", "--out", root + "/hm"]),
           main(["tile", root + "/slide.ppm", "--mpp", "0.5", "--out", root + "/tile"])]
-model_stages, tile_stages = scipy_modules(), stage_modules()
-codes.append(main(["survival", "--predictions", root + "/pred/predictions.csv",
-                   "--clinical", root + "/clinical.csv", "--out", root + "/surv"]))
-print(json.dumps({"codes": codes, "model_stages": model_stages, "survival": scipy_modules(),
+tile_stages = stage_modules()
+codes.append(main(survival))
+print(json.dumps({"codes": codes, "control": control, "tried": NoScipy.tried,
                   "csv_stages": csv_stages, "tile_stages": tile_stages}))
 """
 
 
 def test_model_stages_run_without_scipy(tmp_path):
-    # train, predict, evaluate, heatmap and tile need numpy only; survival
-    # shows that the check sees scipy when a stage does load it.  Each stage
-    # loads only the tilscore modules it calls: train, predict and evaluate
-    # load none of survstats, foreground and pnm, and tile no survstats.
-    write_synth_config(tmp_path / "cfg.json", survival=True)
+    # a finder ahead of every other one makes any import of scipy fail, and
+    # `import scipy` in the child shows that it does; then the seven stages
+    # run, survival with a numeric and a factor covariate, and none of them
+    # so much as tries scipy.  Each stage loads only the tilscore modules it
+    # calls: train, predict and evaluate load none of survstats, foreground
+    # and pnm, and tile no survstats.
+    write_synth_config(tmp_path / "cfg.json")
     write_ppm(tmp_path / "slide.ppm", noisy_disc(n=512, radius=150.0)[0])
-    out = subprocess.run([sys.executable, "-c", MODEL_STAGES_THEN_SURVIVAL, str(tmp_path)],
-                         env=subprocess_env(), capture_output=True, text=True, check=True)
-    result = json.loads(out.stdout.splitlines()[-1])
-    assert result["codes"] == [0] * 7, out.stderr
-    assert result["model_stages"] == []
-    assert "scipy.special" in result["survival"]
+    (tmp_path / "surv").mkdir()
+    clinical, preds, *_ = make_survival_inputs(tmp_path / "surv")
+    lines = clinical.read_text().splitlines()
+    clinical.write_text("\n".join([lines[0] + ",age"] + [
+        f"{line},{40 + 7 * i % 37}" for i, line in enumerate(lines[1:])]) + "\n")
+    spec = tmp_path / "surv" / "spec.json"
+    spec.write_text(json.dumps({"covariates": [{"column": "age"},
+                                               {"column": "biomarker", "kind": "factor"}]}))
+    survival = ["survival", "--predictions", str(preds), "--clinical", str(clinical),
+                "--spec", str(spec), "--out", str(tmp_path / "surv" / "out")]
+    done = subprocess.run([sys.executable, "-c", SEVEN_STAGES_WITHOUT_SCIPY, str(tmp_path),
+                           json.dumps(survival)],
+                          env=subprocess_env(), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["control"] == "scipy is blocked"
+    assert result["codes"] == [0] * 7, done.stderr
+    assert result["tried"] == ["scipy"]  # the control's import, and no stage's
     assert result["csv_stages"] == []
     assert result["tile_stages"] == ["tilscore.foreground", "tilscore.pnm"]
+    report = json.loads((tmp_path / "surv" / "out" / "survival.json").read_text())
+    assert {row["variable"] for row in report["cox"][-1]["rows"]} == {"age", "biomarker=pos"}
 
 
 # every required argument is present, so exit 2 can only come from the flag
@@ -1051,7 +1083,8 @@ class TestSurvival:
     def test_non_ascii_level_in_an_ascii_locale(self, tmp_path):
         # every table and JSON file is UTF-8 whatever the locale: a column
         # and a level in survival's inputs, --spec and cox_report.csv, slide
-        # ids in train's fold_plan.csv, a member name in predict's ensemble.json
+        # ids in train's fold_plan.csv, a member name in predict's ensemble.json;
+        # heatmap prints its slide id escaped
         clinical, preds, *_ = make_survival_inputs(tmp_path, n=60)
         clinical.write_text(clinical.read_text().replace(",pos", ",pós").replace(
             "biomarker", "marcadór"), encoding="utf-8")
@@ -1074,7 +1107,9 @@ class TestSurvival:
         steps = [["survival", "--predictions", preds, "--clinical", clinical, "--spec", spec],
                  ["train", "--bags", bags, "--clinical", tmp_path / "train.csv",
                   "--plan", "centre:3", "--enc-out", 2, "--attn-hidden", 2, "--max-epochs", 1],
-                 ["predict", "--model", tmp_path / "model", "--bags", bags]]
+                 ["predict", "--model", tmp_path / "model", "--bags", bags],
+                 ["heatmap", "--model", tmp_path / "train" / "fold000.ckpt",
+                  "--bag", bags / "0.bag"]]
         argvs = [[*map(str, step), "--out", str(tmp_path / step[0])] for step in steps]
         # one child runs every step; json.dumps escapes, so its command line is ASCII
         code = ("import json, sys\nfrom tilscore.cli import main\n"
@@ -1088,6 +1123,8 @@ class TestSurvival:
         plan = (tmp_path / "train" / "fold_plan.csv").read_text(encoding="utf-8").splitlines()
         assert [row.split(",")[0] for row in plan[1:]] == ids
         assert set(bagio.read_predictions(tmp_path / "predict" / "predictions.csv")) == set(ids)
+        assert bagio.read_json(tmp_path / "heatmap" / "heatmap.json")["slide_id"] == "sé00"
+        assert b"heatmaps for 's\\xe900' (3 tiles)" in done.stdout
 
     def test_no_survival_rows_is_error(self, tmp_path):
         clinical = tmp_path / "clinical.csv"

@@ -42,6 +42,24 @@ class TestComputeForeground:
         mask = compute_foreground(slide)
         assert mask_iou(mask.bits, truth_at(8)) >= 0.95
 
+    @pytest.mark.parametrize("cx", [150.0, 0.0, -100.0])
+    def test_tissue_cut_by_the_edge_stays_in_the_mask(self, tmp_path, cx):
+        # textured tissue on white: the threshold keeps the rim where texture
+        # meets white, and hole filling the inside.  Where the left edge cuts
+        # the disc there is no rim, so the inside reached the border and was
+        # left out: 49 % of the disc was in the mask at cx = 150
+        n, r, f = 1024, 300.0, 8
+        yy, xx = np.ogrid[0:n, 0:n]
+        disc = (xx - cx) ** 2 + (yy - n / 2) ** 2 <= r * r
+        pixels = np.full((n, n, 3), 255, dtype=np.uint8)
+        rng = np.random.default_rng(0)
+        pixels[disc] = rng.integers(60, 230, size=(int(disc.sum()), 3), dtype=np.uint8)
+        cells = (np.arange(n // f) + 0.5) * f
+        dist = np.hypot(cells[None, :] - cx, cells[:, None] - n / 2)
+        bits = compute_foreground(ppm_slide(tmp_path, pixels)).bits
+        assert bits[dist <= r].all()
+        assert not bits[dist > r + 16 * f].any()  # the mask grows about 12 cells past the rim
+
     def test_idempotent_bit_identical(self, disc_slide):
         slide, _ = disc_slide
         a = compute_foreground(slide)

@@ -29,7 +29,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
 from conftest import noisy_disc
 from tilscore.cli import main
@@ -49,7 +48,6 @@ def platform_record() -> dict:
         from numpy.core._multiarray_umath import __cpu_features__
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "blas": (blas.get("openblas configuration")
                      or f"{blas.get('name')} {blas.get('version')}"),
             "cpu_features": " ".join(sorted(name for name, on in __cpu_features__.items() if on))}

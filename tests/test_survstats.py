@@ -14,7 +14,9 @@ from tilscore.survstats import (
     RankDeficiencyError,
     SurvivalDataset,
     SurvivalError,
+    _chi2_sf,
     _group_counts,
+    _wald_p,
     build_dataset,
     cox_fit,
     cox_loglik_score_info,
@@ -328,6 +330,42 @@ def years_cohort(seed, n):
     design = np.column_stack([til / 10.0, age, grade == 2, grade == 3]).astype(np.float64)
     return SurvivalDataset(times=times, events=(t_event <= t_censor).astype(int),
                            design=design, columns=["til_per_10", "age", "grade=2", "grade=3"])
+
+
+class TestTails:
+    """The chi-square and normal tails of the p-values, closed forms held to
+    scipy's `chdtrc` and `ndtr` as oracles."""
+
+    @pytest.mark.parametrize("df", range(1, 10))
+    def test_chi2_sf_matches_chdtrc(self, df):
+        from scipy.special import chdtrc
+
+        x = np.concatenate([[0.0], np.geomspace(1e-12, 1400.0, 2000),
+                            np.linspace(0.0, 1400.0, 2001)[1:]])
+        want = chdtrc(df, x)
+        keep = want >= 1e-300
+        got = np.array([_chi2_sf(float(v), df) for v in x[keep]])
+        np.testing.assert_allclose(got, want[keep], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("x", [0.0, -0.0, -5e-324, -1.0, -math.inf])
+    def test_chi2_sf_is_one_at_and_below_zero(self, x):
+        assert all(_chi2_sf(x, df) == 1.0 for df in range(1, 10))
+
+    def test_chi2_sf_past_the_range_of_exp(self):
+        assert [_chi2_sf(x, df) for x in (2000.0, math.inf) for df in (1, 2, 9)] == [0.0] * 6
+        assert math.isnan(_chi2_sf(math.nan, 3))
+
+    def test_wald_p_matches_ndtr(self):
+        from scipy.special import ndtr
+
+        z = np.concatenate([np.linspace(-37.0, 0.0, 20001), -np.geomspace(1e-12, 37.0, 2000)])
+        got = np.array([_wald_p(float(v)) for v in z])
+        np.testing.assert_allclose(got, 2.0 * ndtr(-np.abs(z)), rtol=1e-12, atol=0)
+        assert _wald_p(0.0) == 1.0 and _wald_p(3.0) == _wald_p(-3.0)
+
+    def test_cox_p_is_the_wald_p_of_its_z(self):
+        _, fit = make_random_cox_dataset(np.random.default_rng(19))
+        assert all(c.p == _wald_p(c.beta / c.se) for c in fit.coefs)
 
 
 class TestCoxFit:
