@@ -10,3 +10,7 @@ stages together into one command-line tool.
 """
 
 __version__ = "0.1.0"
+
+
+class TilscoreError(ValueError):
+    """Bad input, named in the message; `tilscore` exits 2 on it, as on an OSError."""

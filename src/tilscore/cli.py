@@ -3,7 +3,10 @@
 Every run validates its inputs up front, then opens its output directory by
 writing a `run_config.json` echo of the effective configuration there, before
 any other output.  Runs are byte-for-byte reproducible for a fixed seed.
-Exit codes: 0 success, 2 usage/validation error, 3 numeric non-convergence.
+Exit codes: 0 success; 2 bad input, a `TilscoreError` naming the file, line,
+flag or key at fault, or an OSError; 3 numeric non-convergence.  Any other
+exception is a program fault: it propagates with its traceback, and Python
+exits 1.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 # survstats, foreground and pnm are imported by the commands that use them:
 # each stage runs in a process of its own, and compiling and loading a module
 # that the stage never calls costs its start-up
-from . import __version__, bagio, concord, milnet
+from . import TilscoreError, __version__, bagio, concord, milnet
 from .folds import (
     ensemble_predict,
     leave_one_cohort_out,
@@ -33,41 +36,38 @@ EXIT_USAGE = 2
 EXIT_NONCONVERGENCE = 3
 
 
-class CliError(ValueError):
-    """Validation failure surfaced as exit code 2."""
-
-
 def _load_config(path: str | None, flag: str, key: str) -> dict:
     """The JSON object in `path`, whose only key may be `key`."""
     if not path:
         return {}
     data = bagio.read_json(path)
     if not isinstance(data, dict):
-        raise CliError(f"{flag} must hold a JSON object, not {type(data).__name__}")
+        raise TilscoreError(f"{flag} must hold a JSON object, not {type(data).__name__}")
     unknown = sorted(set(data) - {key})
     if unknown:
-        raise CliError(f"{flag}: unknown key {unknown[0]!r}; expected {key!r}")
+        raise TilscoreError(f"{flag}: unknown key {unknown[0]!r}; expected {key!r}")
     return data
 
 
-_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,)}
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,),
+               "str | None": (str, type(None))}
 
 
 def _dataclass_from(cls, obj, what: str):
     """`cls(**obj)` for a JSON object; a bad key or value type exits 2 by name."""
     if not isinstance(obj, dict):
-        raise CliError(f"{what} must be a JSON object, not {type(obj).__name__}")
+        raise TilscoreError(f"{what} must be a JSON object, not {type(obj).__name__}")
     fields = {f.name: f.type for f in dataclasses.fields(cls)}
     for key, val in obj.items():
         if key not in fields:
-            raise CliError(f"{what}: unknown key {key!r}")
+            raise TilscoreError(f"{what}: unknown key {key!r}")
         want = _JSON_TYPES.get(fields[key])
         if want and (not isinstance(val, want) or isinstance(val, bool) != (bool in want)):
-            raise CliError(f"{what}: {key!r} must be {fields[key]}, not {type(val).__name__}")
+            raise TilscoreError(f"{what}: {key!r} must be {fields[key]}, not {type(val).__name__}")
     try:
         return cls(**obj)
     except TypeError as exc:  # a required key is missing
-        raise CliError(f"{what}: {exc}") from exc
+        raise TilscoreError(f"{what}: {exc}") from exc
 
 
 def _hyper_from(args: argparse.Namespace) -> milnet.HyperParams:
@@ -88,9 +88,9 @@ def _parse_cutoffs(text: str) -> list[float]:
         try:
             cutoffs.append(float(raw))
         except ValueError:
-            raise CliError(f"--cutoffs: {raw!r} is not a number") from None
+            raise TilscoreError(f"--cutoffs: {raw!r} is not a number") from None
         if not 0.0 <= cutoffs[-1] <= 100.0:
-            raise CliError(f"--cutoffs: {raw!r} is not a finite value in [0, 100]")
+            raise TilscoreError(f"--cutoffs: {raw!r} is not a finite value in [0, 100]")
     return cutoffs
 
 
@@ -115,7 +115,7 @@ def _open_run(args: argparse.Namespace, extra: dict) -> Path:
 
 def _finite_positive(value: float, flag: str) -> float:
     if not (math.isfinite(value) and value > 0):
-        raise CliError(f"{flag} must be a finite number above 0, got {value!r}")
+        raise TilscoreError(f"{flag} must be a finite number above 0, got {value!r}")
     return value
 
 
@@ -135,18 +135,18 @@ def cmd_tile(args) -> int:
     else:
         mpp, mpp_from = pnm.read_mpp_sidecar(image), f"sidecar {image}.mpp"
         if mpp is None:
-            raise CliError(f"no --mpp given and no sidecar {image}.mpp found")
+            raise TilscoreError(f"no --mpp given and no sidecar {image}.mpp found")
     _finite_positive(args.target_mpp, "--target-mpp")
     if args.tile_size < 1:
-        raise CliError(f"--tile-size must be at least 1, got {args.tile_size}")
+        raise TilscoreError(f"--tile-size must be at least 1, got {args.tile_size}")
     # as in grid_tiles; a tile of under one source pixel would grid each
     # source pixel many times over
     rescale = mpp / args.target_mpp
     span = args.tile_size / rescale if rescale else math.inf
     if not 1 <= span < math.inf:
-        raise CliError(f"--tile-size {args.tile_size} at --target-mpp {args.target_mpp} spans "
-                       f"{span:.3g} source pixels at {mpp_from} {mpp}; a tile must span at "
-                       "least one, and finitely many")
+        raise TilscoreError(f"--tile-size {args.tile_size} at --target-mpp {args.target_mpp} spans "
+                            f"{span:.3g} source pixels at {mpp_from} {mpp}; a tile must span at "
+                            "least one, and finitely many")
     # the raster stays in its file, and masking reads it in strips
     slide = foreground.PpmSlide(image)
     mask = foreground.compute_foreground(slide, params)
@@ -190,7 +190,7 @@ def cmd_synth(args) -> int:
 def _bag_paths(bag_dir: Path) -> list[Path]:
     paths = sorted(bag_dir.glob("*.bag"))
     if not paths:
-        raise CliError(f"no .bag files in {bag_dir}")
+        raise TilscoreError(f"no .bag files in {bag_dir}")
     return paths
 
 
@@ -199,7 +199,7 @@ def _check_unique_ids(paths: list[Path], slide_ids: list[str]) -> None:
     for path, sid in zip(paths, slide_ids):
         other = first.setdefault(sid, path)
         if other != path:
-            raise CliError(f"{other} and {path} both hold slide_id {sid!r}")
+            raise TilscoreError(f"{other} and {path} both hold slide_id {sid!r}")
 
 
 def _parse_plan(spec: str) -> int | None:
@@ -212,12 +212,14 @@ def _parse_plan(spec: str) -> int | None:
     except ValueError:
         k = 0
     if k < 2:
-        raise CliError(f"--plan: {spec!r} is neither 'centre:<k>' with k >= 2 nor 'loco'")
+        raise TilscoreError(f"--plan: {spec!r} is neither 'centre:<k>' with k >= 2 nor 'loco'")
     return k
 
 
 def cmd_train(args) -> int:
     hyper = _hyper_from(args)
+    if args.seed < 0:
+        raise TilscoreError(f"--seed must be at least 0, got {args.seed}")
     k = _parse_plan(args.plan)
     records = bagio.load_clinical(args.clinical)
     # every bag is read and checked here, then left in its file: training
@@ -228,7 +230,7 @@ def cmd_train(args) -> int:
     bags_by_id = {bag.slide_id: bag for bag in scanned}
     records = [r for r in records if r.slide_id in bags_by_id]
     if not records:
-        raise CliError("no overlap between clinical slide_ids and bag files")
+        raise TilscoreError("no overlap between clinical slide_ids and bag files")
     plan = (leave_one_cohort_out(records) if k is None
             else split_by_group(records, "centre", k, seed=args.seed))
 
@@ -236,6 +238,12 @@ def cmd_train(args) -> int:
     bags = [bags_by_id[r.slide_id] for r in ordered]
     labels = np.array([r.til_score_pct for r in ordered]) / 100.0
     fold_of = np.array([plan.fold_of(r.slide_id) for r in ordered])
+    for fold in range(plan.k):  # before any fold trains
+        scores = {r.til_score_pct for r, f in zip(ordered, fold_of) if f == fold}
+        if len(scores) == 1:
+            raise TilscoreError(f"--plan {args.plan}: every slide that fold {fold} holds out "
+                                f"scores {scores.pop():g} in {args.clinical}, so its explained "
+                                "variance is undefined")
 
     # each fold's checkpoint is written as the fold ends, so no finished
     # member stays in memory; ensemble.json, written last, marks the run
@@ -250,11 +258,14 @@ def cmd_train(args) -> int:
             result = milnet.train(bags, labels, train_idx, val_idx, hyper, seed=args.seed + fold)
         except milnet.ModelError as exc:
             raise milnet.ModelError(f"fold {fold}: {exc}") from exc
+        try:  # null when undefined, as in metrics.json
+            val_r = concord.pearson(result.val_preds, labels[val_idx])
+        except concord.UndefinedMetricError:
+            val_r = None
         champions.append(
             {"fold": fold, "checkpoint": f"fold{fold:03d}.ckpt",
              "best_epoch": result.best_epoch, "val_explained_variance": result.best_val_ev,
-             "val_pearson": concord.pearson(result.val_preds, labels[val_idx]),
-             "n_train": train_idx.size, "n_val": val_idx.size})
+             "val_pearson": val_r, "n_train": train_idx.size, "n_val": val_idx.size})
         history[str(fold)] = [dataclasses.asdict(e) for e in result.history]
         milnet.save_checkpoint(result.params, hyper, out / champions[-1]["checkpoint"])
         del result
@@ -264,8 +275,9 @@ def cmd_train(args) -> int:
     save_manifest(out, [c["checkpoint"] for c in champions],
                   extra={"plan": args.plan, "champions": champions})
     for c in champions:
+        val_r = "NA" if c["val_pearson"] is None else f"{c['val_pearson']:.4f}"
         print(f"fold {c['fold']}: epoch {c['best_epoch']} "
-              f"val_ev {c['val_explained_variance']:.4f} val_r {c['val_pearson']:.4f}")
+              f"val_ev {c['val_explained_variance']:.4f} val_r {val_r}")
     return EXIT_OK
 
 
@@ -285,6 +297,9 @@ def cmd_predict(args) -> int:
         # the next is read, so two bags are never held at once
         bag = bagio.read_bag(path, expect_dim=dim)
         pairs.append((bag.slide_id, ensemble_predict(ensemble, bag)))
+        if not math.isfinite(pairs[-1][1]):
+            raise TilscoreError(f"{path}: --model {args.model} scores slide {bag.slide_id!r} "
+                                f"{pairs[-1][1]}")
         del bag
     _check_unique_ids(paths, [sid for sid, _ in pairs])
     pairs.sort(key=lambda pair: pair[0])
@@ -303,7 +318,7 @@ def _join_predictions(pred_path, records):
     preds = bagio.read_predictions(pred_path)
     rows = [(r, preds[r.slide_id]) for r in records if r.slide_id in preds]
     if not rows:
-        raise CliError("no slide_ids shared between predictions and clinical table")
+        raise TilscoreError("no slide_ids shared between predictions and clinical table")
     return rows
 
 
@@ -372,16 +387,16 @@ def cmd_survival(args) -> int:
     cutoffs = sorted(_parse_cutoffs(args.cutoffs))
     covs = _load_config(args.spec, "--spec", "covariates").get("covariates", [])
     if not isinstance(covs, list):
-        raise CliError(f'--spec "covariates" must be a JSON list, not {type(covs).__name__}')
+        raise TilscoreError(f'--spec "covariates" must be a JSON list, not {type(covs).__name__}')
     cov_specs = [_dataclass_from(survstats.CovariateSpec, c, "--spec covariate") for c in covs]
     for spec in cov_specs:
         if spec.column in bagio.RESERVED_COLUMNS:
-            raise CliError(f"--spec covariate column {spec.column!r} is reserved and cannot "
-                           "be a covariate")
+            raise TilscoreError(f"--spec covariate column {spec.column!r} is reserved and cannot "
+                                "be a covariate")
     rows = _join_predictions(args.predictions, bagio.load_clinical(args.clinical))
     usable = [(r, p) for r, p in rows if r.os_months is not None]
     if not usable:
-        raise CliError("no subjects with survival data")
+        raise TilscoreError("no subjects with survival data")
     recs = [r for r, _ in usable]
     scores = np.array([p for _, p in usable])
     times = np.array([r.os_months for r in recs])
@@ -463,7 +478,7 @@ def cmd_heatmap(args) -> int:
 
     ensemble = load_ensemble(args.model)
     if len(ensemble.members) != 1:
-        raise CliError("heatmap needs a single checkpoint, not an ensemble")
+        raise TilscoreError("heatmap needs a single checkpoint, not an ensemble")
     params = ensemble.members[0]
     bag = bagio.read_bag(args.bag, expect_dim=params.dim)
     trace = milnet.forward(params, bag)
@@ -592,7 +607,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:  # CliError and read_json's errors are ValueErrors
+    except (TilscoreError, OSError) as exc:  # anything else is a fault, with its traceback
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -14,13 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import TilscoreError
 from .bagio import write_table
 
 DEFAULT_CUTOFFS = (10.0, 30.0, 50.0, 75.0)
 CALIBRATION_BINS = 20
 
 
-class UndefinedMetricError(ValueError):
+class UndefinedMetricError(TilscoreError):
     """The metric has no defined value for this input."""
 
 

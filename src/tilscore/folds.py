@@ -13,16 +13,13 @@ from pathlib import Path
 
 import numpy as np
 
+from . import TilscoreError
 from .bagio import FeatureBag, SlideRecord, read_json, write_json, write_table
 # not called here: kept as `folds.pearson`, which perfbench's tracer test rebinds
 from .concord import pearson  # noqa: F401
 from .milnet import HyperParams, ModelParams, forward, load_checkpoint, save_checkpoint
 
 GROUP_KEYS = ("centre", "cohort")
-
-
-class FoldError(ValueError):
-    pass
 
 
 @dataclass
@@ -45,12 +42,12 @@ def split_by_group(records: list[SlideRecord], group_key: str, k: int, seed: int
     assigned whole, so no group straddles two folds.
     """
     if group_key not in GROUP_KEYS:
-        raise FoldError(f"group_key must be one of {GROUP_KEYS}")
+        raise TilscoreError(f"group_key must be one of {GROUP_KEYS}")
     groups: dict[str, list[str]] = {}
     for r in records:
         groups.setdefault(getattr(r, group_key), []).append(r.slide_id)
     if len(groups) < k:
-        raise FoldError(f"need at least {k} distinct {group_key} groups, found {len(groups)}")
+        raise TilscoreError(f"need at least {k} distinct {group_key} groups, found {len(groups)}")
     rng = np.random.default_rng(seed)
     names = sorted(groups)
     tiebreak = {name: float(t) for name, t in zip(names, rng.random(len(names)))}
@@ -70,7 +67,7 @@ def leave_one_cohort_out(records: list[SlideRecord]) -> FoldPlan:
     no cohort straddles two folds."""
     cohorts = sorted({r.cohort for r in records})
     if len(cohorts) < 2:
-        raise FoldError("leave-one-cohort-out needs at least 2 cohorts")
+        raise TilscoreError("leave-one-cohort-out needs at least 2 cohorts")
     index = {c: i for i, c in enumerate(cohorts)}
     return FoldPlan(k=len(cohorts), assignment={r.slide_id: index[r.cohort] for r in records})
 
@@ -82,10 +79,10 @@ class Ensemble:
 
     def __post_init__(self):
         if not self.members:
-            raise FoldError("ensemble needs at least one member")
+            raise TilscoreError("ensemble needs at least one member")
         dims = {(m.dim, m.enc_out) for m in self.members}
         if len(dims) != 1:
-            raise FoldError("ensemble members have mismatched shapes")
+            raise TilscoreError("ensemble members have mismatched shapes")
 
 
 def ensemble_predict(ensemble: Ensemble, bag: FeatureBag) -> float:
@@ -114,17 +111,17 @@ def save_ensemble(ensemble: Ensemble, out_dir, extra: dict | None = None) -> Non
 def load_ensemble(path) -> Ensemble:
     """Accepts an ensemble directory (with ensemble.json) or one checkpoint
     file.  A manifest that does not list its member file names raises
-    FoldError naming it."""
+    TilscoreError naming it."""
     path = Path(path)
     if path.is_dir():
         manifest_path = path / "ensemble.json"
         manifest = read_json(manifest_path)
         if not isinstance(manifest, dict) or "members" not in manifest:
-            raise FoldError(f'{manifest_path}: expected a JSON object with a "members" list')
+            raise TilscoreError(f'{manifest_path}: expected a JSON object with a "members" list')
         names = manifest["members"]
-        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-            raise FoldError(f'{manifest_path}: "members" must list checkpoint file names, '
-                            f"not {names!r}")
+        if not (isinstance(names, list) and names and all(isinstance(n, str) for n in names)):
+            raise TilscoreError(f'{manifest_path}: "members" must list checkpoint file names, '
+                                f"not {names!r}")
         members, hyper = [], None
         for name in names:
             # a name is UTF-8 text: the file named by its UTF-8 bytes in any locale

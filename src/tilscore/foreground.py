@@ -46,15 +46,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import pnm
+from . import TilscoreError, pnm
 from .bagio import write_table
 
 TILE_SIZE_PX = 512
 TARGET_MPP = 0.5
-
-
-class ForegroundError(ValueError):
-    pass
+# Upper bound of `pre_sigma` and `smooth_sigma`, in mask pixels: a Gaussian's
+# band holds `_BAND_ROWS` + 8 sigma rows of the mask
+MAX_SIGMA = 256.0
 
 
 @dataclass
@@ -82,17 +81,19 @@ class FesiParams:
     isodata_iters: int = 64
 
     def validate(self) -> None:
-        """Raise ForegroundError naming the first field out of its range."""
+        """Raise TilscoreError naming the first field out of its range."""
         rules = [*((name, "an integer of at least 1",
                     isinstance(getattr(self, name), int) and getattr(self, name) >= 1)
                    for name in ("downsample", "morph_size")),
-                 *((name, "finite and at least 0", 0.0 <= getattr(self, name) < math.inf)
-                   for name in ("pre_sigma", "smooth_sigma", "structure_floor")),
+                 *((name, f"in [0, {MAX_SIGMA:g}]", 0.0 <= getattr(self, name) <= MAX_SIGMA)
+                   for name in ("pre_sigma", "smooth_sigma")),
+                 ("structure_floor", "finite and at least 0",
+                  0.0 <= self.structure_floor < math.inf),
                  ("isodata_iters", "at least 0", self.isodata_iters >= 0),
                  ("uniform_rel_gap", "in [0, 1]", 0.0 <= self.uniform_rel_gap <= 1.0)]
         for name, rule, ok in rules:
             if not ok:
-                raise ForegroundError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+                raise TilscoreError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -105,9 +106,9 @@ class ForegroundMask:
     def __post_init__(self):
         self.bits = np.asarray(self.bits, dtype=bool)
         if self.bits.shape != (self.height, self.width):
-            raise ForegroundError("mask bits do not match declared shape")
+            raise TilscoreError("mask bits do not match declared shape")
         if not 0.0 < self.scale <= 1.0:
-            raise ForegroundError("scale must be in (0, 1]")
+            raise TilscoreError("scale must be in (0, 1]")
 
 
 def _block_sums(a: np.ndarray, f: int, axis: int, acc: np.dtype) -> np.ndarray:
@@ -352,8 +353,9 @@ def compute_foreground(slide: PpmSlide, params: FesiParams | None = None) -> For
     params.validate()
     f = params.downsample
     if slide.width_px < f or slide.height_px < f:
-        raise ForegroundError(
-            f"slide {slide.width_px}x{slide.height_px} is smaller than one {f}px mask cell")
+        raise TilscoreError(
+            f"{slide.path}: slide {slide.width_px}x{slide.height_px} is smaller than one "
+            f"{f}px mask cell")
     a = np.empty((-(-slide.height_px // f), -(-slide.width_px // f)))
 
     def luminance(rows, parts):  # closing() closes the file on every path
@@ -422,7 +424,7 @@ def grid_tiles(slide_width_px: int, slide_height_px: int, mpp: float,
     """All fully-inside tile positions; an image smaller than one tile
     yields an empty grid."""
     if mpp <= 0 or target_mpp <= 0:
-        raise ForegroundError("mpp values must be positive")
+        raise TilscoreError("mpp values must be positive")
     rescale = mpp / target_mpp
     nx = int(np.floor(slide_width_px * rescale)) // tile_size_px
     ny = int(np.floor(slide_height_px * rescale)) // tile_size_px
@@ -440,7 +442,7 @@ def filter_tiles(grid: TileGrid, mask: ForegroundMask) -> TileGrid:
     exp_w = int(np.ceil(grid.slide_width_px * mask.scale))
     exp_h = int(np.ceil(grid.slide_height_px * mask.scale))
     if mask.width != exp_w or mask.height != exp_h:
-        raise ForegroundError(
+        raise TilscoreError(
             f"mask {mask.width}x{mask.height} does not cover slide "
             f"{grid.slide_width_px}x{grid.slide_height_px} at scale {mask.scale}")
     span = grid.source_span

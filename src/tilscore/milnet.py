@@ -24,6 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import TilscoreError
+
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -41,7 +43,7 @@ CKPT_VERSION = 1
 _CKPT_HYPER = "<ddIIIddIII"  # every HyperParams field in declared order, then dim
 
 
-class ModelError(ValueError):
+class ModelError(TilscoreError):
     """Invalid model input (shape mismatch, stale trace, bad labels)."""
 
 
@@ -395,10 +397,10 @@ def train(bags: list, labels, train_idx, val_idx,
     One generator, seeded from `seed`, draws each epoch's bag order and then,
     right before each training bag's `forward`, that bag's dropout mask
     under `hyper`'s rates; validation runs without dropout.  Every bag's
-    dim is checked before the first epoch, and a non-finite loss raises
-    ModelError naming the epoch and slide.  Returns the snapshot from the
-    best validation epoch, kept by copying each improving epoch into one
-    buffer.  Deterministic for a fixed seed.
+    dim is checked before the first epoch, and a non-finite loss or
+    validation prediction raises ModelError naming the epoch and slide.
+    Returns the snapshot from the best validation epoch, kept by copying
+    each improving epoch into one buffer.  Deterministic for a fixed seed.
     """
     hyper = hyper or HyperParams()
     hyper.validate()
@@ -457,8 +459,14 @@ def train(bags: list, labels, train_idx, val_idx,
         return spans
 
     def val_predictions(p: ModelParams) -> np.ndarray:
-        return np.array([forward(p, feats[span], embeddings=emb[span]).prediction
-                         for chunk in chunks(val_idx) for span in encode(p, chunk)])
+        preds = []
+        for chunk in chunks(val_idx):
+            for i, span in zip(chunk, encode(p, chunk)):
+                preds.append(forward(p, feats[span], embeddings=emb[span]).prediction)
+                if not math.isfinite(preds[-1]):
+                    raise ModelError(f"non-finite validation prediction {preds[-1]} in epoch "
+                                     f"{epoch} on slide {bags[i].slide_id!r} at lr {hyper.lr!r}")
+        return np.array(preds)
 
     best = None  # (ev, epoch, preds) of the epoch whose parameters `snapshot` holds
     snapshot = params.zeros_like()
@@ -478,7 +486,7 @@ def train(bags: list, labels, train_idx, val_idx,
                     bag_loss = loss(trace.prediction, labels[i])
                     if not math.isfinite(bag_loss):
                         raise ModelError(f"non-finite loss {bag_loss} in epoch {epoch} "
-                                         f"on slide {bags[i].slide_id!r}")
+                                         f"on slide {bags[i].slide_id!r} at lr {hyper.lr!r}")
                     epoch_loss += bag_loss
                     # backward is linear in d_prediction: scaling it averages
                     # the batch; it writes d_pre over the bag's embeddings
@@ -520,7 +528,7 @@ def save_checkpoint(params: ModelParams, hyper: HyperParams, path) -> None:
 
 def load_checkpoint(path) -> tuple[ModelParams, HyperParams]:
     """Read a checkpoint written by `save_checkpoint`; a bad magic, version
-    or length raises ModelError naming the file."""
+    or length, or a non-finite value, raises ModelError naming the file."""
     data = Path(path).read_bytes()
     header = 6 + struct.calcsize(_CKPT_HYPER)
     if data[:4] != CKPT_MAGIC:
@@ -541,6 +549,8 @@ def load_checkpoint(path) -> tuple[ModelParams, HyperParams]:
             raise ModelError(f"{path}: checkpoint truncated in tensor {name} "
                              f"({len(data) - offset} of {8 * count} bytes)")
         arr = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
+        if not np.isfinite(arr).all():
+            raise ModelError(f"{path}: checkpoint tensor {name} holds non-finite values")
         offset += count * 8
         tensors[name] = arr.reshape(shape).astype(np.float64)
     if offset != len(data):

@@ -15,24 +15,21 @@ from pathlib import Path
 
 import numpy as np
 
+from . import TilscoreError
 
 # Raster bytes the readers of one slide hold at once in all, each at least one block of rows.
 STRIP_BYTES = 4 << 20
 
 
-class PnmError(ValueError):
-    pass
-
-
-def _read_header_tokens(fh, count: int) -> list[int]:
-    """Parse `count` whitespace-separated header integers from a binary
-    stream, skipping comments.  The single byte that ends the last token is
-    consumed, so the stream is left at the first raster byte."""
+def _read_header_tokens(fh, path, count: int) -> list[int]:
+    """Parse `count` whitespace-separated header integers from the binary
+    stream of the file `path`, skipping comments.  The single byte that ends
+    the last token is consumed, so the stream is left at the first raster byte."""
     tokens: list[int] = []
     ch = fh.read(1)
     while True:
         if not ch:
-            raise PnmError("truncated header")
+            raise TilscoreError(f"{path}: truncated header")
         if ch == b"#":
             fh.readline()
             ch = fh.read(1)
@@ -40,11 +37,13 @@ def _read_header_tokens(fh, count: int) -> list[int]:
             ch = fh.read(1)
         else:
             token = b""
-            while ch and not ch.isspace() and ch != b"#":
+            # no header integer has 21 digits: a longer token stops there, so a
+            # raster is never read in as one
+            while ch and not ch.isspace() and ch != b"#" and len(token) <= 20:
                 token += ch
                 ch = fh.read(1)
-            if not token.isdigit():
-                raise PnmError(f"bad header token {token!r}")
+            if not token.isdigit() or len(token) > 20:
+                raise TilscoreError(f"{path}: bad header token {token!r}")
             tokens.append(int(token))
             if len(tokens) == count:
                 return tokens
@@ -56,14 +55,14 @@ def _read_header(fh, path, magic: bytes, channels: int) -> tuple[int, int]:
     the raster before anything is allocated for it."""
     head = fh.read(2)
     if head != magic:
-        raise PnmError(f"{path}: expected {magic.decode()} file, got {head!r}")
-    width, height, maxval = _read_header_tokens(fh, 3)
+        raise TilscoreError(f"{path}: expected {magic.decode()} file, got {head!r}")
+    width, height, maxval = _read_header_tokens(fh, path, 3)
     if maxval != 255:
-        raise PnmError(f"{path}: only maxval 255 supported, got {maxval}")
+        raise TilscoreError(f"{path}: only maxval 255 supported, got {maxval}")
     need = width * height * channels
     got = os.fstat(fh.fileno()).st_size - fh.tell()
     if got < need:
-        raise PnmError(f"{path}: raster truncated ({got} of {need} bytes)")
+        raise TilscoreError(f"{path}: raster truncated ({got} of {need} bytes)")
     return height, width
 
 
@@ -89,7 +88,7 @@ def read_ppm_strips(path, multiple: int, blocks=slice(None), parts=1) -> Iterato
             strip = buf[: min(rows, stop - r0)]
             got = fh.readinto(strip)
             if got != strip.nbytes:  # the file shrank after its size was checked
-                raise PnmError(f"{path}: raster truncated at row {r0}")
+                raise TilscoreError(f"{path}: raster truncated at row {r0}")
             yield strip
 
 
@@ -99,14 +98,14 @@ def read_pgm(path) -> np.ndarray:
         arr = np.empty(_read_header(fh, path, b"P5", 1), dtype=np.uint8)
         got = fh.readinto(arr)
     if got != arr.nbytes:
-        raise PnmError(f"{path}: raster truncated ({got} of {arr.nbytes} bytes)")
+        raise TilscoreError(f"{path}: raster truncated ({got} of {arr.nbytes} bytes)")
     return arr
 
 
 def write_ppm(path, pixels: np.ndarray) -> None:
     pixels = np.ascontiguousarray(pixels, dtype=np.uint8)
     if pixels.ndim != 3 or pixels.shape[2] != 3:
-        raise PnmError("PPM pixels must be (h, w, 3)")
+        raise TilscoreError("PPM pixels must be (h, w, 3)")
     h, w, _ = pixels.shape
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode())
@@ -116,7 +115,7 @@ def write_ppm(path, pixels: np.ndarray) -> None:
 def write_pgm(path, pixels: np.ndarray) -> None:
     pixels = np.ascontiguousarray(pixels, dtype=np.uint8)
     if pixels.ndim != 2:
-        raise PnmError("PGM pixels must be (h, w)")
+        raise TilscoreError("PGM pixels must be (h, w)")
     h, w = pixels.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode())
@@ -131,7 +130,7 @@ def read_mpp_sidecar(image_path) -> float | None:
     try:
         value = float(sidecar.read_text().strip())
     except ValueError as exc:
-        raise PnmError(f"bad mpp sidecar {sidecar}") from exc
+        raise TilscoreError(f"bad mpp sidecar {sidecar}") from exc
     if not (math.isfinite(value) and value > 0):
-        raise PnmError(f"mpp sidecar {sidecar} must be a finite number above 0, got {value!r}")
+        raise TilscoreError(f"mpp sidecar {sidecar} must be a finite number above 0, got {value!r}")
     return value

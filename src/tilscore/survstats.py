@@ -20,6 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import TilscoreError
+
 MAX_NEWTON_ITER = 25
 # Newton stops when every |score_j| is below SCORE_TOL times the sum of
 # |x_ij| over the events and every next step |d beta_j| is at most
@@ -35,7 +37,7 @@ BETA_DIVERGENCE_LIMIT = 20.0
 WALD_Z = 1.96
 
 
-class SurvivalError(ValueError):
+class SurvivalError(TilscoreError):
     """Invalid input to a survival computation."""
 
 
@@ -170,9 +172,13 @@ def build_dataset(times, events, columns: dict, specs: list[CovariateSpec]) -> S
         if spec.kind == "numeric":
             block = np.zeros((n, 1))
             try:
-                block[present, 0] = vals[present].astype(np.float64) * spec.scale
+                with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+                    block[present, 0] = vals[present].astype(np.float64) * spec.scale
             except ValueError as exc:
                 raise SurvivalError(f"numeric column {spec.column!r}: {exc}") from exc
+            if not np.isfinite(block).all():
+                raise SurvivalError(f"numeric column {spec.column!r} at scale {spec.scale!r} "
+                                    "is not finite")
             names.append(spec.column)
         else:
             strs = vals[present].astype(str)
@@ -332,7 +338,8 @@ def cox_fit(data: SurvivalDataset) -> CoxFit:
         try:
             step = np.linalg.solve(info, score)
         except np.linalg.LinAlgError as exc:
-            raise RankDeficiencyError(f"singular information matrix: {exc}") from exc
+            raise RankDeficiencyError(
+                f"singular information matrix over {data.columns}: {exc}") from exc
         # far out on a monotone likelihood the score is small as well, but
         # the Newton step is not: convergence needs both to be small
         if (np.all(np.abs(score) < score_tol)
@@ -358,7 +365,8 @@ def cox_fit(data: SurvivalDataset) -> CoxFit:
     try:
         cov = np.linalg.inv(info)
     except np.linalg.LinAlgError as exc:
-        raise RankDeficiencyError(f"singular information at optimum: {exc}") from exc
+        raise RankDeficiencyError(
+            f"singular information over {data.columns} at optimum: {exc}") from exc
     se = np.sqrt(np.diag(cov))
     coefs = []
     for j, name in enumerate(data.columns):

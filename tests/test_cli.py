@@ -1,8 +1,11 @@
+import ast
 import csv
 import dataclasses
 import hashlib
+import importlib
 import itertools
 import json
+import math
 import os
 import re
 import shutil
@@ -67,6 +70,34 @@ def test_milnet_imports_no_other_tilscore_module():
     out = subprocess.run([sys.executable, "-c", code], env=subprocess_env(),
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "['tilscore.milnet']"
+
+
+def test_every_error_class_is_a_tilscore_error():
+    # main exits 2 on a TilscoreError alone, so any other error class, or a
+    # bare ValueError, is a traceback.  concord's five guards stay bare: cli
+    # checks their inputs first, so one of them firing is a program fault.
+    src = Path(tilscore.__file__).parent
+    error_classes, bare = [], []
+
+    def visit(node, module, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                error_classes.append(getattr(importlib.import_module(module), child.name))
+            if (isinstance(child, ast.Raise) and isinstance(child.exc, ast.Call)
+                    and getattr(child.exc.func, "id", None) == "ValueError"):
+                bare.append(f"{module}.{where}")
+            named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            visit(child, module, child.name if named else where)
+
+    for path in sorted(src.glob("*.py")):
+        module = "tilscore" if path.stem == "__init__" else f"tilscore.{path.stem}"
+        visit(ast.parse(path.read_text(encoding="utf-8")), module, "<module>")
+    errors = [cls for cls in error_classes if issubclass(cls, BaseException)]
+    assert len(errors) >= 9
+    assert [cls.__name__ for cls in errors
+            if not issubclass(cls, tilscore.TilscoreError)] == ["NonConvergenceError"]
+    assert sorted(bare) == [f"tilscore.concord.{name}" for name in (
+        "_as1d", "_paired", "auroc", "average_precision", "calibration")]
 
 
 def test_evaluate_cutoffs_default_is_concord_default():
@@ -213,6 +244,13 @@ BAD_CONFIGS = {
     "train-top-level-key": ("train", {"hyperr": {}}, "unknown key 'hyperr'"),
     "synth-unknown-key": ("synth", {"n_slide": 3}, "unknown key 'n_slide'"),
     "synth-value-type": ("synth", {"survival": 1}, "'survival' must be bool, not int"),
+    # values the generator once failed on with a traceback or numpy's words
+    **{f"synth-{key}-{value}": ("synth", {key: value}, f"{key} must be")
+       for key, value in [("n_centres", 0), ("n_cohorts", 0), ("seed", -1), ("dim", 0),
+                          ("density_concentration", -1), ("noise_sigma", -1)]},
+    "synth-surv_censor_lo-200.0": ("synth", {"survival": True, "surv_censor_lo": 200.0},
+                                   "surv_censor_lo must be at least 0 and at most "
+                                   "surv_censor_hi, got 200.0"),
     # bytes are written as they are: JSON that is cut short, or not UTF-8
     "survival-truncated": ("survival", b'{"covariates": [',
                            "cfg.json: Expecting value: line 1 column 17 (char 16)"),
@@ -319,6 +357,18 @@ PROBES = {
                           ("pre_sigma", "-1"), ("pre_sigma", "NaN"), ("smooth_sigma", "-2"),
                           ("structure_floor", "NaN"), ("isodata_iters", "-1"),
                           ("uniform_rel_gap", "NaN"), ("uniform_rel_gap", "1.5")]},
+    # sigmas that overflowed the kernel radius, or made one filter band gigabytes
+    **{f"tile-fesi-{key}-{value}": ("tile", ["--mpp", "0.5", "--config", "cfg.json"],
+                                    {"slide.ppm": "P6\n700 600\n255\n",
+                                     "cfg.json": f'{{"fesi": {{"{key}": {value}}}}}'},
+                                    [f"{key} must be in [0, 256], got {float(value)!r}"])
+       for key, value in [("smooth_sigma", "1e308"), ("pre_sigma", "1e6")]},
+    # a scale that leaves a covariate non-finite, which numpy's SVD then met
+    **{f"survival-scale-{value}": ("survival", ["--spec", "spec.json"],
+                                   {"spec.json": '{"covariates": [{"column": "age", '
+                                                 f'"scale": {value}}}]}}'},
+                                   ["numeric column 'age' at scale", "is not finite"])
+       for value in ("NaN", "Infinity", "1e308")},
 }
 
 
@@ -516,12 +566,16 @@ class TestTile:
         # one worker sums the strips in order, so the injected failure ends
         # the summing; test_foreground.py's TestWorkers fails a second worker
         monkeypatch.setattr(foreground, "_workers", lambda: 1)
-        for image, patch, code in [(img, False, 0), (short, False, 2), (img, True, 2)]:
-            if patch:
-                monkeypatch.setattr(foreground, "_block_sums", failing_block_sums)
+        for image, code in [(img, 0), (short, 2)]:
             n_open = len(opened)
             assert run("tile", image, "--mpp", 0.5, "--out", tmp_path / "o") == code
             assert len(opened) > n_open and all(fh.closed for fh in opened)
+        # a plain ValueError is a program fault: main lets it out, not exit 2
+        monkeypatch.setattr(foreground, "_block_sums", failing_block_sums)
+        n_open = len(opened)
+        with pytest.raises(ValueError, match="^injected$"):
+            run("tile", img, "--mpp", 0.5, "--out", tmp_path / "o")
+        assert len(opened) > n_open and all(fh.closed for fh in opened)
         assert next(calls) == 3
 
 
@@ -914,6 +968,52 @@ def test_train_non_finite_loss_names_fold_epoch_and_slide(small_cohort, tmp_path
     err = capsys.readouterr().err
     assert re.search(r"error: fold 0: non-finite loss nan in epoch 1 on slide 'synth\d+'", err)
     assert not (tmp_path / "run" / "ensemble.json").exists()
+
+
+def test_train_non_finite_validation_prediction_names_fold_epoch_and_slide(small_cohort,
+                                                                           tmp_path, capsys):
+    # one batch, so the step that breaks the weights is taken before any loss is non-finite
+    flags = ["--enc-out", 8, "--attn-hidden", 4, "--lr", 1e308, "--batch-size", 32,
+             "--max-epochs", 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run("train", "--bags", small_cohort / "bags", "--clinical",
+                   small_cohort / "clinical.csv", "--plan", "loco", "--out", tmp_path / "run",
+                   *flags) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"error: fold 0: non-finite validation prediction nan in epoch 1 "
+                     r"on slide 'synth\d+'", err), err
+    assert not (tmp_path / "run" / "ensemble.json").exists()
+
+
+@pytest.mark.parametrize("lr", [1e6, 1e30])
+def test_train_records_undefined_val_pearson_as_null(small_cohort, tmp_path, capsys, lr):
+    # the sigmoid saturates, so every validation prediction is the same
+    flags = ["--enc-out", 8, "--attn-hidden", 4, "--lr", lr, "--max-epochs", 3]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run("train", "--bags", small_cohort / "bags", "--clinical",
+                   small_cohort / "clinical.csv", "--plan", "loco", "--out", tmp_path / "run",
+                   *flags) == 0
+    champions = json.loads((tmp_path / "run" / "ensemble.json").read_text())["champions"]
+    assert [c["val_pearson"] for c in champions] == [None, None]
+    assert all(math.isfinite(c["val_explained_variance"]) for c in champions)
+    out = capsys.readouterr().out
+    assert out.count("val_r NA\n") == 2, out
+
+
+def test_predict_non_finite_score_names_the_slide(small_cohort, tmp_path, capsys):
+    # finite weights whose attention logits overflow: inf - inf in the softmax
+    hyper = HyperParams(enc_out=8, attn_hidden=4)
+    params = init_params(0, hyper, dim=16)
+    params.attn_w[:] = 1e308
+    params.attn_v_b[:] = params.attn_u_b[:] = 50.0  # tanh and sigmoid gates at 1
+    save_checkpoint(params, hyper, tmp_path / "m.ckpt")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run("predict", "--model", tmp_path / "m.ckpt", "--bags", small_cohort / "bags",
+                   "--out", tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    bag = small_cohort / "bags" / "synth0000.bag"
+    assert err == f"error: {bag}: --model {tmp_path / 'm.ckpt'} scores slide 'synth0000' nan\n"
+    assert not (tmp_path / "o").exists()
 
 
 class TestEvaluate:

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from tilscore import folds
+from tilscore import TilscoreError, folds
 from tilscore.bagio import FeatureBag, SlideRecord
 from tilscore.folds import (
     Ensemble,
-    FoldError,
     ensemble_predict,
     leave_one_cohort_out,
     load_ensemble,
@@ -61,7 +60,8 @@ class TestSplitByGroup:
 
     def test_fewer_groups_than_k(self):
         recs = records_with({"a": 3, "b": 3})
-        with pytest.raises(FoldError):
+        with pytest.raises(TilscoreError,
+                           match="^need at least 3 distinct centre groups, found 2$"):
             split_by_group(recs, "centre", k=3)
 
     def test_deterministic_given_seed(self):
@@ -100,7 +100,7 @@ class TestLeaveOneCohortOut:
 
     def test_single_cohort_error(self):
         recs = records_with({"only": 4}, key="cohort")
-        with pytest.raises(FoldError):
+        with pytest.raises(TilscoreError, match="^leave-one-cohort-out needs at least 2 cohorts$"):
             leave_one_cohort_out(recs)
 
 
@@ -163,7 +163,7 @@ class TestEnsemble:
         assert min(preds) <= ya <= max(preds)
 
     def test_empty_rejected(self):
-        with pytest.raises(FoldError):
+        with pytest.raises(TilscoreError, match="^ensemble needs at least one member$"):
             Ensemble(members=[], hyper=SMALL)
 
     def test_save_load_round_trip(self, tmp_path):

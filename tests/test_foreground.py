@@ -9,17 +9,16 @@ import numpy as np
 import pytest
 
 from conftest import mask_iou, noisy_disc, ppm_slide, read_manifest
-from tilscore import foreground, pnm
+from tilscore import TilscoreError, foreground, pnm
 from tilscore.foreground import (
     FesiParams,
-    ForegroundError,
     ForegroundMask,
     compute_foreground,
     filter_tiles,
     grid_tiles,
     write_manifest,
 )
-from tilscore.pnm import PnmError, ppm_shape, read_pgm, write_pgm, write_ppm, read_mpp_sidecar
+from tilscore.pnm import ppm_shape, read_pgm, write_pgm, write_ppm, read_mpp_sidecar
 
 
 def uniform_slide(directory, value=255, n=512):
@@ -68,7 +67,8 @@ class TestComputeForeground:
         assert (a.width, a.height, a.scale) == (b.width, b.height, b.scale)
 
     def test_tiny_image_rejected(self, tmp_path):
-        with pytest.raises(ForegroundError):
+        with pytest.raises(TilscoreError, match=r"uniform\.ppm: slide 4x4 is smaller than one "
+                                                 r"8px mask cell$"):
             compute_foreground(uniform_slide(tmp_path, 128, 4))
 
     def test_mask_geometry(self, tmp_path):
@@ -188,7 +188,7 @@ class TestBlockLuminance:
 
     @pytest.mark.parametrize("f", [0, -8, 8.0])
     def test_bad_downsample_rejected(self, f, tmp_path):
-        with pytest.raises(ForegroundError, match="downsample"):
+        with pytest.raises(TilscoreError, match="downsample"):
             compute_foreground(uniform_slide(tmp_path, 255, 64), FesiParams(downsample=f))
 
 
@@ -260,7 +260,7 @@ class TestWorkers:
         monkeypatch.setattr(pnm, "STRIP_BYTES", 64 << 10)
         monkeypatch.setattr(foreground, "_workers", lambda: 2)
         threads = threading.active_count()
-        with pytest.raises(PnmError, match=f"^{re.escape(str(slide.path))}: raster truncated at row {row}$"):
+        with pytest.raises(TilscoreError, match=f"^{re.escape(str(slide.path))}: raster truncated at row {row}$"):
             compute_foreground(slide)
         assert threading.active_count() == threads
         assert len(opened) == 2 and all(fh.closed for fh in opened)
@@ -398,7 +398,7 @@ class TestGridTiles:
             assert len(idx) == grid.n_tiles
 
     def test_bad_mpp(self):
-        with pytest.raises(ForegroundError):
+        with pytest.raises(TilscoreError, match="^mpp values must be positive$"):
             grid_tiles(100, 100, mpp=0.0)
 
 
@@ -437,7 +437,7 @@ class TestFilterTiles:
 
     def test_geometry_mismatch(self):
         grid = grid_tiles(1024, 1024, mpp=0.5)
-        with pytest.raises(ForegroundError, match="mask 64x64 does not cover slide 1024x1024"):
+        with pytest.raises(TilscoreError, match="mask 64x64 does not cover slide 1024x1024"):
             filter_tiles(grid, full_mask(64, 64))
 
     def test_blob_keeps_tiles_over_blob(self, disc_slide):
@@ -492,13 +492,13 @@ class TestPnm:
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.ppm"
         path.write_bytes(b"P5\n1 1\n255\n\x00")
-        with pytest.raises(PnmError):
+        with pytest.raises(TilscoreError, match=r"bad\.ppm: expected P6 file, got b'P5'$"):
             ppm_shape(path)
 
     def test_truncated_raster(self, tmp_path):
         path = tmp_path / "short.ppm"
         path.write_bytes(b"P6\n4 4\n255\n" + bytes(10))
-        with pytest.raises(PnmError):
+        with pytest.raises(TilscoreError, match=r"short\.ppm: raster truncated \(10 of 48 bytes\)$"):
             ppm_shape(path)
 
     def test_read_owns_writable_pixels(self, tmp_path):
@@ -518,13 +518,13 @@ class TestPnm:
     def test_truncated_raster_names_file(self, tmp_path):
         path = tmp_path / "short.ppm"
         path.write_bytes(b"P6\n4 4\n255\n" + bytes(10))
-        with pytest.raises(PnmError, match=r"short\.ppm: raster truncated \(10 of 48 bytes\)"):
+        with pytest.raises(TilscoreError, match=r"short\.ppm: raster truncated \(10 of 48 bytes\)"):
             ppm_shape(path)
 
     def test_signed_header_token_rejected(self, tmp_path):
         path = tmp_path / "neg.ppm"
         path.write_bytes(b"P6\n-4 4\n255\n" + bytes(48))
-        with pytest.raises(PnmError, match="bad header token"):
+        with pytest.raises(TilscoreError, match="bad header token"):
             ppm_shape(path)
 
     def test_write_streams_the_array_buffer(self, tmp_path):
