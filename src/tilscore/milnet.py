@@ -12,14 +12,14 @@ validation explained variance.  Training stacks the tiles of several bags
 in one buffer, so the encoder forward and the encoder weight gradient are
 one GEMM each over those rows; every other gradient, and the attention and
 score heads, are formed per bag.  Everything is float64 and deterministic
-for a fixed seed.
+for a fixed seed; the parameters are views into one buffer in checkpoint order.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -72,10 +72,9 @@ class HyperParams:
                 raise ModelError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
-@dataclass
 class ModelParams:
-    """All trainable tensors (float64), shaped as `param_shapes` says.
-    Also reused as a gradient container."""
+    """All trainable tensors, shaped as `param_shapes` says: views into one buffer,
+    `flat`, in PARAM_FIELDS (checkpoint) order.  Also reused as a gradient container."""
 
     enc_w: np.ndarray
     enc_b: np.ndarray
@@ -87,6 +86,17 @@ class ModelParams:
     score_w: np.ndarray
     score_b: np.ndarray
 
+    def __init__(self, flat: np.ndarray | None = None, shapes: dict | None = None, **tensors):
+        """Views into `flat` (any dtype) shaped, in order, as `shapes` says; or
+        f64 copies of the tensors given by name, packed into a new buffer."""
+        if flat is None:
+            shapes = {f: np.shape(tensors[f]) for f in PARAM_FIELDS}
+            flat = np.concatenate([np.ravel(tensors[f]) for f in PARAM_FIELDS], dtype=np.float64)
+        self.flat, self.shapes, end = flat, shapes, 0
+        for name, shape in shapes.items():
+            start, end = end, end + math.prod(shape)
+            setattr(self, name, flat[start:end].reshape(shape))
+
     @property
     def dim(self) -> int:
         return self.enc_w.shape[1]
@@ -96,17 +106,13 @@ class ModelParams:
         return self.enc_w.shape[0]
 
     def copy(self) -> "ModelParams":
-        return ModelParams(**{f: getattr(self, f).copy() for f in PARAM_FIELDS})
+        return ModelParams(self.flat.copy(), self.shapes)
 
     def zeros_like(self) -> "ModelParams":
-        return ModelParams(**{f: np.zeros_like(getattr(self, f)) for f in PARAM_FIELDS})
-
-    def fill(self, value: float) -> None:
-        for f in PARAM_FIELDS:
-            getattr(self, f).fill(value)
+        return ModelParams(np.zeros_like(self.flat), self.shapes)
 
 
-PARAM_FIELDS = tuple(f.name for f in fields(ModelParams))
+PARAM_FIELDS = tuple(ModelParams.__annotations__)
 
 
 def param_shapes(hyper: HyperParams, dim: int) -> dict[str, tuple[int, ...]]:
@@ -123,10 +129,13 @@ def init_params(seed: int, hyper: HyperParams, dim: int = 2048) -> ModelParams:
     Weights are drawn in field order, and a weight's fan-in is its last axis.
     """
     rng = np.random.default_rng(seed)
-    return ModelParams(**{
-        name: np.zeros(shape) if name.endswith("_b")
-        else rng.uniform(-1.0, 1.0, size=shape) / np.sqrt(shape[-1])
-        for name, shape in param_shapes(hyper, dim).items()})
+    shapes = param_shapes(hyper, dim)
+    params = ModelParams(np.zeros(sum(map(math.prod, shapes.values()))), shapes)
+    for name, shape in shapes.items():
+        if not name.endswith("_b"):
+            np.divide(rng.uniform(-1.0, 1.0, size=shape), np.sqrt(shape[-1]),
+                      out=getattr(params, name))
+    return params
 
 
 @dataclass
@@ -327,20 +336,14 @@ def adam_update_array(theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.
 
 def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
               hyper: HyperParams) -> None:
-    """Apply one optimizer step over every tensor (mutates params and state).
-
-    Each tensor is walked in flat blocks of ADAM_BLOCK elements, so the
-    scratch of `adam_update_array` stays in cache; the update is
-    elementwise, so the result is bit-identical to one whole-tensor pass.
-    """
+    """One optimizer step over the flat buffers (mutates params and state), in
+    blocks of ADAM_BLOCK elements so the scratch of `adam_update_array` stays
+    in cache; the update is elementwise, so the blocks do not change its bits."""
     state.t += 1
-    for name in PARAM_FIELDS:
-        theta, grad, m, v = (getattr(x, name).reshape(-1, copy=False)
-                             for x in (params, grads, state.m, state.v))
-        for lo in range(0, theta.size, ADAM_BLOCK):
-            block = slice(lo, lo + ADAM_BLOCK)
-            adam_update_array(theta[block], grad[block], m[block], v[block],
-                              state.t, hyper.lr, hyper.weight_decay)
+    for lo in range(0, params.flat.size, ADAM_BLOCK):
+        block = slice(lo, lo + ADAM_BLOCK)
+        adam_update_array(params.flat[block], grads.flat[block], state.m.flat[block],
+                          state.v.flat[block], state.t, hyper.lr, hyper.weight_decay)
 
 
 def explained_variance(preds, labels) -> float:
@@ -476,7 +479,7 @@ def train(bags: list, labels, train_idx, val_idx,
         epoch_loss = 0.0
         for start in range(0, order.size, hyper.batch_size):
             batch = order[start : start + hyper.batch_size]
-            grad_mean.fill(0.0)
+            grad_mean.flat.fill(0.0)
             batch_chunks = list(chunks(batch))
             for chunk in batch_chunks:
                 spans = encode(params, chunk)
@@ -503,8 +506,7 @@ def train(bags: list, labels, train_idx, val_idx,
         history.append(EpochRecord(epoch=epoch, train_loss=epoch_loss / order.size, val_ev=ev))
         if best is None or ev > best[0]:
             best = (ev, epoch, preds)
-            for name in PARAM_FIELDS:
-                np.copyto(getattr(snapshot, name), getattr(params, name))
+            np.copyto(snapshot.flat, params.flat)
         elif epoch - best[1] >= hyper.patience:
             break
     return TrainResult(params=snapshot, history=history, best_epoch=best[1],
@@ -517,13 +519,12 @@ def train(bags: list, labels, train_idx, val_idx,
 
 
 def save_checkpoint(params: ModelParams, hyper: HyperParams, path) -> None:
-    """Binary snapshot: magic, version, hyper block, then all tensors f64 LE."""
+    """Binary snapshot: magic, version, hyper block, then `params.flat` f64 LE."""
     with open(path, "wb") as fh:
         fh.write(CKPT_MAGIC)
         fh.write(struct.pack("<H", CKPT_VERSION))
         fh.write(struct.pack(_CKPT_HYPER, *astuple(hyper), params.dim))
-        for name in PARAM_FIELDS:
-            fh.write(np.ascontiguousarray(getattr(params, name), dtype="<f8").tobytes())
+        fh.write(params.flat.astype("<f8", copy=False))
 
 
 def load_checkpoint(path) -> tuple[ModelParams, HyperParams]:
@@ -541,18 +542,16 @@ def load_checkpoint(path) -> tuple[ModelParams, HyperParams]:
         raise ModelError(f"{path}: unsupported checkpoint version {version}")
     *values, dim = struct.unpack_from(_CKPT_HYPER, data, 6)
     hyper = HyperParams(*values)
-    tensors = {}
+    shapes = param_shapes(hyper, dim)
     offset = header
-    for name, shape in param_shapes(hyper, dim).items():
+    for name, shape in shapes.items():
         count = math.prod(shape)
         if offset + 8 * count > len(data):
             raise ModelError(f"{path}: checkpoint truncated in tensor {name} "
                              f"({len(data) - offset} of {8 * count} bytes)")
-        arr = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
-        if not np.isfinite(arr).all():
+        if not np.isfinite(np.frombuffer(data, dtype="<f8", count=count, offset=offset)).all():
             raise ModelError(f"{path}: checkpoint tensor {name} holds non-finite values")
         offset += count * 8
-        tensors[name] = arr.reshape(shape).astype(np.float64)
     if offset != len(data):
         raise ModelError(f"{path}: checkpoint has {len(data) - offset} trailing bytes")
-    return ModelParams(**tensors), hyper
+    return ModelParams(np.frombuffer(data, "<f8", offset=header).astype(float), shapes), hyper

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import struct
 import tracemalloc
 import warnings
 
@@ -154,6 +155,50 @@ class TestInit:
         assert p.attn_w.shape == (128,)
         assert p.score_w.shape == (512,)
         assert (p.enc_b == 0).all() and (p.score_b == 0).all()
+
+
+class TestLayout:
+    def test_each_tensor_is_a_view_of_flat_at_its_offset(self):
+        params = init_params(3, SMALL, dim=7)
+        shapes = milnet.param_shapes(SMALL, 7)
+        assert params.shapes == shapes
+        assert params.flat.dtype == np.float64 and params.flat.flags.c_contiguous
+        assert params.flat.size == sum(math.prod(shape) for shape in shapes.values())
+        offset = 0
+        for name, shape in shapes.items():
+            view = getattr(params, name)
+            assert view.base is params.flat and view.shape == shape, name
+            assert np.array_equal(view.ravel(), params.flat[offset : offset + view.size]), name
+            offset += view.size
+        attn_u_at = sum(math.prod(shapes[name]) for name in PARAM_FIELDS[:4])
+        params.attn_u[2, 3] = 7.5
+        assert params.flat[attn_u_at + 2 * SMALL.enc_out + 3] == 7.5
+        params.flat[attn_u_at + SMALL.enc_out] = -2.25
+        assert params.attn_u[1, 0] == -2.25
+
+    def test_copy_and_zeros_like_own_fresh_buffers(self):
+        params = init_params(4, SMALL, dim=7)
+        before = params.flat.copy()
+        for other in (params.copy(), params.zeros_like()):
+            assert not np.shares_memory(other.flat, params.flat)
+            for name in PARAM_FIELDS:
+                assert getattr(other, name).base is other.flat, name
+            other.flat[:] = 5.0
+            assert np.array_equal(params.flat, before)
+        assert not params.zeros_like().flat.any()
+        assert np.array_equal(params.copy().flat, before)
+
+    def test_keyword_construction_packs_copies(self):
+        tensors = {name: np.full(shape, float(i))
+                   for i, (name, shape) in enumerate(milnet.param_shapes(SMALL, 5).items())}
+        params = ModelParams(**tensors)
+        assert params.flat.dtype == np.float64
+        for name in PARAM_FIELDS:
+            assert getattr(params, name).base is params.flat, name
+            assert np.array_equal(getattr(params, name), tensors[name]), name
+            tensors[name] += 100.0  # the caller's array changes; the params do not
+        for i, name in enumerate(PARAM_FIELDS):
+            assert (getattr(params, name) == float(i)).all(), name
 
 
 class TestForward:
@@ -394,6 +439,102 @@ class TestBackward:
             backward(trace, other, 1.0)
 
 
+COMPLEX_STEP = 1e-30
+PAPER = HyperParams()  # 2048 -> 512 -> 128
+
+
+def complex_predictions(params, bags, masks):
+    """`forward`'s predictions on `bags` (real feature arrays) under their
+    dropout `masks`, written again for parameters of any dtype, with the bags
+    encoded in one stacked GEMM.  At complex parameters, ReLU keeps the
+    entries whose real part is positive and the softmax shift is the largest
+    real logit, so each prediction is analytic in the parameters away from
+    ReLU's kink."""
+    pre = np.concatenate(bags) @ params.enc_w.T + params.enc_b
+    rows = np.split(pre * (pre.real > 0.0), np.cumsum([len(bag) for bag in bags])[:-1])
+    preds = []
+    for emb, mask in zip(rows, masks, strict=True):
+        gate_t = np.tanh(emb @ params.attn_v.T + params.attn_v_b)
+        gate_g = 1.0 / (1.0 + np.exp(-(emb @ params.attn_u.T + params.attn_u_b)))
+        logits = (gate_t * gate_g) @ params.attn_w
+        weights = np.exp(logits - logits.real.max())
+        scores = 1.0 / (1.0 + np.exp(-(emb * mask @ params.score_w + params.score_b[0])))
+        preds.append(weights @ scores / weights.sum())
+    return np.array(preds)
+
+
+def assert_directional_derivatives(params, grads, f, seed):
+    """Along 8 random directions v, each grads[j].flat @ v equals
+    Im f(theta + i h v)[j] / h at h = 1e-30, the derivative of f[j] along v
+    with no subtraction error (Squire & Trapp 1998), to 1e-12 relative.  The
+    dot product's own rounding error scales with sum |g_i v_i|, which can be
+    1e5 times |g . v| when v is nearly orthogonal to g, so one ulp of that sum
+    is allowed on top.  Returns the real part of f there."""
+    rng = np.random.default_rng(seed)
+    for _ in range(8):
+        v = rng.uniform(-1.0, 1.0, size=params.flat.size)
+        value = np.atleast_1d(f(ModelParams(params.flat + (1j * COMPLEX_STEP) * v,
+                                            params.shapes)))
+        exact = value.imag / COMPLEX_STEP
+        got = np.array([g.flat @ v for g in grads])
+        dot_ulp = np.finfo(float).eps * np.array([np.abs(g.flat * v).sum() for g in grads])
+        error = np.abs(got - exact)
+        assert (error <= 1e-12 * np.abs(exact) + dot_ulp).all(), f"relative {error / np.abs(exact)}"
+    return value.real
+
+
+class TestComplexStepOracle:
+    # The 1e-6 finite-difference gate above runs at dim 9-10 and cannot see a
+    # relative error under 1e-6, such as a gradient term rounded through f32.
+    # These check the hand-written gradients at the paper shape against the
+    # complex-step derivative along random directions, which has no
+    # subtraction error at h = 1e-30.
+    def test_backward_at_paper_shape_under_dropout(self):
+        rng = np.random.default_rng(40)
+        params = init_params(41, PAPER, dim=2048)
+        bags = [make_bag(rng, k, 2048).features.astype(np.float64) for k in (1, 9, 60)]
+        masks = [milnet._dropout_mask((len(bag), PAPER.enc_out), PAPER, rng) for bag in bags]
+        assert all((mask == 0).any() for mask in masks)
+        traces = [forward(params, bag, mask) for bag, mask in zip(bags, masks)]
+        real = assert_directional_derivatives(
+            params, [backward(trace, params, 1.0) for trace in traces],
+            lambda p: complex_predictions(p, bags, masks), seed=43)
+        assert real == pytest.approx([t.prediction for t in traces], rel=0.0, abs=1e-15)
+
+    def test_train_batch_mean_gradient_at_paper_shape(self, monkeypatch):
+        # Every batch-mean gradient train hands to ADAM is the derivative of
+        # the batch's mean squared error under its dropout masks.  At a
+        # STACK_ROWS of 8 the stacked buffer holds max(8, largest bag) rows,
+        # which each batch overflows: it is encoded, and folds enc_w, in
+        # several chunks.
+        bags, labels = quick_cohort(np.random.default_rng(42), n=12, dim=2048, tiles=(2, 9))
+        train_idx = np.arange(8)
+        hyper = HyperParams(lr=1e-3, max_epochs=1, batch_size=4)
+        monkeypatch.setattr(milnet, "STACK_ROWS", 8)
+        steps = []
+        real_step = milnet.adam_step
+
+        def recording_step(params, grads, state, hyper):
+            steps.append((params.copy(), grads.copy()))
+            real_step(params, grads, state, hyper)
+
+        monkeypatch.setattr(milnet, "adam_step", recording_step)
+        train(bags, labels, train_idx, np.arange(8, 12), hyper, seed=5)
+
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=5, spawn_key=(1,)))
+        order = rng.permutation(train_idx)
+        assert len(steps) == 2
+        for b, (params, got) in enumerate(steps):
+            batch = order[4 * b : 4 * b + 4]
+            assert sum(bags[i].n_tiles for i in batch) > max(8, *(bag.n_tiles for bag in bags))
+            feats = [bags[i].features.astype(np.float64) for i in batch]
+            masks = [milnet._dropout_mask((len(f), hyper.enc_out), hyper, rng) for f in feats]
+            assert_directional_derivatives(
+                params, [got],
+                lambda p: np.mean((complex_predictions(p, feats, masks) - labels[batch]) ** 2),
+                seed=b)
+
+
 class TestAdam:
     def test_zero_grad_no_decay_keeps_param(self):
         theta = np.array([1.5])
@@ -446,8 +587,10 @@ class TestAdam:
             assert np.array_equal(m, ref_m) and np.array_equal(v, ref_v)
 
     def test_adam_step_matches_textbook_over_all_tensors(self):
-        # enc_w holds 16 x (ADAM_BLOCK / 16 + 52) entries: adam_step walks it
-        # as one full block and a ragged tail; every other tensor is one short block
+        # enc_w holds 16 x (ADAM_BLOCK / 16 + 52) entries, and adam_step walks
+        # the flat buffer in ADAM_BLOCK blocks: the second block starts inside
+        # enc_w and runs on across every other tensor, so blocks cross tensor
+        # boundaries
         dim = ADAM_BLOCK // SMALL.enc_out + 52
         params = init_params(2, SMALL, dim=dim)
         assert ADAM_BLOCK < params.enc_w.size < 2 * ADAM_BLOCK
@@ -749,6 +892,13 @@ class TestCheckpoint:
         for name in PARAM_FIELDS:
             assert np.array_equal(getattr(loaded, name), getattr(params, name))
         assert hyper2 == hyper
+
+    def test_tensor_section_is_flat(self, tmp_path):
+        params = init_params(6, SMALL, dim=7)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, SMALL, path)
+        header = 6 + struct.calcsize(milnet._CKPT_HYPER)
+        assert path.read_bytes()[header:] == params.flat.astype("<f8").tobytes()
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         params = init_params(4, SMALL, dim=7)
