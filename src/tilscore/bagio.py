@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import TilscoreError
+from . import TilscoreError, check_rules
 
 BAG_MAGIC = b"ECTB"
 BAG_VERSION = 1
@@ -423,29 +423,26 @@ class SynthConfig:
         f32 = np.finfo(np.float32)  # a bag stores mpp as float32
         # tiles sit on a grid of ceil(sqrt(n_tiles)) columns, with uint32 coordinates
         cols = math.isqrt(max(self.tiles_max, 1) - 1) + 1
-        rules = [*((name, "at least 1", getattr(self, name) >= 1)
-                   for name in ("n_slides", "dim", "n_centres", "n_cohorts")),
-                 ("tiles_min", "at least 1 and at most tiles_max",
-                  1 <= self.tiles_min <= self.tiles_max),
-                 *((name, "at least 0", getattr(self, name) >= 0)
-                   for name in ("noise_dim", "seed")),
-                 # far above any useful value, and float32 features stay finite
-                 ("noise_sigma", "in [0, 1e6]", 0.0 <= self.noise_sigma <= 1e6),
-                 ("slide_mean_lo", "in [0, slide_mean_hi]",
-                  0.0 <= self.slide_mean_lo <= self.slide_mean_hi),
-                 ("slide_mean_hi", "at most 1", self.slide_mean_hi <= 1.0),
-                 *((name, "finite and above 0", 0.0 < getattr(self, name) < math.inf)
-                   for name in ("density_concentration", "surv_base_hazard")),
-                 ("tile_size_px", "at least 1, with every tile coordinate in uint32",
-                  1 <= self.tile_size_px and self.tile_size_px * max(cols - 1, 1) <= 0xFFFFFFFF),
-                 ("mpp", f"in [{f32.tiny:.3g}, {f32.max:.3g}]", f32.tiny <= self.mpp <= f32.max),
-                 ("surv_beta_per_unit", "finite", math.isfinite(self.surv_beta_per_unit)),
-                 ("surv_censor_lo", "at least 0 and at most surv_censor_hi",
-                  0.0 <= self.surv_censor_lo <= self.surv_censor_hi),
-                 ("surv_censor_hi", "finite", math.isfinite(self.surv_censor_hi))]
-        for name, rule, ok in rules:
-            if not ok:
-                raise TilscoreError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        check_rules(self, [
+            *((name, "at least 1", getattr(self, name) >= 1)
+              for name in ("n_slides", "dim", "n_centres", "n_cohorts")),
+            ("tiles_min", "at least 1 and at most tiles_max",
+             1 <= self.tiles_min <= self.tiles_max),
+            *((name, "at least 0", getattr(self, name) >= 0) for name in ("noise_dim", "seed")),
+            # far above any useful value, and float32 features stay finite
+            ("noise_sigma", "in [0, 1e6]", 0.0 <= self.noise_sigma <= 1e6),
+            ("slide_mean_lo", "in [0, slide_mean_hi]",
+             0.0 <= self.slide_mean_lo <= self.slide_mean_hi),
+            ("slide_mean_hi", "at most 1", self.slide_mean_hi <= 1.0),
+            *((name, "finite and above 0", 0.0 < getattr(self, name) < math.inf)
+              for name in ("density_concentration", "surv_base_hazard")),
+            ("tile_size_px", "at least 1, with every tile coordinate in uint32",
+             1 <= self.tile_size_px and self.tile_size_px * max(cols - 1, 1) <= 0xFFFFFFFF),
+            ("mpp", f"in [{f32.tiny:.3g}, {f32.max:.3g}]", f32.tiny <= self.mpp <= f32.max),
+            ("surv_beta_per_unit", "finite", math.isfinite(self.surv_beta_per_unit)),
+            ("surv_censor_lo", "at least 0 and at most surv_censor_hi",
+             0.0 <= self.surv_censor_lo <= self.surv_censor_hi),
+            ("surv_censor_hi", "finite", math.isfinite(self.surv_censor_hi))])
 
 
 def synth_cohort(cfg: SynthConfig) -> tuple[list[FeatureBag], list[SlideRecord]]:

@@ -73,10 +73,9 @@ def _dataclass_from(cls, obj, what: str):
 def _hyper_from(args: argparse.Namespace) -> milnet.HyperParams:
     overrides = _load_config(args.config, "--config", "hyper")
     hyper = _dataclass_from(milnet.HyperParams, overrides.get("hyper", {}), '"hyper"')
-    for name in ("lr", "weight_decay", "batch_size", "max_epochs", "patience", "enc_out",
-                 "attn_hidden"):
-        if getattr(args, name) is not None:
-            setattr(hyper, name, getattr(args, name))
+    for field in dataclasses.fields(hyper):  # the flags that set a field, when given
+        if getattr(args, field.name, None) is not None:
+            setattr(hyper, field.name, getattr(args, field.name))
     hyper.validate()
     return hyper
 
@@ -168,8 +167,6 @@ def cmd_tile(args) -> int:
 
 def cmd_synth(args) -> int:
     cfg = _dataclass_from(bagio.SynthConfig, bagio.read_json(args.config_file), "synth config")
-    if args.seed is not None:
-        cfg.seed = args.seed
     cfg.validate()
     bags, records = bagio.synth_cohort(cfg)
     out = _open_run(args, {"effective_config": dataclasses.asdict(cfg)})
@@ -547,7 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic cohort from a JSON config")
     p.add_argument("config_file")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, help="overrides the config file's seed")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="grouped cross-validation training")

@@ -10,6 +10,8 @@ overshoots sharp tissue boundaries.  The threshold keeps the rim where
 tissue meets glass, and hole filling the inside; so that tissue the slide's
 edge cuts is filled too, the edge counts as tissue beside each dark border
 cell (`_edge_ring`), judged by the border's luminance, which is kept.
+`FesiParams` holds the recipe's scales (Bug, Feuerhake & Merhof, BVM 2015);
+the threshold's guards are module constants, and hole filling is always on.
 
 The filters are numpy routines that reproduce `scipy.ndimage`'s arithmetic
 bit for bit: the reflect-mode Gaussian and Laplacian sum in scipy's order,
@@ -36,7 +38,6 @@ kept when its footprint holds at least one foreground mask pixel.
 
 from __future__ import annotations
 
-import math
 import os
 import threading
 from collections.abc import Callable, Iterable
@@ -46,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import TilscoreError, pnm
+from . import TilscoreError, check_rules, pnm
 from .bagio import write_table
 
 TILE_SIZE_PX = 512
@@ -54,6 +55,9 @@ TARGET_MPP = 0.5
 # Upper bound of `pre_sigma` and `smooth_sigma`, in mask pixels: a Gaussian's
 # band holds `_BAND_ROWS` + 8 sigma rows of the mask
 MAX_SIGMA = 256.0
+UNIFORM_REL_GAP = 0.3  # below this class separation the map counts as uniform
+STRUCTURE_FLOOR = 1e-3  # luminance units; uniform maps above it are tissue
+ISODATA_ITERS = 64
 
 
 @dataclass
@@ -75,25 +79,15 @@ class FesiParams:
     pre_sigma: float = 2.0  # at mask scale, before the Laplacian
     smooth_sigma: float = 8.0  # broad blur of the structure map
     morph_size: int = 3
-    fill_holes: bool = True
-    uniform_rel_gap: float = 0.3  # below this class separation the map counts as uniform
-    structure_floor: float = 1e-3  # luminance units; uniform maps above it are tissue
-    isodata_iters: int = 64
 
     def validate(self) -> None:
         """Raise TilscoreError naming the first field out of its range."""
-        rules = [*((name, "an integer of at least 1",
-                    isinstance(getattr(self, name), int) and getattr(self, name) >= 1)
-                   for name in ("downsample", "morph_size")),
-                 *((name, f"in [0, {MAX_SIGMA:g}]", 0.0 <= getattr(self, name) <= MAX_SIGMA)
-                   for name in ("pre_sigma", "smooth_sigma")),
-                 ("structure_floor", "finite and at least 0",
-                  0.0 <= self.structure_floor < math.inf),
-                 ("isodata_iters", "at least 0", self.isodata_iters >= 0),
-                 ("uniform_rel_gap", "in [0, 1]", 0.0 <= self.uniform_rel_gap <= 1.0)]
-        for name, rule, ok in rules:
-            if not ok:
-                raise TilscoreError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        check_rules(self, [
+            *((name, "an integer of at least 1",
+               isinstance(getattr(self, name), int) and getattr(self, name) >= 1)
+              for name in ("downsample", "morph_size")),
+            *((name, f"in [0, {MAX_SIGMA:g}]", 0.0 <= getattr(self, name) <= MAX_SIGMA)
+              for name in ("pre_sigma", "smooth_sigma"))])
 
 
 @dataclass
@@ -160,9 +154,9 @@ def _split_means(values: np.ndarray, t: float) -> tuple[float | None, float | No
     return lo, float(above.mean()) if above.size else None
 
 
-def _isodata_threshold(values: np.ndarray, iters: int) -> float:
+def _isodata_threshold(values: np.ndarray) -> float:
     t = float(values.mean())
-    for _ in range(iters):
+    for _ in range(ISODATA_ITERS):
         lo, hi = _split_means(values, t)
         if lo is None or hi is None:
             break
@@ -327,6 +321,12 @@ def _fill_holes(bits: np.ndarray) -> np.ndarray:
 EDGE_DARK = 0.86
 
 
+def _median(values: np.ndarray) -> float:
+    """`np.median(values)` bit for bit, without the numpy.ma import of its first call."""
+    ranked, mid = np.sort(values), (values.size - 1) // 2
+    return float(np.mean(ranked[mid : values.size - mid]))
+
+
 def _edge_ring(bits: np.ndarray, border: list[np.ndarray]) -> np.ndarray:
     """`bits` in a one-cell ring, foreground beside each dark border cell;
     `border` is the luminance of the top, bottom, left and right border
@@ -337,7 +337,7 @@ def _edge_ring(bits: np.ndarray, border: list[np.ndarray]) -> np.ndarray:
     ring = np.zeros((bits.shape[0] + 2, bits.shape[1] + 2), dtype=bool)
     ring[1:-1, 1:-1] = bits
     if background.size:
-        dark = EDGE_DARK * float(np.median(background))
+        dark = EDGE_DARK * _median(background)
         ring[0, 1:-1], ring[-1, 1:-1], ring[1:-1, 0], ring[1:-1, -1] = (
             lum < dark for lum in border)
     return ring
@@ -372,16 +372,16 @@ def compute_foreground(slide: PpmSlide, params: FesiParams | None = None) -> For
     del a, b
 
     fg_level = float(smooth.max())
-    if fg_level <= params.structure_floor:
+    if fg_level <= STRUCTURE_FLOOR:
         bits = np.zeros_like(smooth, dtype=bool)
     else:
-        t = _isodata_threshold(smooth, params.isodata_iters)
+        t = _isodata_threshold(smooth)
         lo, hi = _split_means(smooth, t)
         lo, hi = 0.0 if lo is None else lo, fg_level if hi is None else hi
-        if hi - lo < params.uniform_rel_gap * hi:
+        if hi - lo < UNIFORM_REL_GAP * hi:
             # structurally uniform image: everything is tissue (or nothing,
             # handled by the floor above)
-            bits = smooth > params.structure_floor
+            bits = smooth > STRUCTURE_FLOOR
         else:
             bits = smooth > t
     del smooth  # freed before the morphology, the edge ring and hole filling
@@ -391,7 +391,7 @@ def compute_foreground(slide: PpmSlide, params: FesiParams | None = None) -> For
         # which keeps image-edge tissue intact
         bits = _box_morphology(_box_morphology(bits, m, erode=False), m, erode=True)
         bits = _box_morphology(_box_morphology(bits, m, erode=True), m, erode=False)
-    if params.fill_holes and bits.any():
+    if bits.any():
         bits = _fill_holes(_edge_ring(bits, border))[1:-1, 1:-1]
     h, w = bits.shape
     return ForegroundMask(width=w, height=h, scale=1.0 / f, bits=bits)

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import TilscoreError
+from . import TilscoreError, check_rules
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -61,15 +61,14 @@ class HyperParams:
 
     def validate(self) -> None:
         """Raise ModelError naming the first field out of its range."""
-        at_least_one = ("batch_size", "max_epochs", "patience", "enc_out", "attn_hidden")
-        rules = [("lr", "finite and above 0", 0.0 < self.lr < math.inf),
-                 ("weight_decay", "finite and not negative", 0.0 <= self.weight_decay < math.inf),
-                 *((name, "at least 1", getattr(self, name) >= 1) for name in at_least_one),
-                 *((name, "in [0, 1)", 0.0 <= getattr(self, name) < 1.0)
-                   for name in ("dropout_feature", "dropout_tile"))]
-        for name, rule, ok in rules:
-            if not ok:
-                raise ModelError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        check_rules(self, [
+            ("lr", "finite and above 0", 0.0 < self.lr < math.inf),
+            ("weight_decay", "finite and not negative", 0.0 <= self.weight_decay < math.inf),
+            # a checkpoint stores each count as uint32 (_CKPT_HYPER)
+            *((name, "in [1, 4294967295]", 1 <= getattr(self, name) <= 0xFFFFFFFF)
+              for name in ("batch_size", "max_epochs", "patience", "enc_out", "attn_hidden")),
+            *((name, "in [0, 1)", 0.0 <= getattr(self, name) < 1.0)
+              for name in ("dropout_feature", "dropout_tile"))], ModelError)
 
 
 class ModelParams:

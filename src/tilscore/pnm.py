@@ -92,16 +92,6 @@ def read_ppm_strips(path, multiple: int, blocks=slice(None), parts=1) -> Iterato
             yield strip
 
 
-def read_pgm(path) -> np.ndarray:
-    """P5 image as (height, width) uint8."""
-    with open(path, "rb") as fh:
-        arr = np.empty(_read_header(fh, path, b"P5", 1), dtype=np.uint8)
-        got = fh.readinto(arr)
-    if got != arr.nbytes:
-        raise TilscoreError(f"{path}: raster truncated ({got} of {arr.nbytes} bytes)")
-    return arr
-
-
 def write_ppm(path, pixels: np.ndarray) -> None:
     pixels = np.ascontiguousarray(pixels, dtype=np.uint8)
     if pixels.ndim != 3 or pixels.shape[2] != 3:

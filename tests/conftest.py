@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tilscore import pnm
 from tilscore.foreground import PpmSlide
 from tilscore.pnm import write_ppm
 
@@ -39,6 +40,14 @@ def noisy_disc_slide(directory, **disc):
     """The `noisy_disc` pixels as a PPM slide in `directory`, and their truth."""
     pixels, truth_at_scale = noisy_disc(**disc)
     return ppm_slide(directory, pixels, "disc"), truth_at_scale
+
+
+def read_pgm(path) -> np.ndarray:
+    """A P5 file as (height, width) uint8, as `pnm.write_pgm` wrote it."""
+    with open(path, "rb") as fh:  # the header check makes sure the raster is all there
+        pixels = np.empty(pnm._read_header(fh, path, b"P5", 1), dtype=np.uint8)
+        fh.readinto(pixels)
+    return pixels
 
 
 def read_manifest(path) -> tuple[int, float, np.ndarray, np.ndarray]:

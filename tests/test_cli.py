@@ -18,13 +18,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import noisy_disc, read_manifest
+from conftest import noisy_disc, read_manifest, read_pgm
 import tilscore
 from tilscore import bagio, concord, foreground, milnet, pnm, survstats
 from tilscore.cli import build_parser, main
 from tilscore.milnet import (HyperParams, ModelParams, init_params,
                              load_checkpoint, save_checkpoint)
-from tilscore.pnm import read_pgm, write_ppm
+from tilscore.pnm import write_ppm
 
 
 def run(*argv) -> int:
@@ -186,6 +186,20 @@ def test_model_stages_run_without_scipy(tmp_path):
     assert {row["variable"] for row in report["cox"][-1]["rows"]} == {"age", "biomarker=pos"}
 
 
+def test_tile_does_not_import_numpy_ma(tmp_path):
+    # np.median's first call imports numpy.ma, 8-16 ms and 1.25 MB of RSS in
+    # every tile run.  tile runs alone in its child: train's np.intersect1d
+    # and heatmap's np.unique import numpy.ma too.
+    write_ppm(tmp_path / "slide.ppm", noisy_disc(n=512, radius=150.0)[0])
+    code = ("import sys; from tilscore.cli import main; "
+            "print(main(sys.argv[1:]), 'numpy.ma' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code, "tile", str(tmp_path / "slide.ppm"),
+                           "--mpp", "0.5", "--out", str(tmp_path / "tile")],
+                          env=subprocess_env(), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 False"
+
+
 # every required argument is present, so exit 2 can only come from the flag
 COMMAND_ARGS = {
     "synth": ["cfg.json", "--out", "o"],
@@ -196,7 +210,7 @@ COMMAND_ARGS = {
     "heatmap": ["--model", "m.ckpt", "--bag", "a.bag", "--out", "o"],
 }
 FLAG_VALUES = {"--seed": "1", "--workers": "1", "--config": "cfg.json"}
-KEPT_FLAGS = {"synth": {"--seed"}, "train": {"--seed", "--workers", "--config"},
+KEPT_FLAGS = {"train": {"--seed", "--workers", "--config"},
               "predict": {"--workers"}}
 
 
@@ -237,6 +251,10 @@ BAD_CONFIGS = {
                                        f"column {column!r} is reserved and cannot be a covariate")
        for column in ("cohort", "centre", "os_months")},
     "tile-unknown-key": ("tile", {"fesi": {"bogus": 1}}, "unknown key 'bogus'"),
+    # guards that were once "fesi" keys and are now foreground constants
+    **{f"tile-retired-{key}": ("tile", {"fesi": {key: value}}, f"unknown key {key!r}")
+       for key, value in [("fill_holes", False), ("isodata_iters", 64),
+                          ("structure_floor", 1e-3), ("uniform_rel_gap", 0.3)]},
     "tile-not-an-object": ("tile", {"fesi": [8]}, '"fesi" must be a JSON object, not list'),
     "train-unknown-key": ("train", {"hyper": {"lrate": 1e-3}}, "unknown key 'lrate'"),
     "train-value-type": ("train", {"hyper": {"max_epochs": 2.5}},
@@ -288,7 +306,15 @@ PROBES = {
                                 ("--lr", "lr", "-1"), ("--lr", "lr", "nan"),
                                 ("--weight-decay", "weight_decay", "-1"),
                                 ("--patience", "patience", "0"),
-                                ("--enc-out", "enc_out", "0")]},
+                                ("--enc-out", "enc_out", "0"),
+                                # past the uint32 a checkpoint stores them as; --patience
+                                # 4294967296 once trained fold 0, then exited 1 with a
+                                # traceback and a 6-byte fold000.ckpt
+                                ("--patience", "patience", "4294967296"),
+                                ("--batch-size", "batch_size", "1000000000000"),
+                                ("--max-epochs", "max_epochs", "4294967296"),
+                                ("--enc-out", "enc_out", "4294967296"),
+                                ("--attn-hidden", "attn_hidden", "4294967296")]},
     "train-dropout-config": ("train", ["--config", "cfg.json"],
                              {"cfg.json": '{"hyper": {"dropout_feature": 1.0}}'},
                              ["dropout_feature must be"]),
@@ -354,9 +380,7 @@ PROBES = {
                                      "cfg.json": f'{{"fesi": {{"{key}": {value}}}}}'},
                                     [f"{key} must be", f"got {value.lower()}"])
        for key, value in [("downsample", "0"), ("morph_size", "-3"),
-                          ("pre_sigma", "-1"), ("pre_sigma", "NaN"), ("smooth_sigma", "-2"),
-                          ("structure_floor", "NaN"), ("isodata_iters", "-1"),
-                          ("uniform_rel_gap", "NaN"), ("uniform_rel_gap", "1.5")]},
+                          ("pre_sigma", "-1"), ("pre_sigma", "NaN"), ("smooth_sigma", "-2")]},
     # sigmas that overflowed the kernel radius, or made one filter band gigabytes
     **{f"tile-fesi-{key}-{value}": ("tile", ["--mpp", "0.5", "--config", "cfg.json"],
                                     {"slide.ppm": "P6\n700 600\n255\n",

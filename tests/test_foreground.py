@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import mask_iou, noisy_disc, ppm_slide, read_manifest
+from conftest import mask_iou, noisy_disc, ppm_slide, read_manifest, read_pgm
 from tilscore import TilscoreError, foreground, pnm
 from tilscore.foreground import (
     FesiParams,
@@ -18,7 +18,7 @@ from tilscore.foreground import (
     grid_tiles,
     write_manifest,
 )
-from tilscore.pnm import ppm_shape, read_pgm, write_pgm, write_ppm, read_mpp_sidecar
+from tilscore.pnm import ppm_shape, write_pgm, write_ppm, read_mpp_sidecar
 
 
 def uniform_slide(directory, value=255, n=512):
@@ -361,6 +361,16 @@ class TestScipyOracle:
         assert np.array_equal(filled, ndimage.binary_fill_holes(bits))
         if bits.shape == (4, 4):  # the corner does not connect the cell to the border
             assert filled[1, 1] and not filled[0, 0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 255, 256])
+def test_median_is_numpys_bit_for_bit(n):
+    # _edge_ring's median, which avoids np.median's import of numpy.ma: odd
+    # and even sizes, ties, and middle pairs whose mean rounds
+    rng = np.random.default_rng(n)
+    for values in (rng.random(n) * 255.0, rng.integers(0, 3, n).astype(float),
+                   np.full(n, 0.1), rng.choice([0.1, 0.2, 0.7], n), rng.normal(size=n) * 1e300):
+        assert foreground._median(values).hex() == float(np.median(values)).hex(), values
 
 
 class TestGridTiles:

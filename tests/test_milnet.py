@@ -893,6 +893,15 @@ class TestCheckpoint:
             assert np.array_equal(getattr(loaded, name), getattr(params, name))
         assert hyper2 == hyper
 
+    def test_largest_valid_counts_round_trip(self, tmp_path):
+        # validate's bound on each count is the largest uint32 the hyper block
+        # stores; the tensors keep SMALL's shapes
+        hyper = dataclasses.replace(SMALL, batch_size=2**32 - 1, max_epochs=2**32 - 1,
+                                    patience=2**32 - 1)
+        hyper.validate()
+        save_checkpoint(init_params(5, SMALL, dim=3), hyper, tmp_path / "model.ckpt")
+        assert load_checkpoint(tmp_path / "model.ckpt")[1] == hyper
+
     def test_tensor_section_is_flat(self, tmp_path):
         params = init_params(6, SMALL, dim=7)
         path = tmp_path / "model.ckpt"

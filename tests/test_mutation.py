@@ -47,8 +47,7 @@ FLAGS = {"train": {"--lr": FLOATS, "--weight-decay": FLOATS, "--batch-size": INT
                    "--attn-hidden": INTS, "--seed": INTS},
          "tile": {"--mpp": FLOATS, "--tile-size": INTS, "--target-mpp": FLOATS},
          "survival": {"--norm-min": FLOATS, "--norm-max": FLOATS, "--cutoffs": CUTOFFS},
-         "evaluate": {"--cutoffs": CUTOFFS},
-         "synth": {"--seed": INTS}}
+         "evaluate": {"--cutoffs": CUTOFFS}}
 JSON_VALUES = [0, -1, 1, 2, 3, 0.5, -1.0, 1e308, -1e308, 1e-308, math.nan, math.inf, -math.inf,
                1e6, 1e30, "x", None, True, [], {}]
 CELLS = ["", "x", "nan", "inf", "-1", "0", "1e308", "101", "2", "0.5", " ", "G9", "é"]
