@@ -16,6 +16,9 @@ The synthetic generator plants a latent per-tile density d in [0, 1],
 embeds (d, noise) through a fixed random linear map, and labels the slide
 with exactly mean(d) * 100.  That makes slide labels recoverable from
 features by construction, which is what the training-recovery tests lean on.
+The module constants fix its distribution: uniform slide means, Beta tile
+densities around them, a TILE_SIZE_PX grid at MPP and, with `survival`,
+exponential event times under a log-linear hazard, censored uniformly.
 """
 
 from __future__ import annotations
@@ -394,6 +397,17 @@ def read_predictions(path) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 
 
+SLIDE_MEAN_LO = 0.05
+SLIDE_MEAN_HI = 0.95
+DENSITY_CONCENTRATION = 8.0
+TILE_SIZE_PX = 512
+MPP = 0.5
+SURV_BASE_HAZARD = 0.02
+SURV_BETA_PER_UNIT = -0.15  # per 10 TIL percentage points
+SURV_CENSOR_LO = 24.0
+SURV_CENSOR_HI = 120.0
+
+
 @dataclass
 class SynthConfig:
     """Seeded cohort recipe; output is a pure function of this config."""
@@ -405,44 +419,24 @@ class SynthConfig:
     seed: int = 0
     noise_dim: int = 8
     noise_sigma: float = 0.3
-    slide_mean_lo: float = 0.05
-    slide_mean_hi: float = 0.95
-    density_concentration: float = 8.0
     n_centres: int = 5
     n_cohorts: int = 5
-    tile_size_px: int = 512
-    mpp: float = 0.5
     survival: bool = False
-    surv_base_hazard: float = 0.02
-    surv_beta_per_unit: float = -0.15  # per 10 TIL percentage points
-    surv_censor_lo: float = 24.0
-    surv_censor_hi: float = 120.0
 
     def validate(self) -> None:
         """Raise TilscoreError naming the first field out of its range."""
-        f32 = np.finfo(np.float32)  # a bag stores mpp as float32
         # tiles sit on a grid of ceil(sqrt(n_tiles)) columns, with uint32 coordinates
-        cols = math.isqrt(max(self.tiles_max, 1) - 1) + 1
+        most_tiles = (0xFFFFFFFF // TILE_SIZE_PX + 1) ** 2
         check_rules(self, [
             *((name, "at least 1", getattr(self, name) >= 1)
               for name in ("n_slides", "dim", "n_centres", "n_cohorts")),
             ("tiles_min", "at least 1 and at most tiles_max",
              1 <= self.tiles_min <= self.tiles_max),
+            ("tiles_max", f"at most {most_tiles}, with every tile coordinate in uint32",
+             self.tiles_max <= most_tiles),
             *((name, "at least 0", getattr(self, name) >= 0) for name in ("noise_dim", "seed")),
             # far above any useful value, and float32 features stay finite
-            ("noise_sigma", "in [0, 1e6]", 0.0 <= self.noise_sigma <= 1e6),
-            ("slide_mean_lo", "in [0, slide_mean_hi]",
-             0.0 <= self.slide_mean_lo <= self.slide_mean_hi),
-            ("slide_mean_hi", "at most 1", self.slide_mean_hi <= 1.0),
-            *((name, "finite and above 0", 0.0 < getattr(self, name) < math.inf)
-              for name in ("density_concentration", "surv_base_hazard")),
-            ("tile_size_px", "at least 1, with every tile coordinate in uint32",
-             1 <= self.tile_size_px and self.tile_size_px * max(cols - 1, 1) <= 0xFFFFFFFF),
-            ("mpp", f"in [{f32.tiny:.3g}, {f32.max:.3g}]", f32.tiny <= self.mpp <= f32.max),
-            ("surv_beta_per_unit", "finite", math.isfinite(self.surv_beta_per_unit)),
-            ("surv_censor_lo", "at least 0 and at most surv_censor_hi",
-             0.0 <= self.surv_censor_lo <= self.surv_censor_hi),
-            ("surv_censor_hi", "finite", math.isfinite(self.surv_censor_hi))])
+            ("noise_sigma", "in [0, 1e6]", 0.0 <= self.noise_sigma <= 1e6)])
 
 
 def synth_cohort(cfg: SynthConfig) -> tuple[list[FeatureBag], list[SlideRecord]]:
@@ -459,21 +453,18 @@ def synth_cohort(cfg: SynthConfig) -> tuple[list[FeatureBag], list[SlideRecord]]
     bags, records = [], []
     for i in range(cfg.n_slides):
         n_tiles = int(rng.integers(cfg.tiles_min, cfg.tiles_max + 1))
-        mu = float(rng.uniform(cfg.slide_mean_lo, cfg.slide_mean_hi))
-        c = cfg.density_concentration
-        if mu in (0.0, 1.0):
-            density = np.full(n_tiles, mu)  # beta degenerates at the endpoints
-        else:
-            density = rng.beta(c * mu, c * (1.0 - mu), size=n_tiles)
+        mu = float(rng.uniform(SLIDE_MEAN_LO, SLIDE_MEAN_HI))
+        c = DENSITY_CONCENTRATION
+        density = rng.beta(c * mu, c * (1.0 - mu), size=n_tiles)
         noise = rng.normal(0.0, cfg.noise_sigma, size=(n_tiles, cfg.noise_dim))
         latent = np.column_stack([density, noise])
         features = (latent @ embed).astype(np.float32)
         ncols = int(np.ceil(np.sqrt(n_tiles)))
         ks = np.arange(n_tiles)
-        xy = np.column_stack([(ks % ncols) * cfg.tile_size_px, (ks // ncols) * cfg.tile_size_px])
+        xy = np.column_stack([(ks % ncols) * TILE_SIZE_PX, (ks // ncols) * TILE_SIZE_PX])
         sid = f"synth{i:04d}"
         bags.append(FeatureBag(slide_id=sid, features=features, tile_xy=xy,
-                               mpp=cfg.mpp, tile_size_px=cfg.tile_size_px))
+                               mpp=MPP, tile_size_px=TILE_SIZE_PX))
         label = float(density.mean()) * 100.0
         rec = SlideRecord(
             slide_id=sid,
@@ -482,9 +473,9 @@ def synth_cohort(cfg: SynthConfig) -> tuple[list[FeatureBag], list[SlideRecord]]
             til_score_pct=label,
         )
         if cfg.survival:
-            hazard = cfg.surv_base_hazard * np.exp(cfg.surv_beta_per_unit * (label / 10.0))
+            hazard = SURV_BASE_HAZARD * np.exp(SURV_BETA_PER_UNIT * (label / 10.0))
             t_event = float(rng.exponential(1.0 / hazard))
-            t_cens = float(rng.uniform(cfg.surv_censor_lo, cfg.surv_censor_hi))
+            t_cens = float(rng.uniform(SURV_CENSOR_LO, SURV_CENSOR_HI))
             rec.os_event = int(t_event <= t_cens)
             rec.os_months = max(round(min(t_event, t_cens), 4), 0.001)
         records.append(rec)

@@ -167,7 +167,6 @@ def cmd_tile(args) -> int:
 
 def cmd_synth(args) -> int:
     cfg = _dataclass_from(bagio.SynthConfig, bagio.read_json(args.config_file), "synth config")
-    cfg.validate()
     bags, records = bagio.synth_cohort(cfg)
     out = _open_run(args, {"effective_config": dataclasses.asdict(cfg)})
     bag_dir = out / "bags"
@@ -466,8 +465,10 @@ def _cutoff_label(lo: float, hi: float) -> str:
 
 
 def _infer_step(coords: np.ndarray) -> int | None:
-    vals = np.unique(coords)
-    return int(np.diff(vals).min()) if vals.size >= 2 else None
+    # the smallest gap between distinct values, without np.unique's numpy.ma import
+    gaps = np.diff(np.sort(coords))
+    gaps = gaps[gaps > 0]
+    return int(gaps.min()) if gaps.size else None
 
 
 def cmd_heatmap(args) -> int:

@@ -185,17 +185,18 @@ class CalibrationCurve:
               for i, b in enumerate(self.bins))])
 
 
-def calibration(preds_fraction, labels_pct, n_bins: int = CALIBRATION_BINS) -> CalibrationCurve:
-    """Bin predictions into [b/n, (b+1)/n) (last bin closed above) and
-    summarise the pathologist scores landing in each bin."""
+def calibration(preds_fraction, labels_pct) -> CalibrationCurve:
+    """Bin predictions into [b/n, (b+1)/n) for n = CALIBRATION_BINS (last bin
+    closed above) and summarise the pathologist scores landing in each bin."""
     p, y = _paired(preds_fraction, labels_pct)
     if np.any(p < 0.0) or np.any(p > 1.0):
         raise ValueError("predictions must lie in [0, 1]")
-    idx = np.minimum((p * n_bins).astype(np.int64), n_bins - 1)
+    idx = np.minimum((p * CALIBRATION_BINS).astype(np.int64), CALIBRATION_BINS - 1)
     bins: list[CalibrationBin] = []
-    for b in range(n_bins):
+    for b in range(CALIBRATION_BINS):
         vals = np.sort(y[idx == b])
-        cb = CalibrationBin(lo=b / n_bins, hi=(b + 1) / n_bins, count=int(vals.size))
+        cb = CalibrationBin(lo=b / CALIBRATION_BINS, hi=(b + 1) / CALIBRATION_BINS,
+                            count=int(vals.size))
         if vals.size:
             cb.mean = float(vals.mean())
             cb.min = float(vals[0])

@@ -411,7 +411,7 @@ def train(bags: list, labels, train_idx, val_idx,
     val_idx = np.asarray(val_idx, dtype=np.int64)
     if train_idx.size == 0:
         raise ModelError("empty training set")
-    if np.intersect1d(train_idx, val_idx).size:
+    if np.isin(val_idx, train_idx).any():  # np.intersect1d would import numpy.ma
         raise ModelError("train and validation sets overlap")
     if np.any(labels < 0.0) or np.any(labels > 1.0):
         raise ModelError("labels must be fractions in [0, 1]")

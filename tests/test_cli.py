@@ -186,15 +186,41 @@ def test_model_stages_run_without_scipy(tmp_path):
     assert {row["variable"] for row in report["cox"][-1]["rows"]} == {"age", "biomarker=pos"}
 
 
-def test_tile_does_not_import_numpy_ma(tmp_path):
-    # np.median's first call imports numpy.ma, 8-16 ms and 1.25 MB of RSS in
-    # every tile run.  tile runs alone in its child: train's np.intersect1d
-    # and heatmap's np.unique import numpy.ma too.
-    write_ppm(tmp_path / "slide.ppm", noisy_disc(n=512, radius=150.0)[0])
+@pytest.fixture(scope="module")
+def model_chain(tmp_path_factory):
+    """A small synth cohort, a two-fold model trained on it, its predictions and a slide."""
+    root = tmp_path_factory.mktemp("chain")
+    write_synth_config(root / "cfg.json")
+    assert run("synth", root / "cfg.json", "--out", root) == 0
+    assert run("train", "--bags", root / "bags", "--clinical", root / "clinical.csv",
+               "--plan", "loco", "--enc-out", 8, "--attn-hidden", 4, "--max-epochs", 2,
+               "--out", root / "run") == 0
+    assert run("predict", "--model", root / "run", "--bags", root / "bags",
+               "--out", root / "pred") == 0
+    write_ppm(root / "slide.ppm", noisy_disc(n=512, radius=150.0)[0])
+    return root
+
+
+# survival is left out: survstats calls np.unique in _group_counts,
+# build_dataset and harrell_c, and np.median in median_split
+@pytest.mark.parametrize("stage", ["tile", "synth", "train", "predict", "evaluate", "heatmap"])
+def test_stage_does_not_import_numpy_ma(model_chain, stage, tmp_path):
+    # the first call of np.median, np.unique or np.intersect1d imports
+    # numpy.ma, 8-16 ms and 1.25 MB of RSS; each stage runs alone in its child
+    root = model_chain
+    argv = {"tile": [root / "slide.ppm", "--mpp", 0.5],
+            "synth": [root / "cfg.json"],
+            "train": ["--bags", root / "bags", "--clinical", root / "clinical.csv",
+                      "--plan", "loco", "--enc-out", 8, "--attn-hidden", 4, "--max-epochs", 2],
+            "predict": ["--model", root / "run", "--bags", root / "bags"],
+            "evaluate": ["--predictions", root / "pred" / "predictions.csv",
+                         "--clinical", root / "clinical.csv"],
+            "heatmap": ["--model", root / "run" / "fold000.ckpt",
+                        "--bag", root / "bags" / "synth0000.bag"]}[stage]
     code = ("import sys; from tilscore.cli import main; "
             "print(main(sys.argv[1:]), 'numpy.ma' in sys.modules)")
-    done = subprocess.run([sys.executable, "-c", code, "tile", str(tmp_path / "slide.ppm"),
-                           "--mpp", "0.5", "--out", str(tmp_path / "tile")],
+    done = subprocess.run([sys.executable, "-c", code, stage, *map(str, argv),
+                           "--out", str(tmp_path / "out")],
                           env=subprocess_env(), capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "0 False"
@@ -265,10 +291,17 @@ BAD_CONFIGS = {
     # values the generator once failed on with a traceback or numpy's words
     **{f"synth-{key}-{value}": ("synth", {key: value}, f"{key} must be")
        for key, value in [("n_centres", 0), ("n_cohorts", 0), ("seed", -1), ("dim", 0),
-                          ("density_concentration", -1), ("noise_sigma", -1)]},
-    "synth-surv_censor_lo-200.0": ("synth", {"survival": True, "surv_censor_lo": 200.0},
-                                   "surv_censor_lo must be at least 0 and at most "
-                                   "surv_censor_hi, got 200.0"),
+                          ("noise_sigma", -1)]},
+    # a grid of 2**23 + 1 columns of 512 px puts its last column past uint32
+    "synth-tiles_max-overflow": ("synth", {"tiles_max": 2**46 + 1},
+                                 f"tiles_max must be at most {2**46}, with every tile "
+                                 f"coordinate in uint32, got {2**46 + 1}"),
+    # settings that were once synth keys and are now bagio constants
+    **{f"synth-retired-{key}": ("synth", {key: value}, f"synth config: unknown key {key!r}")
+       for key, value in [("slide_mean_lo", 0.05), ("slide_mean_hi", 0.95),
+                          ("density_concentration", 8.0), ("tile_size_px", 512), ("mpp", 0.5),
+                          ("surv_base_hazard", 0.02), ("surv_beta_per_unit", -0.15),
+                          ("surv_censor_lo", 24.0), ("surv_censor_hi", 120.0)]},
     # bytes are written as they are: JSON that is cut short, or not UTF-8
     "survival-truncated": ("survival", b'{"covariates": [',
                            "cfg.json: Expecting value: line 1 column 17 (char 16)"),

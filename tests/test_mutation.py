@@ -323,7 +323,9 @@ def write_json(path: Path, obj) -> Path:
 
 
 # inputs that once escaped main as a traceback, exited 2 in numpy's words, or
-# exited 0 with NaN in their outputs: (stage, config or spec, flags, exit code, words)
+# exited 0 with NaN in their outputs: (stage, config or spec, flags, exit code, words).
+# density_concentration, surv_*, mpp and tile_size_px are bagio constants now,
+# so their rows pin that each exits 2 naming the key, as an unknown one.
 PINNED = {
     **{f"synth-{key}-{value}": ("synth", {key: value}, [], 2, [key])
        for key, value in [("n_centres", 0), ("n_cohorts", 0), ("seed", -1),
