@@ -16,8 +16,8 @@ class TilscoreError(ValueError):
     """Bad input, named in the message; `tilscore` exits 2 on it, as on an OSError."""
 
 
-def check_rules(obj, rules, error: type[TilscoreError] = TilscoreError) -> None:
-    """Raise `error` naming the first (field of obj, rule, ok) of `rules` whose ok is false."""
+def check_rules(obj, rules) -> None:
+    """Raise TilscoreError naming the first (field of obj, rule, ok) of `rules` not ok."""
     for name, rule, ok in rules:
         if not ok:
-            raise error(f"{name} must be {rule}, got {getattr(obj, name)!r}")
+            raise TilscoreError(f"{name} must be {rule}, got {getattr(obj, name)!r}")

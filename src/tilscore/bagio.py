@@ -17,7 +17,7 @@ embeds (d, noise) through a fixed random linear map, and labels the slide
 with exactly mean(d) * 100.  That makes slide labels recoverable from
 features by construction, which is what the training-recovery tests lean on.
 The module constants fix its distribution: uniform slide means, Beta tile
-densities around them, a TILE_SIZE_PX grid at MPP and, with `survival`,
+densities around them, a TILE_SIZE_PX grid at TARGET_MPP and, with `survival`,
 exponential event times under a log-linear hazard, censored uniformly.
 """
 
@@ -40,14 +40,6 @@ BAG_MAGIC = b"ECTB"
 BAG_VERSION = 1
 
 
-class BagFormatError(TilscoreError):
-    """Malformed bag stream."""
-
-
-class ClinicalSchemaError(TilscoreError):
-    """Clinical table violates the expected schema."""
-
-
 @dataclass
 class FeatureBag:
     """One slide: tile coordinates plus an n_tiles x dim feature matrix."""
@@ -62,16 +54,16 @@ class FeatureBag:
         self.features = np.ascontiguousarray(self.features, dtype=np.float32)
         xy = np.asarray(self.tile_xy)
         if xy.size and (np.any(xy < 0) or np.any(xy > 0xFFFFFFFF)):
-            raise BagFormatError("tile coordinates must fit in unsigned 32-bit")
+            raise TilscoreError("tile coordinates must fit in unsigned 32-bit")
         self.tile_xy = np.ascontiguousarray(xy, dtype=np.uint32)
         if self.features.ndim != 2 or self.features.shape[0] < 1:
-            raise BagFormatError("features must be a non-empty 2-d matrix")
+            raise TilscoreError("features must be a non-empty 2-d matrix")
         if self.tile_xy.shape != (self.features.shape[0], 2):
-            raise BagFormatError("tile_xy must be (n_tiles, 2)")
+            raise TilscoreError("tile_xy must be (n_tiles, 2)")
         if not np.isfinite(self.features).all():
-            raise BagFormatError(f"bag {self.slide_id!r} contains non-finite features")
+            raise TilscoreError(f"bag {self.slide_id!r} contains non-finite features")
         if not self.mpp > 0:
-            raise BagFormatError("mpp must be positive")
+            raise TilscoreError("mpp must be positive")
 
     @property
     def n_tiles(self) -> int:
@@ -96,8 +88,8 @@ def write_bag(bag: FeatureBag, path) -> None:
         fh.write(memoryview(np.ascontiguousarray(bag.features, dtype="<f4")))
 
 
-def _truncated(what: str, want: int, got: int) -> BagFormatError:
-    return BagFormatError(f"stream ended inside {what} (wanted {want} bytes, got {got})")
+def _truncated(what: str, want: int, got: int) -> TilscoreError:
+    return TilscoreError(f"stream ended inside {what} (wanted {want} bytes, got {got})")
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
@@ -127,33 +119,33 @@ def read_bag(path, expect_dim: int | None = None) -> FeatureBag:
     with open(path, "rb") as fh:
         try:
             return _parse_bag(fh, expect_dim)
-        except BagFormatError as exc:  # every format error names the file
-            raise BagFormatError(f"{path}: {exc}") from None
+        except TilscoreError as exc:  # every format error names the file
+            raise TilscoreError(f"{path}: {exc}") from None
 
 
 def _parse_bag(fh, expect_dim: int | None) -> FeatureBag:
     magic = _read_exact(fh, 4, "magic")
     if magic != BAG_MAGIC:
-        raise BagFormatError(f"bad magic {magic!r}")
+        raise TilscoreError(f"bad magic {magic!r}")
     version, id_len = struct.unpack("<HH", _read_exact(fh, 4, "header"))
     if version != BAG_VERSION:
-        raise BagFormatError(f"unsupported bag version {version}")
+        raise TilscoreError(f"unsupported bag version {version}")
     try:
         slide_id = _read_exact(fh, id_len, "slide id").decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise BagFormatError(f"slide id is not UTF-8 ({exc.reason} at byte {exc.start})") from None
+        raise TilscoreError(f"slide id is not UTF-8 ({exc.reason} at byte {exc.start})") from None
     n_tiles, dim, tile_size, mpp = struct.unpack("<IIIf", _read_exact(fh, 16, "shape header"))
     if n_tiles < 1 or dim < 1:
-        raise BagFormatError(f"invalid bag shape {n_tiles}x{dim}")
+        raise TilscoreError(f"invalid bag shape {n_tiles}x{dim}")
     if expect_dim is not None and dim != expect_dim:
-        raise BagFormatError(f"bag {slide_id!r} has dim {dim}, expected {expect_dim}")
+        raise TilscoreError(f"bag {slide_id!r} has dim {dim}, expected {expect_dim}")
     left = os.fstat(fh.fileno()).st_size - fh.tell()
     for what, want in (("tile coords", 8 * n_tiles), ("features", 4 * n_tiles * dim)):
         if left < want:
             raise _truncated(what, want, left)
         left -= want
     if left:
-        raise BagFormatError("trailing bytes after bag")
+        raise TilscoreError("trailing bytes after bag")
     xy = _read_array(fh, (n_tiles, 2), "<u4", "tile coords")
     feats = _read_array(fh, (n_tiles, dim), "<f4", "features")
     return FeatureBag(slide_id=slide_id, features=feats, tile_xy=xy,
@@ -180,7 +172,7 @@ class BagFile:
     def features(self) -> np.ndarray:
         bag = read_bag(self.path)
         if (bag.slide_id, bag.n_tiles, bag.dim) != (self.slide_id, self.n_tiles, self.dim):
-            raise BagFormatError(
+            raise TilscoreError(
                 f"{self.path} changed since it was scanned: it holds {bag.slide_id!r} "
                 f"{bag.n_tiles}x{bag.dim}, not {self.slide_id!r} {self.n_tiles}x{self.dim}")
         return bag.features
@@ -215,7 +207,7 @@ def _parse_covariate(raw: str):
 def _check_repeat(line_of: dict, sid: str, lineno: int) -> None:
     first = line_of.setdefault(sid, lineno)
     if first != lineno:
-        raise ClinicalSchemaError(f"slide_id {sid!r} repeats on lines {first} and {lineno}")
+        raise TilscoreError(f"slide_id {sid!r} repeats on lines {first} and {lineno}")
 
 
 def _number(raw, lineno: int, column: str, kind=float):
@@ -224,7 +216,7 @@ def _number(raw, lineno: int, column: str, kind=float):
         return kind(raw)
     except (TypeError, ValueError):
         what = "an integer" if kind is int else "a number"
-        raise ClinicalSchemaError(f"line {lineno}: {column} {raw!r} is not {what}") from None
+        raise TilscoreError(f"line {lineno}: {column} {raw!r} is not {what}") from None
 
 
 def _rows(reader, width: int, i_sid: int, i_score: int, score_col: str):
@@ -242,11 +234,11 @@ def _rows(reader, width: int, i_sid: int, i_score: int, score_col: str):
         lineno = reader.line_num
         sid = row[i_sid].strip()
         if not sid:
-            raise ClinicalSchemaError(f"line {lineno}: empty slide_id")
+            raise TilscoreError(f"line {lineno}: empty slide_id")
         _check_repeat(line_of, sid, lineno)
         raw_score = row[i_score].strip()
         if not raw_score:
-            raise ClinicalSchemaError(f"line {lineno}: missing {score_col}")
+            raise TilscoreError(f"line {lineno}: missing {score_col}")
         yield lineno, sid, _number(raw_score, lineno, score_col), row
 
 
@@ -261,16 +253,15 @@ def _csv_table(path, score_col: str, missing: str):
             header = next(reader, None) or []
             for col in ("slide_id", score_col):
                 if col not in header:
-                    raise ClinicalSchemaError(missing.format(col))
+                    raise TilscoreError(missing.format(col))
             # a repeated name reads its last cell and keeps its first place, as in csv.DictReader
             index = {name: i for i, name in enumerate(header)}
             yield index, _rows(reader, len(header), index["slide_id"], index[score_col], score_col)
-        except (ClinicalSchemaError, csv.Error) as exc:  # csv.Error: a cell over csv's size limit
-            raise ClinicalSchemaError(f"{path}: {exc}") from None
+        except (TilscoreError, csv.Error) as exc:  # csv.Error: a cell over csv's size limit
+            raise TilscoreError(f"{path}: {exc}") from None
         except UnicodeDecodeError as exc:  # exc.start counts from the chunk being decoded
             at = fh.buffer.tell() - len(exc.object) + exc.start
-            raise ClinicalSchemaError(
-                f"{path}: not UTF-8 text ({exc.reason} at byte {at})") from None
+            raise TilscoreError(f"{path}: not UTF-8 text ({exc.reason} at byte {at})") from None
 
 
 def load_clinical(path) -> list[SlideRecord]:
@@ -297,19 +288,19 @@ def load_clinical(path) -> list[SlideRecord]:
             if row[i_second].strip():
                 score = (score + _number(row[i_second], lineno, "til_score_pct_2")) / 2.0
             if not 0.0 <= score <= 100.0:
-                raise ClinicalSchemaError(f"line {lineno}: til_score_pct {score} outside [0, 100]")
+                raise TilscoreError(f"line {lineno}: til_score_pct {score} outside [0, 100]")
             raw_months = row[i_months].strip()
             raw_event = row[i_event].strip()
             if bool(raw_months) != bool(raw_event):
-                raise ClinicalSchemaError(f"line {lineno}: os_months and os_event must both be present or both absent")
+                raise TilscoreError(f"line {lineno}: os_months and os_event must both be present or both absent")
             os_months = _number(raw_months, lineno, "os_months") if raw_months else None
             if os_months is not None and not math.isfinite(os_months):
-                raise ClinicalSchemaError(f"line {lineno}: os_months {raw_months!r} is not finite")
+                raise TilscoreError(f"line {lineno}: os_months {raw_months!r} is not finite")
             if os_months is not None and os_months <= 0.0:
-                raise ClinicalSchemaError(f"line {lineno}: os_months {raw_months!r} is not positive")
+                raise TilscoreError(f"line {lineno}: os_months {raw_months!r} is not positive")
             os_event = _number(raw_event, lineno, "os_event", int) if raw_event else None
             if os_event not in (None, 0, 1):
-                raise ClinicalSchemaError(f"line {lineno}: os_event must be 0 or 1")
+                raise TilscoreError(f"line {lineno}: os_event must be 0 or 1")
             covariates = {}
             for key, i in covariate_cols:
                 val = row[i].strip()
@@ -319,7 +310,7 @@ def load_clinical(path) -> list[SlideRecord]:
                         value = parsed[val] = _parse_covariate(val)
                     covariates[key] = value
                     if isinstance(value, float) and not math.isfinite(value):
-                        raise ClinicalSchemaError(
+                        raise TilscoreError(
                             f"line {lineno}: covariate {key!r} value {val!r} is not finite")
             records.append(SlideRecord(
                 slide_id=sid,
@@ -387,7 +378,7 @@ def read_predictions(path) -> dict[str, float]:
                     "predictions CSV needs slide_id and ectil_score columns") as (_, rows):
         for lineno, sid, score, _ in rows:
             if not 0.0 <= score <= 1.0:
-                raise ClinicalSchemaError(f"line {lineno}: ectil_score {score} outside [0, 1]")
+                raise TilscoreError(f"line {lineno}: ectil_score {score} outside [0, 1]")
             out[sid] = score
     return out
 
@@ -401,7 +392,7 @@ SLIDE_MEAN_LO = 0.05
 SLIDE_MEAN_HI = 0.95
 DENSITY_CONCENTRATION = 8.0
 TILE_SIZE_PX = 512
-MPP = 0.5
+TARGET_MPP = 0.5  # the resolution of `tile`'s grid, and of the synthetic bags
 SURV_BASE_HAZARD = 0.02
 SURV_BETA_PER_UNIT = -0.15  # per 10 TIL percentage points
 SURV_CENSOR_LO = 24.0
@@ -464,7 +455,7 @@ def synth_cohort(cfg: SynthConfig) -> tuple[list[FeatureBag], list[SlideRecord]]
         xy = np.column_stack([(ks % ncols) * TILE_SIZE_PX, (ks // ncols) * TILE_SIZE_PX])
         sid = f"synth{i:04d}"
         bags.append(FeatureBag(slide_id=sid, features=features, tile_xy=xy,
-                               mpp=MPP, tile_size_px=TILE_SIZE_PX))
+                               mpp=TARGET_MPP, tile_size_px=TILE_SIZE_PX))
         label = float(density.mean()) * 100.0
         rec = SlideRecord(
             slide_id=sid,

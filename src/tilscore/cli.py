@@ -121,10 +121,6 @@ def _finite_positive(value: float, flag: str) -> float:
 def cmd_tile(args) -> int:
     from . import foreground, pnm
 
-    if args.tile_size is None:
-        args.tile_size = foreground.TILE_SIZE_PX
-    if args.target_mpp is None:
-        args.target_mpp = foreground.TARGET_MPP
     overrides = _load_config(args.config, "--config", "fesi")
     params = _dataclass_from(foreground.FesiParams, overrides.get("fesi", {}), '"fesi"')
     params.validate()
@@ -223,6 +219,7 @@ def cmd_train(args) -> int:
     paths = _bag_paths(Path(args.bags))
     scanned = [bagio.BagFile.scan(p) for p in paths]
     _check_unique_ids(paths, [bag.slide_id for bag in scanned])
+    milnet.check_state_bytes(hyper, max(bag.dim for bag in scanned))
     bags_by_id = {bag.slide_id: bag for bag in scanned}
     records = [r for r in records if r.slide_id in bags_by_id]
     if not records:
@@ -252,8 +249,8 @@ def cmd_train(args) -> int:
         train_idx = np.flatnonzero(fold_of != fold)
         try:
             result = milnet.train(bags, labels, train_idx, val_idx, hyper, seed=args.seed + fold)
-        except milnet.ModelError as exc:
-            raise milnet.ModelError(f"fold {fold}: {exc}") from exc
+        except TilscoreError as exc:
+            raise TilscoreError(f"fold {fold}: {exc}") from exc
         try:  # null when undefined, as in metrics.json
             val_r = concord.pearson(result.val_preds, labels[val_idx])
         except concord.UndefinedMetricError:
@@ -372,7 +369,7 @@ def _fit_block(name, dataset) -> dict:
         ph = survstats.schoenfeld_test(fit, dataset)
         block["schoenfeld"] = {"global_p": ph.global_p,
                                "per_covariate": {k: v[1] for k, v in ph.per_covariate.items()}}
-    except survstats.SurvivalError as exc:
+    except TilscoreError as exc:
         block["schoenfeld"] = {"error": str(exc)}
     return block
 
@@ -428,8 +425,7 @@ def cmd_survival(args) -> int:
     _km_split(out, "pathologist_cutoffs", times, events, cut_groups, km_summary)
     for name, values in (("pathologist_median", labels_pct), ("model_median", scores)):
         try:
-            groups = survstats.median_split(values)
-            med = float(np.median(values))
+            groups, med = survstats.median_split(values)
             ids = np.where(groups == 1, f">=median({med:.4g})", f"<median({med:.4g})")
             _km_split(out, name, times, events, ids, km_summary)
         except survstats.DegenerateSplitError as exc:
@@ -534,10 +530,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tile", help="foreground mask and tile manifest for one PPM slide")
     p.add_argument("image")
     p.add_argument("--mpp", type=float, help="microns per pixel (else <image>.mpp sidecar)")
-    # None stands for foreground's TILE_SIZE_PX and TARGET_MPP, which cmd_tile
-    # fills in, so that parsing loads no foreground
-    p.add_argument("--tile-size", type=int, dest="tile_size")
-    p.add_argument("--target-mpp", type=float, dest="target_mpp")
+    p.add_argument("--tile-size", type=int, dest="tile_size", default=bagio.TILE_SIZE_PX)
+    p.add_argument("--target-mpp", type=float, dest="target_mpp", default=bagio.TARGET_MPP)
     p.add_argument("--out", required=True)
     p.add_argument("--config", help='JSON file with "fesi" masking overrides')
     p.set_defaults(func=cmd_tile)

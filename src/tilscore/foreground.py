@@ -48,10 +48,9 @@ from pathlib import Path
 import numpy as np
 
 from . import TilscoreError, check_rules, pnm
-from .bagio import write_table
+from .bagio import TARGET_MPP, TILE_SIZE_PX, write_table
+from .concord import median
 
-TILE_SIZE_PX = 512
-TARGET_MPP = 0.5
 # Upper bound of `pre_sigma` and `smooth_sigma`, in mask pixels: a Gaussian's
 # band holds `_BAND_ROWS` + 8 sigma rows of the mask
 MAX_SIGMA = 256.0
@@ -321,12 +320,6 @@ def _fill_holes(bits: np.ndarray) -> np.ndarray:
 EDGE_DARK = 0.86
 
 
-def _median(values: np.ndarray) -> float:
-    """`np.median(values)` bit for bit, without the numpy.ma import of its first call."""
-    ranked, mid = np.sort(values), (values.size - 1) // 2
-    return float(np.mean(ranked[mid : values.size - mid]))
-
-
 def _edge_ring(bits: np.ndarray, border: list[np.ndarray]) -> np.ndarray:
     """`bits` in a one-cell ring, foreground beside each dark border cell;
     `border` is the luminance of the top, bottom, left and right border
@@ -337,7 +330,7 @@ def _edge_ring(bits: np.ndarray, border: list[np.ndarray]) -> np.ndarray:
     ring = np.zeros((bits.shape[0] + 2, bits.shape[1] + 2), dtype=bool)
     ring[1:-1, 1:-1] = bits
     if background.size:
-        dark = EDGE_DARK * _median(background)
+        dark = EDGE_DARK * median(background)
         ring[0, 1:-1], ring[-1, 1:-1], ring[1:-1, 0], ring[1:-1, -1] = (
             lum < dark for lum in border)
     return ring

@@ -38,13 +38,14 @@ ADAM_BLOCK = 1 << 14
 # in several chunks.
 STACK_ROWS = 4096
 
+# Ceiling of the model state `train` holds: five float64 copies of the
+# parameters (themselves, the batch gradient, both ADAM moments and the best
+# snapshot).  The paper shape takes 47 MB; a size past this is a typo.
+MAX_STATE_BYTES = 1 << 32
+
 CKPT_MAGIC = b"ECTM"
 CKPT_VERSION = 1
 _CKPT_HYPER = "<ddIIIddIII"  # every HyperParams field in declared order, then dim
-
-
-class ModelError(TilscoreError):
-    """Invalid model input (shape mismatch, stale trace, bad labels)."""
 
 
 @dataclass
@@ -60,7 +61,7 @@ class HyperParams:
     patience: int = 15
 
     def validate(self) -> None:
-        """Raise ModelError naming the first field out of its range."""
+        """Raise TilscoreError naming the first field out of its range."""
         check_rules(self, [
             ("lr", "finite and above 0", 0.0 < self.lr < math.inf),
             ("weight_decay", "finite and not negative", 0.0 <= self.weight_decay < math.inf),
@@ -68,7 +69,7 @@ class HyperParams:
             *((name, "in [1, 4294967295]", 1 <= getattr(self, name) <= 0xFFFFFFFF)
               for name in ("batch_size", "max_epochs", "patience", "enc_out", "attn_hidden")),
             *((name, "in [0, 1)", 0.0 <= getattr(self, name) < 1.0)
-              for name in ("dropout_feature", "dropout_tile"))], ModelError)
+              for name in ("dropout_feature", "dropout_tile"))])
 
 
 class ModelParams:
@@ -120,6 +121,15 @@ def param_shapes(hyper: HyperParams, dim: int) -> dict[str, tuple[int, ...]]:
     return {"enc_w": (e, dim), "enc_b": (e,), "attn_v": (h, e), "attn_v_b": (h,),
             "attn_u": (h, e), "attn_u_b": (h,), "attn_w": (h,), "score_w": (e,),
             "score_b": (1,)}
+
+
+def check_state_bytes(hyper: HyperParams, dim: int) -> None:
+    """Raise TilscoreError if training at `dim` would hold over MAX_STATE_BYTES of model state."""
+    need = 5 * 8 * sum(math.prod(shape) for shape in param_shapes(hyper, dim).values())
+    if need > MAX_STATE_BYTES:
+        raise TilscoreError(f"enc_out {hyper.enc_out} and attn_hidden {hyper.attn_hidden} at bag "
+                            f"dim {dim} need {need / 2**30:.3g} GiB of model state, over the "
+                            f"{MAX_STATE_BYTES / 2**30:g} GiB ceiling")
 
 
 def init_params(seed: int, hyper: HyperParams, dim: int = 2048) -> ModelParams:
@@ -205,20 +215,20 @@ def forward(params: ModelParams, bag, dropout_mask: np.ndarray | None = None,
     """
     h = np.asarray(getattr(bag, "features", bag), dtype=np.float64)
     if h.ndim != 2:
-        raise ModelError("bag features must be 2-d")
+        raise TilscoreError("bag features must be 2-d")
     if h.shape[1] != params.dim:
-        raise ModelError(f"bag dim {h.shape[1]} does not match model dim {params.dim}")
+        raise TilscoreError(f"bag dim {h.shape[1]} does not match model dim {params.dim}")
 
     if embeddings is None:
         emb = _encode(params, h)
     elif embeddings.shape == (h.shape[0], params.enc_out):
         emb = embeddings
     else:
-        raise ModelError(f"embeddings of shape {embeddings.shape} do not match the bag's "
-                         f"{(h.shape[0], params.enc_out)}")
+        raise TilscoreError(f"embeddings of shape {embeddings.shape} do not match the bag's "
+                            f"{(h.shape[0], params.enc_out)}")
     if dropout_mask is not None and dropout_mask.shape != emb.shape:
-        raise ModelError(f"dropout mask of shape {dropout_mask.shape} does not match the "
-                         f"bag's {emb.shape}")
+        raise TilscoreError(f"dropout mask of shape {dropout_mask.shape} does not match the "
+                            f"bag's {emb.shape}")
     gate_t = np.tanh(emb @ params.attn_v.T + params.attn_v_b)
     gate_g = _sigmoid(emb @ params.attn_u.T + params.attn_u_b)
     logits = (gate_t * gate_g) @ params.attn_w
@@ -254,7 +264,7 @@ def backward(trace: ForwardTrace, params: ModelParams, d_prediction: float, *,
     stacked tiles of a batch.
     """
     if trace.embeddings.shape[1] != params.enc_out or trace.features.shape[1] != params.dim:
-        raise ModelError("trace does not match parameter shapes")
+        raise TilscoreError("trace does not match parameter shapes")
     if acc is None:
         acc = params.zeros_like()
     stacked = d_pre is not None
@@ -350,10 +360,10 @@ def explained_variance(preds, labels) -> float:
     p = np.asarray(preds, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     if p.shape != y.shape or p.size == 0:
-        raise ModelError("explained variance needs matching non-empty vectors")
+        raise TilscoreError("explained variance needs matching non-empty vectors")
     var_y = float(np.var(y))
     if var_y == 0.0:
-        raise ModelError("explained variance undefined: labels have zero variance")
+        raise TilscoreError("explained variance undefined: labels have zero variance")
     return 1.0 - float(np.var(y - p)) / var_y
 
 
@@ -400,7 +410,7 @@ def train(bags: list, labels, train_idx, val_idx,
     right before each training bag's `forward`, that bag's dropout mask
     under `hyper`'s rates; validation runs without dropout.  Every bag's
     dim is checked before the first epoch, and a non-finite loss or
-    validation prediction raises ModelError naming the epoch and slide.
+    validation prediction raises TilscoreError naming the epoch and slide.
     Returns the snapshot from the best validation epoch, kept by copying
     each improving epoch into one buffer.  Deterministic for a fixed seed.
     """
@@ -410,22 +420,22 @@ def train(bags: list, labels, train_idx, val_idx,
     train_idx = np.asarray(train_idx, dtype=np.int64)
     val_idx = np.asarray(val_idx, dtype=np.int64)
     if train_idx.size == 0:
-        raise ModelError("empty training set")
+        raise TilscoreError("empty training set")
     if np.isin(val_idx, train_idx).any():  # np.intersect1d would import numpy.ma
-        raise ModelError("train and validation sets overlap")
+        raise TilscoreError("train and validation sets overlap")
     if np.any(labels < 0.0) or np.any(labels > 1.0):
-        raise ModelError("labels must be fractions in [0, 1]")
+        raise TilscoreError("labels must be fractions in [0, 1]")
     if val_idx.size == 0:
-        raise ModelError("empty validation set")
+        raise TilscoreError("empty validation set")
     if np.var(labels[val_idx]) == 0.0:
-        raise ModelError("validation labels are constant; explained variance undefined")
+        raise TilscoreError("validation labels are constant; explained variance undefined")
 
     dim = bags[train_idx[0]].dim
     every_idx = np.concatenate([train_idx, val_idx])
     for i in every_idx:
         if bags[i].dim != dim:
-            raise ModelError(f"bag {bags[i].slide_id!r} has dim {bags[i].dim}, "
-                             f"the first training bag {dim}")
+            raise TilscoreError(f"bag {bags[i].slide_id!r} has dim {bags[i].dim}, "
+                                f"the first training bag {dim}")
     params = init_params(seed, hyper, dim)
     state = AdamState.for_params(params)
     grad_mean = params.zeros_like()  # the batch-mean gradient, reused every batch
@@ -466,8 +476,8 @@ def train(bags: list, labels, train_idx, val_idx,
             for i, span in zip(chunk, encode(p, chunk)):
                 preds.append(forward(p, feats[span], embeddings=emb[span]).prediction)
                 if not math.isfinite(preds[-1]):
-                    raise ModelError(f"non-finite validation prediction {preds[-1]} in epoch "
-                                     f"{epoch} on slide {bags[i].slide_id!r} at lr {hyper.lr!r}")
+                    raise TilscoreError(f"non-finite validation prediction {preds[-1]} in epoch "
+                                        f"{epoch} on slide {bags[i].slide_id!r} at lr {hyper.lr!r}")
         return np.array(preds)
 
     best = None  # (ev, epoch, preds) of the epoch whose parameters `snapshot` holds
@@ -487,8 +497,8 @@ def train(bags: list, labels, train_idx, val_idx,
                     trace = forward(params, feats[span], mask, embeddings=emb[span])
                     bag_loss = loss(trace.prediction, labels[i])
                     if not math.isfinite(bag_loss):
-                        raise ModelError(f"non-finite loss {bag_loss} in epoch {epoch} "
-                                         f"on slide {bags[i].slide_id!r} at lr {hyper.lr!r}")
+                        raise TilscoreError(f"non-finite loss {bag_loss} in epoch {epoch} "
+                                            f"on slide {bags[i].slide_id!r} at lr {hyper.lr!r}")
                     epoch_loss += bag_loss
                     # backward is linear in d_prediction: scaling it averages
                     # the batch; it writes d_pre over the bag's embeddings
@@ -528,17 +538,17 @@ def save_checkpoint(params: ModelParams, hyper: HyperParams, path) -> None:
 
 def load_checkpoint(path) -> tuple[ModelParams, HyperParams]:
     """Read a checkpoint written by `save_checkpoint`; a bad magic, version
-    or length, or a non-finite value, raises ModelError naming the file."""
+    or length, or a non-finite value, raises TilscoreError naming the file."""
     data = Path(path).read_bytes()
     header = 6 + struct.calcsize(_CKPT_HYPER)
     if data[:4] != CKPT_MAGIC:
-        raise ModelError(f"{path}: bad checkpoint magic {data[:4]!r}")
+        raise TilscoreError(f"{path}: bad checkpoint magic {data[:4]!r}")
     if len(data) < header:
-        raise ModelError(f"{path}: checkpoint truncated in its header "
-                         f"({len(data)} of {header} bytes)")
+        raise TilscoreError(f"{path}: checkpoint truncated in its header "
+                            f"({len(data)} of {header} bytes)")
     (version,) = struct.unpack_from("<H", data, 4)
     if version != CKPT_VERSION:
-        raise ModelError(f"{path}: unsupported checkpoint version {version}")
+        raise TilscoreError(f"{path}: unsupported checkpoint version {version}")
     *values, dim = struct.unpack_from(_CKPT_HYPER, data, 6)
     hyper = HyperParams(*values)
     shapes = param_shapes(hyper, dim)
@@ -546,11 +556,11 @@ def load_checkpoint(path) -> tuple[ModelParams, HyperParams]:
     for name, shape in shapes.items():
         count = math.prod(shape)
         if offset + 8 * count > len(data):
-            raise ModelError(f"{path}: checkpoint truncated in tensor {name} "
-                             f"({len(data) - offset} of {8 * count} bytes)")
+            raise TilscoreError(f"{path}: checkpoint truncated in tensor {name} "
+                                f"({len(data) - offset} of {8 * count} bytes)")
         if not np.isfinite(np.frombuffer(data, dtype="<f8", count=count, offset=offset)).all():
-            raise ModelError(f"{path}: checkpoint tensor {name} holds non-finite values")
+            raise TilscoreError(f"{path}: checkpoint tensor {name} holds non-finite values")
         offset += count * 8
     if offset != len(data):
-        raise ModelError(f"{path}: checkpoint has {len(data) - offset} trailing bytes")
+        raise TilscoreError(f"{path}: checkpoint has {len(data) - offset} trailing bytes")
     return ModelParams(np.frombuffer(data, "<f8", offset=header).astype(float), shapes), hyper

@@ -21,6 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import TilscoreError
+from .concord import median
 
 MAX_NEWTON_ITER = 25
 # Newton stops when every |score_j| is below SCORE_TOL times the sum of
@@ -37,19 +38,11 @@ BETA_DIVERGENCE_LIMIT = 20.0
 WALD_Z = 1.96
 
 
-class SurvivalError(TilscoreError):
-    """Invalid input to a survival computation."""
-
-
-class RankDeficiencyError(SurvivalError):
-    """Design matrix is rank deficient."""
-
-
 class NonConvergenceError(RuntimeError):
     """Newton-Raphson failed to converge (e.g. monotone likelihood)."""
 
 
-class DegenerateSplitError(SurvivalError):
+class DegenerateSplitError(TilscoreError):
     """A score split produced an empty group."""
 
 
@@ -92,21 +85,21 @@ def minmax_normalize(scores, train_min: float, train_max: float) -> np.ndarray:
     """(s - min)/(max - min) against *training* extremes; values outside the
     training range are preserved (no clamping)."""
     if not train_max > train_min:
-        raise SurvivalError(f"degenerate normalization range [{train_min}, {train_max}]")
+        raise TilscoreError(f"degenerate normalization range [{train_min}, {train_max}]")
     s = np.asarray(scores, dtype=np.float64)
     return (s - train_min) / (train_max - train_min)
 
 
-def median_split(scores) -> np.ndarray:
-    """0/1 group ids; the high group is score >= median."""
+def median_split(scores) -> tuple[np.ndarray, float]:
+    """0/1 group ids, the high group being score >= median, and the median."""
     s = np.asarray(scores, dtype=np.float64)
     if s.size < 2:
-        raise SurvivalError("median split needs at least 2 scores")
-    med = float(np.median(s))
+        raise TilscoreError("median split needs at least 2 scores")
+    med = median(s)
     high = s >= med
     if high.all() or not high.any():
         raise DegenerateSplitError("median split produced an empty group")
-    return high.astype(np.int64)
+    return high.astype(np.int64), med
 
 
 # ---------------------------------------------------------------------------
@@ -142,13 +135,13 @@ class SurvivalDataset:
         self.events = np.asarray(self.events, dtype=np.int64)
         self.design = np.asarray(self.design, dtype=np.float64)
         if self.times.ndim != 1 or self.events.shape != self.times.shape:
-            raise SurvivalError("times/events must be matching 1-d arrays")
+            raise TilscoreError("times/events must be matching 1-d arrays")
         if np.any(self.times <= 0):
-            raise SurvivalError("survival times must be positive")
+            raise TilscoreError("survival times must be positive")
         if not np.isin(self.events, (0, 1)).all():
-            raise SurvivalError("events must be 0/1")
+            raise TilscoreError("events must be 0/1")
         if self.design.shape != (self.times.size, len(self.columns)):
-            raise SurvivalError("design shape does not match columns")
+            raise TilscoreError("design shape does not match columns")
 
 
 def build_dataset(times, events, columns: dict, specs: list[CovariateSpec]) -> SurvivalDataset:
@@ -163,11 +156,11 @@ def build_dataset(times, events, columns: dict, specs: list[CovariateSpec]) -> S
     blocks, keep = [np.empty((n, 0))], np.ones(n, dtype=bool)
     for spec in specs:
         if spec.kind not in ("numeric", "factor"):
-            raise SurvivalError(f"unknown covariate kind {spec.kind!r}")
+            raise TilscoreError(f"unknown covariate kind {spec.kind!r}")
         vals = np.asarray(columns.get(spec.column, [None] * n), dtype=object)
         present = vals != None  # noqa: E711 -- elementwise on an object array
         if not present.any():
-            raise SurvivalError(f"column {spec.column!r} has no value for any subject")
+            raise TilscoreError(f"column {spec.column!r} has no value for any subject")
         keep &= present
         if spec.kind == "numeric":
             block = np.zeros((n, 1))
@@ -175,27 +168,27 @@ def build_dataset(times, events, columns: dict, specs: list[CovariateSpec]) -> S
                 with np.errstate(over="ignore", invalid="ignore"):  # checked just below
                     block[present, 0] = vals[present].astype(np.float64) * spec.scale
             except ValueError as exc:
-                raise SurvivalError(f"numeric column {spec.column!r}: {exc}") from exc
+                raise TilscoreError(f"numeric column {spec.column!r}: {exc}") from exc
             if not np.isfinite(block).all():
-                raise SurvivalError(f"numeric column {spec.column!r} at scale {spec.scale!r} "
+                raise TilscoreError(f"numeric column {spec.column!r} at scale {spec.scale!r} "
                                     "is not finite")
             names.append(spec.column)
         else:
-            strs = vals[present].astype(str)
-            seen = np.unique(strs)
+            # with return_inverse, np.unique does not import numpy.ma
+            seen, level_of = np.unique(vals[present].astype(str), return_inverse=True)
             ref = spec.ref if spec.ref is not None else str(seen[0])
             if ref not in seen:
-                raise SurvivalError(f"reference level {spec.ref!r} not observed in {spec.column!r}")
-            levels = seen[seen != ref]
-            if not levels.size:  # no indicator column: the models would silently lose it
-                raise RankDeficiencyError(f"factor {spec.column!r} has only one level, {ref!r}")
-            block = np.zeros((n, levels.size))
-            block[present] = strs[:, None] == levels
-            names.extend(f"{spec.column}={lv}" for lv in levels)
+                raise TilscoreError(f"reference level {spec.ref!r} not observed in {spec.column!r}")
+            kept = np.flatnonzero(seen != ref)
+            if not kept.size:  # no indicator column: the models would silently lose it
+                raise TilscoreError(f"factor {spec.column!r} has only one level, {ref!r}")
+            block = np.zeros((n, kept.size))
+            block[present] = level_of[:, None] == kept
+            names.extend(f"{spec.column}={lv}" for lv in seen[kept])
         blocks.append(block)
 
     if not keep.any():
-        raise SurvivalError("no usable rows after complete-case filtering")
+        raise TilscoreError("no usable rows after complete-case filtering")
     return SurvivalDataset(times=times[keep], events=events[keep], design=np.hstack(blocks)[keep],
                            columns=names, n_dropped=int(n - keep.sum()))
 
@@ -305,14 +298,19 @@ class CoxFit:
 def _check_design(X: np.ndarray, columns: list[str]) -> None:
     for j, name in enumerate(columns):
         if np.ptp(X[:, j]) == 0.0:
-            raise RankDeficiencyError(f"covariate {name!r} has no variation")
+            raise TilscoreError(f"covariate {name!r} has no variation")
     if X.shape[1] > 1:
-        centered = X - X.mean(axis=0)
+        # the rank test is scale-free: each column is first scaled exactly by a
+        # power of two to below 1 in magnitude, so no sum overflows, then
+        # centred and brought to unit norm
+        centered = np.ldexp(X, -np.frexp(np.abs(X).max(axis=0))[1])
+        centered -= centered.mean(axis=0)
+        centered /= np.linalg.norm(centered, axis=0)
         s = np.linalg.svd(centered, compute_uv=False)
-        if s[-1] < 1e-10 * max(s[0], 1.0):
+        if s[-1] < 1e-10 * s[0]:
             _, _, vt = np.linalg.svd(centered, full_matrices=False)  # no n x n U
             j = int(np.argmax(np.abs(vt[-1])))
-            raise RankDeficiencyError(f"design is rank deficient (involves {columns[j]!r})")
+            raise TilscoreError(f"design is rank deficient (involves {columns[j]!r})")
 
 
 def cox_fit(data: SurvivalDataset) -> CoxFit:
@@ -324,7 +322,7 @@ def cox_fit(data: SurvivalDataset) -> CoxFit:
     X = data.design
     n_events = int(data.events.sum())
     if n_events < 1:
-        raise SurvivalError("at least one event is required")
+        raise TilscoreError("at least one event is required")
     _check_design(X, data.columns)
 
     p = X.shape[1]
@@ -338,8 +336,7 @@ def cox_fit(data: SurvivalDataset) -> CoxFit:
         try:
             step = np.linalg.solve(info, score)
         except np.linalg.LinAlgError as exc:
-            raise RankDeficiencyError(
-                f"singular information matrix over {data.columns}: {exc}") from exc
+            raise TilscoreError(f"singular information matrix over {data.columns}: {exc}") from exc
         # far out on a monotone likelihood the score is small as well, but
         # the Newton step is not: convergence needs both to be small
         if (np.all(np.abs(score) < score_tol)
@@ -365,8 +362,7 @@ def cox_fit(data: SurvivalDataset) -> CoxFit:
     try:
         cov = np.linalg.inv(info)
     except np.linalg.LinAlgError as exc:
-        raise RankDeficiencyError(
-            f"singular information over {data.columns} at optimum: {exc}") from exc
+        raise TilscoreError(f"singular information over {data.columns} at optimum: {exc}") from exc
     se = np.sqrt(np.diag(cov))
     coefs = []
     for j, name in enumerate(data.columns):
@@ -399,15 +395,15 @@ def harrell_c(times, events, risk_scores) -> float:
     e = np.asarray(events, dtype=np.int64)
     r = np.asarray(risk_scores, dtype=np.float64)
     if not (t.shape == e.shape == r.shape):
-        raise SurvivalError("times/events/risk length mismatch")
+        raise TilscoreError("times/events/risk length mismatch")
     if not (np.isfinite(t).all() and np.isfinite(r).all()):
-        raise SurvivalError("times and risk scores must be finite")
+        raise TilscoreError("times and risk scores must be finite")
     order = np.argsort(-t, kind="stable")
     event = e == 1
     later = np.searchsorted(-t[order], -t[event], side="left")  # partners of each event
     n_usable = int(later.sum())
     if n_usable == 0:
-        raise SurvivalError("no comparable pairs")
+        raise TilscoreError("no comparable pairs")
     levels, rank = np.unique(r, return_inverse=True)
     m = levels.size
     rank_in_order, rank_of_event = rank[order], rank[event]
@@ -450,7 +446,7 @@ def _group_counts(times, events, group_ids):
     sets, and the at-risk and event counts per (distinct event time, group)."""
     gids = np.asarray(np.zeros(times.size, dtype=np.int64) if group_ids is None else group_ids)
     if gids.shape != times.shape:
-        raise SurvivalError("one group id per subject required")
+        raise TilscoreError("one group id per subject required")
     # the distinct ids first, in their own dtype; then only those become
     # strings, which set the group names and their order
     distinct, inverse = np.unique(gids.astype(str) if gids.dtype == object else gids,
@@ -471,7 +467,7 @@ def km_curve(times, events, group_ids=None) -> list[KmCurve]:
     t = np.asarray(times, dtype=np.float64)
     e = np.asarray(events, dtype=np.int64)
     if t.size == 0:
-        raise SurvivalError("empty survival data")
+        raise TilscoreError("empty survival data")
     names, sizes, rs, n_risk, n_event = _group_counts(t, e, group_ids)
     # ascending time; cumprod multiplies the factors in time order
     ut, n_risk, n_event = rs.times[::-1], n_risk[::-1], n_event[::-1]
@@ -491,9 +487,9 @@ def logrank(times, events, group_ids) -> tuple[float, float]:
     names, _, rs, n_g, d_g = _group_counts(t, e, group_ids)
     g_count = len(names)
     if g_count < 2:
-        raise SurvivalError("log-rank needs at least 2 groups")
+        raise TilscoreError("log-rank needs at least 2 groups")
     if rs.times.size == 0:
-        raise SurvivalError("log-rank needs at least 1 event")
+        raise TilscoreError("log-rank needs at least 1 event")
     n, d = rs.n_risk.astype(np.float64), rs.n_event.astype(np.float64)
     observed = d_g.sum(axis=0)
     expected = (d / n) @ n_g
@@ -534,7 +530,7 @@ def schoenfeld_test(fit: CoxFit, data: SurvivalDataset) -> SchoenfeldResult:
     """
     n_events = int(data.events.sum())
     if n_events < 2:
-        raise SurvivalError("Schoenfeld test needs at least 2 events")
+        raise TilscoreError("Schoenfeld test needs at least 2 events")
     X = data.design
     rs = _risk_sets(data.times, data.events)
     _, _, mu = _event_means(rs, X, fit.beta)
@@ -546,7 +542,7 @@ def schoenfeld_test(fit: CoxFit, data: SurvivalDataset) -> SchoenfeldResult:
     gc = g - g.mean()
     ss_g = float(gc @ gc)
     if ss_g == 0.0:
-        raise SurvivalError("degenerate time transform (all events at one time)")
+        raise TilscoreError("degenerate time transform (all events at one time)")
 
     v_bar = fit.info / n_events
     u = residuals.T @ gc

@@ -1,10 +1,11 @@
 import os
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tilscore import pnm
+from tilscore import TilscoreError, pnm
 from tilscore.foreground import PpmSlide
 from tilscore.pnm import write_ppm
 
@@ -60,6 +61,11 @@ def read_manifest(path) -> tuple[int, float, np.ndarray, np.ndarray]:
     tiles = np.array([(x, y) for x, y, _ in rows], dtype=np.int64).reshape(len(rows), 2)
     kept = np.array([bool(k) for _, _, k in rows], dtype=bool)
     return tile_size, rescale, tiles, kept
+
+
+def raises_error(message: str):
+    """pytest.raises for a TilscoreError whose whole message is `message`."""
+    return pytest.raises(TilscoreError, match=f"^{re.escape(message)}$")
 
 
 def mask_iou(a: np.ndarray, b: np.ndarray) -> float:

@@ -76,8 +76,9 @@ def test_every_error_class_is_a_tilscore_error():
     # main exits 2 on a TilscoreError alone, so any other error class, or a
     # bare ValueError, is a traceback.  concord's five guards stay bare: cli
     # checks their inputs first, so one of them firing is a program fault.
+    # A subclass is kept only where an except clause tells it apart.
     src = Path(tilscore.__file__).parent
-    error_classes, bare = [], []
+    error_classes, bare, caught = [], [], set()
 
     def visit(node, module, where):
         for child in ast.iter_child_nodes(node):
@@ -86,6 +87,9 @@ def test_every_error_class_is_a_tilscore_error():
             if (isinstance(child, ast.Raise) and isinstance(child.exc, ast.Call)
                     and getattr(child.exc.func, "id", None) == "ValueError"):
                 bare.append(f"{module}.{where}")
+            if isinstance(child, ast.ExceptHandler) and child.type is not None:
+                caught.update(getattr(t, "attr", getattr(t, "id", None)) for t in
+                              getattr(child.type, "elts", [child.type]))
             named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
             visit(child, module, child.name if named else where)
 
@@ -93,7 +97,9 @@ def test_every_error_class_is_a_tilscore_error():
         module = "tilscore" if path.stem == "__init__" else f"tilscore.{path.stem}"
         visit(ast.parse(path.read_text(encoding="utf-8")), module, "<module>")
     errors = [cls for cls in error_classes if issubclass(cls, BaseException)]
-    assert len(errors) >= 9
+    assert sorted(cls.__name__ for cls in errors) == [
+        "DegenerateSplitError", "NonConvergenceError", "TilscoreError", "UndefinedMetricError"]
+    assert {"DegenerateSplitError", "NonConvergenceError", "UndefinedMetricError"} <= caught
     assert [cls.__name__ for cls in errors
             if not issubclass(cls, tilscore.TilscoreError)] == ["NonConvergenceError"]
     assert sorted(bare) == [f"tilscore.concord.{name}" for name in (
@@ -201,9 +207,8 @@ def model_chain(tmp_path_factory):
     return root
 
 
-# survival is left out: survstats calls np.unique in _group_counts,
-# build_dataset and harrell_c, and np.median in median_split
-@pytest.mark.parametrize("stage", ["tile", "synth", "train", "predict", "evaluate", "heatmap"])
+@pytest.mark.parametrize("stage", ["tile", "synth", "train", "predict", "evaluate", "survival",
+                                   "heatmap"])
 def test_stage_does_not_import_numpy_ma(model_chain, stage, tmp_path):
     # the first call of np.median, np.unique or np.intersect1d imports
     # numpy.ma, 8-16 ms and 1.25 MB of RSS; each stage runs alone in its child
@@ -216,7 +221,12 @@ def test_stage_does_not_import_numpy_ma(model_chain, stage, tmp_path):
             "evaluate": ["--predictions", root / "pred" / "predictions.csv",
                          "--clinical", root / "clinical.csv"],
             "heatmap": ["--model", root / "run" / "fold000.ckpt",
-                        "--bag", root / "bags" / "synth0000.bag"]}[stage]
+                        "--bag", root / "bags" / "synth0000.bag"]}.get(stage)
+    if stage == "survival":  # the chain's cohort has no survival data
+        clinical, preds, *_ = make_survival_inputs(tmp_path)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"covariates": [{"column": "biomarker", "kind": "factor"}]}))
+        argv = ["--predictions", preds, "--clinical", clinical, "--spec", spec]
     code = ("import sys; from tilscore.cli import main; "
             "print(main(sys.argv[1:]), 'numpy.ma' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", code, stage, *map(str, argv),
@@ -330,6 +340,18 @@ def test_bad_json_config_exits_2_by_name(case, tmp_path, capsys):
 PROBE_CLINICAL = ("slide_id,til_score_pct,os_months,os_event,age\n"
                   "s0,10,12.5,1,50\ns1,40,30,0,61\ns2,70,8,1,44\ns3,90,40,0,58\n")
 
+# four 8-d bags on a two-cohort table, for the probes that get past the scan
+PROBE_COHORT = {
+    "clinical.csv": "slide_id,cohort,til_score_pct\ns0,a,10\ns1,a,40\ns2,b,70\ns3,b,90\n",
+    **{f"bags/s{i}.bag": bagio.FeatureBag(f"s{i}", np.ones((2, 8)), [[0, 0], [0, 512]], 0.5)
+       for i in range(4)}}
+# these reach numpy's allocation without the ceiling, so a child runs them
+# under this address-space cap
+PROBE_AS_BYTES = 2 << 30
+CAPPED_MAIN = ("import resource, sys; "
+               "resource.setrlimit(resource.RLIMIT_AS, (int(sys.argv[1]),) * 2); "
+               "from tilscore.cli import main; sys.exit(main(sys.argv[2:]))")
+
 # name: (command, extra flags, files written over the valid inputs, words the
 # error must hold)
 PROBES = {
@@ -348,6 +370,10 @@ PROBES = {
                                 ("--max-epochs", "max_epochs", "4294967296"),
                                 ("--enc-out", "enc_out", "4294967296"),
                                 ("--attn-hidden", "attn_hidden", "4294967296")]},
+    # terabytes of model state: numpy's _ArrayMemoryError once ended the run
+    **{f"train-{flag[2:]}-1000000000": ("train", [flag, "1000000000"], PROBE_COHORT,
+                                        [f"{key} 1000000000", "bag dim 8", "GiB ceiling"])
+       for flag, key in [("--enc-out", "enc_out"), ("--attn-hidden", "attn_hidden")]},
     "train-dropout-config": ("train", ["--config", "cfg.json"],
                              {"cfg.json": '{"hyper": {"dropout_feature": 1.0}}'},
                              ["dropout_feature must be"]),
@@ -436,10 +462,15 @@ def test_bad_input_exits_2_by_name(case, tmp_path, capsys):
     (tmp_path / "clinical.csv").write_text(PROBE_CLINICAL)
     bagio.write_predictions([(f"s{i}", 0.1 + 0.2 * i) for i in range(4)],
                             tmp_path / "preds.csv")
-    for name, text in files.items():
-        (tmp_path / name).write_text(text)
+    for name, content in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        if isinstance(content, bagio.FeatureBag):
+            bagio.write_bag(content, tmp_path / name)
+        else:
+            (tmp_path / name).write_text(content)
     out = tmp_path / "o"
-    # train and predict fail before any bag is read, so the bag directory is absent
+    # train and predict fail before any bag is read, so the bag directory is
+    # absent, but for PROBE_COHORT's
     argv = {"train": ["--bags", tmp_path / "bags", "--clinical", tmp_path / "clinical.csv",
                       "--plan", "loco"],
             "predict": ["--model", tmp_path / "model", "--bags", tmp_path / "bags"],
@@ -449,8 +480,15 @@ def test_bad_input_exits_2_by_name(case, tmp_path, capsys):
                          "--clinical", tmp_path / "clinical.csv"],
             "tile": [tmp_path / "slide.ppm"]}[command]
     flags = [tmp_path / f if f.endswith(".json") else f for f in flags]
-    assert run(command, *argv, *flags, "--out", out) == 2
-    err = capsys.readouterr().err
+    if files is PROBE_COHORT:
+        done = subprocess.run([sys.executable, "-c", CAPPED_MAIN, str(PROBE_AS_BYTES), command,
+                               *map(str, [*argv, *flags, "--out", out])],
+                              env=subprocess_env(OPENBLAS_NUM_THREADS="1"),
+                              capture_output=True, text=True)
+        code, err = done.returncode, done.stderr
+    else:
+        code, err = run(command, *argv, *flags, "--out", out), capsys.readouterr().err
+    assert code == 2, err
     for word in words:
         assert word in err, err
     assert not out.exists()
@@ -953,8 +991,9 @@ class TestTrainStreaming:
         monkeypatch.setattr(milnet, "train", train_then_rewrite)
         assert self.train(tmp_path, out) == 2
         err = capsys.readouterr().err
-        assert f"{tmp_path / 'bags' / 's000.bag'} changed since it was scanned" in err
-        assert "6x256" in err
+        # the fold that met it is named, as for every bad input during training
+        assert err == (f"error: fold 1: {tmp_path / 'bags' / 's000.bag'} changed since it was "
+                       "scanned: it holds 's000' 6x256, not 's000' 5x256\n")
         assert (out / "fold000.ckpt").exists()
         assert not (out / "ensemble.json").exists()
         # written when the run opened its directory, before fold 0 began

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import mask_iou, noisy_disc, ppm_slide, read_manifest, read_pgm
-from tilscore import TilscoreError, foreground, pnm
+from tilscore import TilscoreError, concord, foreground, pnm
 from tilscore.foreground import (
     FesiParams,
     ForegroundMask,
@@ -365,12 +365,12 @@ class TestScipyOracle:
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 255, 256])
 def test_median_is_numpys_bit_for_bit(n):
-    # _edge_ring's median, which avoids np.median's import of numpy.ma: odd
-    # and even sizes, ties, and middle pairs whose mean rounds
+    # concord.median, which avoids np.median's import of numpy.ma: odd and
+    # even sizes, ties, and middle pairs whose mean rounds
     rng = np.random.default_rng(n)
     for values in (rng.random(n) * 255.0, rng.integers(0, 3, n).astype(float),
                    np.full(n, 0.1), rng.choice([0.1, 0.2, 0.7], n), rng.normal(size=n) * 1e300):
-        assert foreground._median(values).hex() == float(np.median(values)).hex(), values
+        assert concord.median(values).hex() == float(np.median(values)).hex(), values
 
 
 class TestGridTiles:

@@ -359,3 +359,14 @@ def test_pinned_escape(root, tmp_path, case):
         inputs["spec"] = write_json(tmp_path / "spec.json",
                                     {"covariates": [{"column": "age", "scale": config}]})
     check(stage_argv(stage, root, tmp_path, **inputs) + flags, words, tmp_path / "out", code)
+
+
+def test_outlying_covariate_exits_by_name(root, tmp_path):
+    # one age of 1e308 once made the rank test, then unscaled, call the
+    # well-conditioned grade column rank deficient
+    lines = (root / "clinical.csv").read_text().splitlines()
+    lines[5] = re.sub(r",\d+,(G\d)$", r",1e308,\1", lines[5])
+    clinical = tmp_path / "clinical.csv"
+    clinical.write_text("\n".join(lines) + "\n")
+    argv = stage_argv("survival", root, tmp_path, clinical=clinical)
+    assert check(argv, ["'age"], tmp_path / "out") in (2, 3)
