@@ -397,6 +397,11 @@ SURV_BASE_HAZARD = 0.02
 SURV_BETA_PER_UNIT = -0.15  # per 10 TIL percentage points
 SURV_CENSOR_LO = 24.0
 SURV_CENSOR_HI = 120.0
+# Ceiling of one bag's float64 features, `latent @ embed` in `synth_cohort`:
+# the recovery test's 2000 x 2048 takes 32 MB; a size past this is a typo.
+# It also keeps tile coordinates in uint32: at most 2^27 tiles sit on a grid
+# of ceil(sqrt(n_tiles)) <= 2^14 columns and rows of 512 px.
+MAX_BAG_BYTES = 1 << 30
 
 
 @dataclass
@@ -416,15 +421,14 @@ class SynthConfig:
 
     def validate(self) -> None:
         """Raise TilscoreError naming the first field out of its range."""
-        # tiles sit on a grid of ceil(sqrt(n_tiles)) columns, with uint32 coordinates
-        most_tiles = (0xFFFFFFFF // TILE_SIZE_PX + 1) ** 2
+        bag_tiles = MAX_BAG_BYTES // (8 * max(self.dim, 1))
         check_rules(self, [
             *((name, "at least 1", getattr(self, name) >= 1)
               for name in ("n_slides", "dim", "n_centres", "n_cohorts")),
             ("tiles_min", "at least 1 and at most tiles_max",
              1 <= self.tiles_min <= self.tiles_max),
-            ("tiles_max", f"at most {most_tiles}, with every tile coordinate in uint32",
-             self.tiles_max <= most_tiles),
+            ("tiles_max", f"at most {bag_tiles} at dim {self.dim}, so one bag's float64 features "
+             f"stay under the {MAX_BAG_BYTES >> 30} GiB ceiling", self.tiles_max <= bag_tiles),
             *((name, "at least 0", getattr(self, name) >= 0) for name in ("noise_dim", "seed")),
             # far above any useful value, and float32 features stay finite
             ("noise_sigma", "in [0, 1e6]", 0.0 <= self.noise_sigma <= 1e6)])

@@ -3,13 +3,15 @@
 The mask follows the structure-information recipe: downsample luminance,
 take the absolute Laplacian of a lightly blurred copy as a structure map,
 blur it broadly, threshold, clean up morphologically, and fill enclosed
-background holes.  Thresholding is Ridler-Calvard isodata with a guard for
-structurally uniform images (an all-texture slide maps to all-foreground,
-a flat slide to all-background); a plain global-mean cut systematically
-overshoots sharp tissue boundaries.  The threshold keeps the rim where
-tissue meets glass, and hole filling the inside; so that tissue the slide's
-edge cuts is filled too, the edge counts as tissue beside each dark border
-cell (`_edge_ring`), judged by the border's luminance, which is kept.
+background holes.  Thresholding is Ridler-Calvard isodata, each split of
+the map computed once; the split that stops the loop also decides a guard
+for structurally uniform images (an all-texture slide maps to
+all-foreground, a flat slide to all-background).  A plain global-mean cut
+systematically overshoots sharp tissue boundaries.  The threshold keeps
+the rim where tissue meets glass, and hole filling the inside; so that
+tissue the slide's edge cuts is filled too, the edge counts as tissue
+beside each dark border cell (`_edge_ring`), judged by the border's
+luminance, which is kept.
 `FesiParams` holds the recipe's scales (Bug, Feuerhake & Merhof, BVM 2015);
 the threshold's guards are module constants, and hole filling is always on.
 
@@ -153,17 +155,21 @@ def _split_means(values: np.ndarray, t: float) -> tuple[float | None, float | No
     return lo, float(above.mean()) if above.size else None
 
 
-def _isodata_threshold(values: np.ndarray) -> float:
-    t = float(values.mean())
-    for _ in range(ISODATA_ITERS):
-        lo, hi = _split_means(values, t)
-        if lo is None or hi is None:
-            break
-        new_t = 0.5 * (lo + hi)
-        if new_t == t:
+def _threshold(smooth: np.ndarray) -> np.ndarray:
+    """Isodata bits of the structure map, each split taken once: the split
+    that stops the loop (at a repeated threshold, with an empty side, or at
+    the `ISODATA_ITERS`th update) also decides the uniform-map guard."""
+    fg_level = float(smooth.max())
+    if fg_level <= STRUCTURE_FLOOR:
+        return np.zeros_like(smooth, dtype=bool)
+    t = float(smooth.mean())
+    for i in range(ISODATA_ITERS + 1):
+        lo, hi = _split_means(smooth, t)
+        if lo is None or hi is None or i == ISODATA_ITERS or (new_t := 0.5 * (lo + hi)) == t:
             break
         t = new_t
-    return t
+    lo, hi = 0.0 if lo is None else lo, fg_level if hi is None else hi
+    return smooth > (STRUCTURE_FLOOR if hi - lo < UNIFORM_REL_GAP * hi else t)
 
 
 def _workers() -> int:
@@ -364,19 +370,7 @@ def compute_foreground(slide: PpmSlide, params: FesiParams | None = None) -> For
     smooth = _gaussian_filter(a, params.smooth_sigma, out=b)
     del a, b
 
-    fg_level = float(smooth.max())
-    if fg_level <= STRUCTURE_FLOOR:
-        bits = np.zeros_like(smooth, dtype=bool)
-    else:
-        t = _isodata_threshold(smooth)
-        lo, hi = _split_means(smooth, t)
-        lo, hi = 0.0 if lo is None else lo, fg_level if hi is None else hi
-        if hi - lo < UNIFORM_REL_GAP * hi:
-            # structurally uniform image: everything is tissue (or nothing,
-            # handled by the floor above)
-            bits = smooth > STRUCTURE_FLOOR
-        else:
-            bits = smooth > t
+    bits = _threshold(smooth)
     del smooth  # freed before the morphology, the edge ring and hole filling
     if params.morph_size > 1 and bits.any():
         m = params.morph_size

@@ -167,11 +167,17 @@ def build_dataset(times, events, columns: dict, specs: list[CovariateSpec]) -> S
             try:
                 with np.errstate(over="ignore", invalid="ignore"):  # checked just below
                     block[present, 0] = vals[present].astype(np.float64) * spec.scale
+                    squares = np.square(block).sum()
             except ValueError as exc:
                 raise TilscoreError(f"numeric column {spec.column!r}: {exc}") from exc
             if not np.isfinite(block).all():
                 raise TilscoreError(f"numeric column {spec.column!r} at scale {spec.scale!r} "
                                     "is not finite")
+            # Cox weights are at most 1, so this sum bounds every risk set's
+            # second moment in the information matrix
+            if not np.isfinite(squares):
+                raise TilscoreError(f"numeric column {spec.column!r} at scale {spec.scale!r} "
+                                    "overflows the Cox information matrix")
             names.append(spec.column)
         else:
             # with return_inverse, np.unique does not import numpy.ma

@@ -302,10 +302,11 @@ BAD_CONFIGS = {
     **{f"synth-{key}-{value}": ("synth", {key: value}, f"{key} must be")
        for key, value in [("n_centres", 0), ("n_cohorts", 0), ("seed", -1), ("dim", 0),
                           ("noise_sigma", -1)]},
-    # a grid of 2**23 + 1 columns of 512 px puts its last column past uint32
+    # a grid of 2**23 + 1 columns of 512 px puts its last column past uint32;
+    # the bag ceiling rejects it first
     "synth-tiles_max-overflow": ("synth", {"tiles_max": 2**46 + 1},
-                                 f"tiles_max must be at most {2**46}, with every tile "
-                                 f"coordinate in uint32, got {2**46 + 1}"),
+                                 "tiles_max must be at most 65536 at dim 2048, so one bag's "
+                                 f"float64 features stay under the 1 GiB ceiling, got {2**46 + 1}"),
     # settings that were once synth keys and are now bagio constants
     **{f"synth-retired-{key}": ("synth", {key: value}, f"synth config: unknown key {key!r}")
        for key, value in [("slide_mean_lo", 0.05), ("slide_mean_hi", 0.95),
@@ -491,6 +492,22 @@ def test_bad_input_exits_2_by_name(case, tmp_path, capsys):
     assert code == 2, err
     for word in words:
         assert word in err, err
+    assert not out.exists()
+
+
+def test_synth_bag_past_the_ceiling_exits_2(tmp_path):
+    # a bag of 1e9 tiles at dim 2048 once went on to numpy's allocation; a
+    # child runs it under the probes' address-space cap
+    cfg, out = tmp_path / "cfg.json", tmp_path / "o"
+    cfg.write_text(json.dumps({"n_slides": 1, "tiles_max": 10**9, "dim": 2048}))
+    done = subprocess.run([sys.executable, "-c", CAPPED_MAIN, str(PROBE_AS_BYTES), "synth",
+                           str(cfg), "--out", str(out)],
+                          env=subprocess_env(OPENBLAS_NUM_THREADS="1"),
+                          capture_output=True, text=True)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == (
+        "error: tiles_max must be at most 65536 at dim 2048, so one bag's float64 features "
+        "stay under the 1 GiB ceiling, got 1000000000\n")
     assert not out.exists()
 
 

@@ -8,11 +8,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import mask_iou, noisy_disc, ppm_slide, read_manifest, read_pgm
+from conftest import mask_iou, noisy_disc, noisy_disc_slide, ppm_slide, read_manifest, read_pgm
 from tilscore import TilscoreError, concord, foreground, pnm
 from tilscore.foreground import (
     FesiParams,
     ForegroundMask,
+    _split_means,
     compute_foreground,
     filter_tiles,
     grid_tiles,
@@ -31,10 +32,7 @@ class TestComputeForeground:
         assert not mask.bits.any()
 
     def test_fully_textured_all_one(self, tmp_path):
-        rng = np.random.default_rng(1)
-        slide = ppm_slide(tmp_path, rng.integers(0, 256, size=(1024, 1024, 3)).astype(np.uint8))
-        mask = compute_foreground(slide)
-        assert mask.bits.all()
+        assert compute_foreground(textured_slide(tmp_path)).bits.all()
 
     def test_noise_disc_iou(self, disc_slide):
         slide, truth_at = disc_slide
@@ -75,6 +73,68 @@ class TestComputeForeground:
         mask = compute_foreground(uniform_slide(tmp_path, 255, 520))
         assert (mask.width, mask.height) == (65, 65)
         assert mask.scale == 1.0 / 8.0
+
+
+def textured_slide(directory, n=1024):
+    rng = np.random.default_rng(1)
+    return ppm_slide(directory, rng.integers(0, 256, size=(n, n, 3)).astype(np.uint8))
+
+
+def two_step_threshold(smooth):
+    """The former threshold: isodata to a threshold, then one more split at
+    it for the uniform guard; returns the bits and the number of updates."""
+    fg_level = float(smooth.max())
+    if fg_level <= foreground.STRUCTURE_FLOOR:
+        return np.zeros_like(smooth, dtype=bool), 0
+    t, updates = float(smooth.mean()), 0
+    for _ in range(foreground.ISODATA_ITERS):
+        lo, hi = _split_means(smooth, t)
+        if lo is None or hi is None or 0.5 * (lo + hi) == t:
+            break
+        t, updates = 0.5 * (lo + hi), updates + 1
+    lo, hi = _split_means(smooth, t)
+    lo, hi = 0.0 if lo is None else lo, fg_level if hi is None else hi
+    if hi - lo < foreground.UNIFORM_REL_GAP * hi:
+        return smooth > foreground.STRUCTURE_FLOOR, updates
+    return smooth > t, updates
+
+
+class TestThreshold:
+    @pytest.fixture
+    def splits(self, monkeypatch):
+        """The (structure map, threshold) of every `_split_means` call."""
+        calls = []
+
+        def counted(values, t):
+            calls.append((values, t))
+            return _split_means(values, t)
+
+        monkeypatch.setattr(foreground, "_split_means", counted)
+        return calls
+
+    def test_one_split_per_iteration(self, disc_slide, splits):
+        # a converged loop stops on the split that repeats its threshold, and
+        # that split also decides the uniform guard; one more was once taken
+        compute_foreground(disc_slide[0])
+        smooth, ts = splits[0][0], [t for _, t in splits]
+        want, updates = two_step_threshold(smooth)
+        assert len(ts) == updates + 1 < foreground.ISODATA_ITERS
+        assert len(set(ts)) == len(ts)
+        assert np.array_equal(foreground._threshold(smooth), want)
+
+    @pytest.mark.parametrize("iters", [0, 1, 2])
+    @pytest.mark.parametrize("uniform", [True, False], ids=["textured", "disc"])
+    def test_capped_loop_matches_the_two_step_threshold(self, tmp_path, splits, monkeypatch,
+                                                        iters, uniform):
+        # at the cap the last split is taken at the last updated threshold
+        monkeypatch.setattr(foreground, "ISODATA_ITERS", iters)
+        compute_foreground(textured_slide(tmp_path) if uniform else noisy_disc_slide(tmp_path)[0])
+        assert len(splits) == iters + 1
+        smooth = splits[0][0]
+        want, updates = two_step_threshold(smooth)
+        assert updates == iters  # every pass moved the threshold: the loop ran to its cap
+        assert np.array_equal(foreground._threshold(smooth), want)
+        assert want.all() == uniform  # the guard makes a uniform map all tissue
 
 
 def float_block_luminance(pixels, f):

@@ -363,10 +363,11 @@ def test_pinned_escape(root, tmp_path, case):
 
 def test_outlying_covariate_exits_by_name(root, tmp_path):
     # one age of 1e308 once made the rank test, then unscaled, call the
-    # well-conditioned grade column rank deficient
+    # well-conditioned grade column rank deficient, and later overflowed the
+    # Cox information matrix into an exit 3 that named no column
     lines = (root / "clinical.csv").read_text().splitlines()
     lines[5] = re.sub(r",\d+,(G\d)$", r",1e308,\1", lines[5])
     clinical = tmp_path / "clinical.csv"
     clinical.write_text("\n".join(lines) + "\n")
     argv = stage_argv("survival", root, tmp_path, clinical=clinical)
-    assert check(argv, ["'age"], tmp_path / "out") in (2, 3)
+    check(argv, ["'age"], tmp_path / "out", expect=2)

@@ -401,11 +401,12 @@ class TestCoxFit:
         # one outlying age once made the unscaled test call grade rank deficient
         rng = np.random.default_rng(6)
         age = rng.uniform(30, 80, 40)
-        age[3] = 1e308
         grade = [f"G{1 + i % 3}" for i in range(40)]
         ds = build_dataset(rng.uniform(1, 9, 40), np.ones(40, dtype=int),
                            {"age": list(age), "grade": grade},
                            [CovariateSpec("age", scale=0.1), CovariateSpec("grade", kind="factor")])
+        # build_dataset rejects this age, whose square overflows, so it is set here
+        ds.design[3, 0] = 1e308 * 0.1
         _check_design(ds.design, ds.columns)
         _check_design(ds.design * [1e-300, 1e300, 1.0], ds.columns)
 
@@ -558,6 +559,14 @@ class TestBuildDataset:
         with raises_error("factor 'grade' has only one level, 'G1'"):
             build_dataset(self.TIMES, self.EVENTS, grade,
                           [CovariateSpec("tils"), CovariateSpec("grade", kind="factor", ref=ref)])
+
+    @pytest.mark.parametrize("value", [1e155, 1e154], ids=["square", "sum"])
+    def test_column_overflowing_the_information_named(self, value):
+        # 1e154 squares to a finite 1e308, but two of them sum past the range
+        tils = {"tils": [value, 0.8, value, 0.2]}
+        with raises_error("numeric column 'tils' at scale 1.0 overflows the Cox "
+                          "information matrix"):
+            build_dataset(self.TIMES, self.EVENTS, tils, [CovariateSpec("tils")])
 
     def test_matches_row_loop_reference(self):
         rng = np.random.default_rng(43)
