@@ -9,6 +9,10 @@ ensembling (``folds``), the concordance/calibration metric panel
 stages together into one command-line tool.
 """
 
+import os
+from contextlib import contextmanager
+from pathlib import Path
+
 __version__ = "0.1.0"
 
 
@@ -21,3 +25,18 @@ def check_rules(obj, rules) -> None:
     for name, rule, ok in rules:
         if not ok:
             raise TilscoreError(f"{name} must be {rule}, got {getattr(obj, name)!r}")
+
+
+@contextmanager
+def replacing(path, mode: str, **kwargs):
+    """A file opened for writing under a temporary name beside `path`, which
+    replaces `path` when the block ends; on an error it is removed, and
+    `path` is left as it was, so no reader sees a partial file."""
+    tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import TilscoreError, check_rules
+from . import TilscoreError, check_rules, replacing
 
 BAG_MAGIC = b"ECTB"
 BAG_VERSION = 1
@@ -327,13 +327,13 @@ def load_clinical(path) -> list[SlideRecord]:
 def write_table(path, rows, delimiter: str = ",") -> None:
     """Write the rows, header included, to the file `path` through `csv.writer`:
     UTF-8, quoted as `csv.writer` quotes, every line ended by CRLF."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with replacing(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, delimiter=delimiter).writerows(rows)
 
 
 def write_json(path, obj, sort_keys: bool = True) -> None:
     """Write `obj` to the file `path` as indented, ASCII-escaped JSON and a newline."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=sort_keys)
         fh.write("\n")
 

@@ -147,10 +147,10 @@ def cmd_tile(args) -> int:
     mask = foreground.compute_foreground(slide, params)
     grid = foreground.grid_tiles(slide.width_px, slide.height_px, mpp,
                                  args.tile_size, args.target_mpp)
-    grid = foreground.filter_tiles(grid, mask)
+    grid = foreground.filter_tiles(grid, mask, params.downsample)
     out = _open_run(args, {"mpp": float(mpp), "n_tiles": grid.n_tiles,
                            "n_kept": int(grid.kept.sum())})
-    pnm.write_pgm(out / "mask.pgm", mask.bits.astype(np.uint8) * 255)
+    pnm.write_pgm(out / "mask.pgm", mask.astype(np.uint8) * 255)
     foreground.write_manifest(grid, out / "tiles.tsv")
     print(f"{grid.kept.sum()} of {grid.n_tiles} tiles kept -> {out}")
     return EXIT_OK
@@ -219,7 +219,10 @@ def cmd_train(args) -> int:
     paths = _bag_paths(Path(args.bags))
     scanned = [bagio.BagFile.scan(p) for p in paths]
     _check_unique_ids(paths, [bag.slide_id for bag in scanned])
-    milnet.check_state_bytes(hyper, max(bag.dim for bag in scanned))
+    dim, sizes = max(bag.dim for bag in scanned), sorted(bag.n_tiles for bag in scanned)
+    milnet.check_state_bytes(hyper, dim)
+    # no fold's batch or bag is larger than the largest ones scanned
+    milnet.check_stack_bytes(hyper, dim, sizes[-1], sum(sizes[-hyper.batch_size:]))
     bags_by_id = {bag.slide_id: bag for bag in scanned}
     records = [r for r in records if r.slide_id in bags_by_id]
     if not records:

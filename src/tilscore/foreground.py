@@ -33,9 +33,12 @@ holds a band per worker, or about `pnm.STRIP_BYTES` of strips and their row
 sums (2/f of their bytes at downsample f <= 16, 4/f above), and the border's
 luminance; no full-size array.
 
-Tiles are laid on an exact grid in target-resolution space (512 px at
-0.5 mpp by default) and reported as source-pixel coordinates; a tile is
-kept when its footprint holds at least one foreground mask pixel.
+The mask is the (h, w) bool array it is, one cell per downsample x
+downsample block of the slide.  Tiles are laid on an exact grid in
+target-resolution space (512 px at 0.5 mpp by default) and reported as
+source-pixel coordinates; `filter_tiles`, given the mask and its
+downsample, keeps a tile when its footprint holds at least one foreground
+mask cell.
 """
 
 from __future__ import annotations
@@ -89,21 +92,6 @@ class FesiParams:
               for name in ("downsample", "morph_size")),
             *((name, f"in [0, {MAX_SIGMA:g}]", 0.0 <= getattr(self, name) <= MAX_SIGMA)
               for name in ("pre_sigma", "smooth_sigma"))])
-
-
-@dataclass
-class ForegroundMask:
-    width: int
-    height: int
-    scale: float  # mask pixels per slide pixel, in (0, 1]
-    bits: np.ndarray  # (height, width) bool
-
-    def __post_init__(self):
-        self.bits = np.asarray(self.bits, dtype=bool)
-        if self.bits.shape != (self.height, self.width):
-            raise TilscoreError("mask bits do not match declared shape")
-        if not 0.0 < self.scale <= 1.0:
-            raise TilscoreError("scale must be in (0, 1]")
 
 
 def _block_sums(a: np.ndarray, f: int, axis: int, acc: np.dtype) -> np.ndarray:
@@ -342,8 +330,9 @@ def _edge_ring(bits: np.ndarray, border: list[np.ndarray]) -> np.ndarray:
     return ring
 
 
-def compute_foreground(slide: PpmSlide, params: FesiParams | None = None) -> ForegroundMask:
-    """Binary tissue mask at 1/downsample of slide resolution.
+def compute_foreground(slide: PpmSlide, params: FesiParams | None = None) -> np.ndarray:
+    """Binary tissue mask at 1/downsample of slide resolution: an (h, w) bool
+    array, each cell one downsample x downsample block of the slide.
 
     Deterministic for fixed inputs; raises on images smaller than one mask
     cell.
@@ -380,8 +369,7 @@ def compute_foreground(slide: PpmSlide, params: FesiParams | None = None) -> For
         bits = _box_morphology(_box_morphology(bits, m, erode=True), m, erode=False)
     if bits.any():
         bits = _fill_holes(_edge_ring(bits, border))[1:-1, 1:-1]
-    h, w = bits.shape
-    return ForegroundMask(width=w, height=h, scale=1.0 / f, bits=bits)
+    return bits
 
 
 @dataclass
@@ -389,7 +377,6 @@ class TileGrid:
     """Non-overlapping tile positions on the target-resolution grid."""
 
     tile_size_px: int
-    target_mpp: float
     rescale: float  # source pixels * rescale = target pixels
     slide_width_px: int
     slide_height_px: int
@@ -419,27 +406,29 @@ def grid_tiles(slide_width_px: int, slide_height_px: int, mpp: float,
     coords = [(int(round(ix * span)), int(round(iy * span)))
               for iy in range(ny) for ix in range(nx)]
     tiles = np.array(coords, dtype=np.int64).reshape(len(coords), 2)
-    return TileGrid(tile_size_px=tile_size_px, target_mpp=target_mpp, rescale=rescale,
+    return TileGrid(tile_size_px=tile_size_px, rescale=rescale,
                     slide_width_px=slide_width_px, slide_height_px=slide_height_px,
                     tiles=tiles, kept=np.ones(len(coords), dtype=bool))
 
 
-def filter_tiles(grid: TileGrid, mask: ForegroundMask) -> TileGrid:
-    """Keep tiles whose footprint contains at least one foreground pixel."""
-    exp_w = int(np.ceil(grid.slide_width_px * mask.scale))
-    exp_h = int(np.ceil(grid.slide_height_px * mask.scale))
-    if mask.width != exp_w or mask.height != exp_h:
+def filter_tiles(grid: TileGrid, bits: np.ndarray, downsample: int) -> TileGrid:
+    """Keep tiles whose footprint contains at least one foreground cell of
+    `bits`, the mask `compute_foreground` made at `downsample`."""
+    scale = 1.0 / downsample  # mask cells per slide pixel
+    h, w = bits.shape
+    if (w, h) != (int(np.ceil(grid.slide_width_px * scale)),
+                  int(np.ceil(grid.slide_height_px * scale))):
         raise TilscoreError(
-            f"mask {mask.width}x{mask.height} does not cover slide "
-            f"{grid.slide_width_px}x{grid.slide_height_px} at scale {mask.scale}")
+            f"mask {w}x{h} does not cover slide "
+            f"{grid.slide_width_px}x{grid.slide_height_px} at scale {scale}")
     span = grid.source_span
     kept = np.zeros(grid.n_tiles, dtype=bool)
     for i, (x, y) in enumerate(grid.tiles):
-        c0 = max(int(np.floor(x * mask.scale)), 0)
-        r0 = max(int(np.floor(y * mask.scale)), 0)
-        c1 = min(int(np.ceil((x + span) * mask.scale)), mask.width)
-        r1 = min(int(np.ceil((y + span) * mask.scale)), mask.height)
-        kept[i] = bool(mask.bits[r0:r1, c0:c1].any())
+        c0 = max(int(np.floor(x * scale)), 0)
+        r0 = max(int(np.floor(y * scale)), 0)
+        c1 = min(int(np.ceil((x + span) * scale)), w)
+        r1 = min(int(np.ceil((y + span) * scale)), h)
+        kept[i] = bool(bits[r0:r1, c0:c1].any())
     return replace(grid, kept=kept)
 
 

@@ -18,13 +18,13 @@ for a fixed seed; the parameters are views into one buffer in checkpoint order.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import astuple, dataclass
-from pathlib import Path
 
 import numpy as np
 
-from . import TilscoreError, check_rules
+from . import TilscoreError, check_rules, replacing
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -42,6 +42,10 @@ STACK_ROWS = 4096
 # parameters (themselves, the batch gradient, both ADAM moments and the best
 # snapshot).  The paper shape takes 47 MB; a size past this is a typo.
 MAX_STATE_BYTES = 1 << 32
+
+# Ceiling of `train`'s stacked float64 features and embeddings: the paper
+# shape stacks 84 MB, and synth's largest bag at dim 2048 (65536 tiles) 1.3 GB.
+MAX_STACK_BYTES = 1 << 32
 
 CKPT_MAGIC = b"ECTM"
 CKPT_VERSION = 1
@@ -130,6 +134,21 @@ def check_state_bytes(hyper: HyperParams, dim: int) -> None:
         raise TilscoreError(f"enc_out {hyper.enc_out} and attn_hidden {hyper.attn_hidden} at bag "
                             f"dim {dim} need {need / 2**30:.3g} GiB of model state, over the "
                             f"{MAX_STATE_BYTES / 2**30:g} GiB ceiling")
+
+
+def check_stack_bytes(hyper: HyperParams, dim: int, largest: int, batch_tiles: int) -> int:
+    """The rows of `train`'s stacked buffers for a largest bag of `largest`
+    tiles and a batch of at most `batch_tiles`: capped at STACK_ROWS, never
+    fewer than `largest`.  Raise TilscoreError if, with their `enc_out`
+    embeddings, they would hold over MAX_STACK_BYTES."""
+    rows = max(largest, min(STACK_ROWS, batch_tiles))
+    need = rows * (dim + hyper.enc_out) * 8
+    if need > MAX_STACK_BYTES:
+        raise TilscoreError(f"batch_size {hyper.batch_size} with a largest bag of {largest} tiles "
+                            f"at dim {dim} and enc_out {hyper.enc_out} stacks {rows} rows of "
+                            f"features and embeddings, {need / 2**30:.3g} GiB, over the "
+                            f"{MAX_STACK_BYTES / 2**30:g} GiB ceiling")
+    return rows
 
 
 def init_params(seed: int, hyper: HyperParams, dim: int = 2048) -> ModelParams:
@@ -443,8 +462,8 @@ def train(bags: list, labels, train_idx, val_idx,
     # the stacked rows of one batch, capped, but never fewer than the largest
     # bag of either set; `emb` holds their embeddings, then their d_pre
     sizes = sorted(bags[i].n_tiles for i in train_idx)
-    rows = max(max(bags[i].n_tiles for i in every_idx),
-               min(STACK_ROWS, sum(sizes[-hyper.batch_size:])))
+    rows = check_stack_bytes(hyper, dim, max(bags[i].n_tiles for i in every_idx),
+                             sum(sizes[-hyper.batch_size:]))
     feats = np.empty((rows, dim))
     emb = np.empty((rows, hyper.enc_out))
 
@@ -529,7 +548,7 @@ def train(bags: list, labels, train_idx, val_idx,
 
 def save_checkpoint(params: ModelParams, hyper: HyperParams, path) -> None:
     """Binary snapshot: magic, version, hyper block, then `params.flat` f64 LE."""
-    with open(path, "wb") as fh:
+    with replacing(path, "wb") as fh:
         fh.write(CKPT_MAGIC)
         fh.write(struct.pack("<H", CKPT_VERSION))
         fh.write(struct.pack(_CKPT_HYPER, *astuple(hyper), params.dim))
@@ -538,29 +557,35 @@ def save_checkpoint(params: ModelParams, hyper: HyperParams, path) -> None:
 
 def load_checkpoint(path) -> tuple[ModelParams, HyperParams]:
     """Read a checkpoint written by `save_checkpoint`; a bad magic, version
-    or length, or a non-finite value, raises TilscoreError naming the file."""
-    data = Path(path).read_bytes()
+    or length, or a non-finite value, raises TilscoreError naming the file.
+    Each tensor is read straight into the one buffer the parameters view."""
     header = 6 + struct.calcsize(_CKPT_HYPER)
-    if data[:4] != CKPT_MAGIC:
-        raise TilscoreError(f"{path}: bad checkpoint magic {data[:4]!r}")
-    if len(data) < header:
-        raise TilscoreError(f"{path}: checkpoint truncated in its header "
-                            f"({len(data)} of {header} bytes)")
-    (version,) = struct.unpack_from("<H", data, 4)
-    if version != CKPT_VERSION:
-        raise TilscoreError(f"{path}: unsupported checkpoint version {version}")
-    *values, dim = struct.unpack_from(_CKPT_HYPER, data, 6)
-    hyper = HyperParams(*values)
-    shapes = param_shapes(hyper, dim)
-    offset = header
-    for name, shape in shapes.items():
-        count = math.prod(shape)
-        if offset + 8 * count > len(data):
-            raise TilscoreError(f"{path}: checkpoint truncated in tensor {name} "
-                                f"({len(data) - offset} of {8 * count} bytes)")
-        if not np.isfinite(np.frombuffer(data, dtype="<f8", count=count, offset=offset)).all():
-            raise TilscoreError(f"{path}: checkpoint tensor {name} holds non-finite values")
-        offset += count * 8
-    if offset != len(data):
-        raise TilscoreError(f"{path}: checkpoint has {len(data) - offset} trailing bytes")
-    return ModelParams(np.frombuffer(data, "<f8", offset=header).astype(float), shapes), hyper
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(header)
+        if head[:4] != CKPT_MAGIC:
+            raise TilscoreError(f"{path}: bad checkpoint magic {head[:4]!r}")
+        if len(head) < header:
+            raise TilscoreError(f"{path}: checkpoint truncated in its header "
+                                f"({len(head)} of {header} bytes)")
+        (version,) = struct.unpack_from("<H", head, 4)
+        if version != CKPT_VERSION:
+            raise TilscoreError(f"{path}: unsupported checkpoint version {version}")
+        *values, dim = struct.unpack_from(_CKPT_HYPER, head, 6)
+        hyper = HyperParams(*values)
+        shapes = param_shapes(hyper, dim)
+        # never more entries than the file holds, whatever its header says
+        flat = np.empty(min(sum(map(math.prod, shapes.values())), (size - header) // 8), "<f8")
+        offset = 0
+        for name, shape in shapes.items():
+            count, left = math.prod(shape), size - header - 8 * offset
+            if 8 * count > left:
+                raise TilscoreError(f"{path}: checkpoint truncated in tensor {name} "
+                                    f"({left} of {8 * count} bytes)")
+            fh.readinto(flat[offset : offset + count])
+            if not np.isfinite(flat[offset : offset + count]).all():
+                raise TilscoreError(f"{path}: checkpoint tensor {name} holds non-finite values")
+            offset += count
+    if left := size - header - 8 * offset:
+        raise TilscoreError(f"{path}: checkpoint has {left} trailing bytes")
+    return ModelParams(flat.astype(float, copy=False), shapes), hyper

@@ -80,6 +80,7 @@ class TestGradientCorrectness:
         _report(f"gradient-correctness (max rel err {worst:.2e}, {elapsed:.1f}s)")
 
 
+@pytest.mark.slow
 class TestEndToEndRecovery:
     def test_synthetic_training_recovers_labels(self):
         start = time.time()
@@ -377,11 +378,11 @@ class TestForegroundAcceptance:
     def test_blob_iou_and_white_slide(self, tmp_path):
         slide, truth_at = noisy_disc_slide(tmp_path)
         mask = compute_foreground(slide)
-        iou = mask_iou(mask.bits, truth_at(8))
+        iou = mask_iou(mask, truth_at(8))
         assert iou >= 0.95, f"blob IoU {iou:.4f}"
 
         white = ppm_slide(tmp_path, np.full((1024, 1024, 3), 255, dtype=np.uint8), "white")
         wmask = compute_foreground(white)
-        grid = filter_tiles(grid_tiles(1024, 1024, 0.5), wmask)
+        grid = filter_tiles(grid_tiles(1024, 1024, 0.5), wmask, 8)
         assert grid.n_tiles == 4 and grid.kept.sum() == 0
         _report(f"foreground (blob IoU {iou:.3f} >= 0.95, white slide keeps 0 tiles)")

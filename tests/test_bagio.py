@@ -30,7 +30,9 @@ from tilscore.bagio import (
     synth_cohort,
     write_bag,
     write_clinical,
+    write_json,
     write_predictions,
+    write_table,
 )
 
 GOLDEN_BAG_SHA256 = "20e526f1ed31952d6dd8596d35d7bf83bc4940c454202c3499331798c292ebf5"
@@ -736,3 +738,29 @@ class TestDictReaderParity:
         for loader, reference in [(load_clinical, dict_load_clinical),
                                   (read_predictions, dict_read_predictions)]:
             assert outcome(loader, path) == outcome(reference, path)
+
+
+def rows_failing_midway():
+    yield ["slide_id", "ectil_score"]
+    yield ["a", 0.5]
+    raise RuntimeError("rows failed")
+
+
+class TestNoPartialFiles:
+    """A table or JSON write that fails midway leaves no file under the
+    target name, or the one there before, and no temporary file."""
+
+    @pytest.mark.parametrize("write, error", [
+        (lambda path: write_table(path, rows_failing_midway()), RuntimeError),
+        (lambda path: write_json(path, {"a": 1, "b": object()}), TypeError),
+    ], ids=["table", "json"])
+    def test_failed_write_leaves_the_target_as_it_was(self, tmp_path, write, error):
+        path = tmp_path / "out.txt"
+        with pytest.raises(error):
+            write(path)
+        assert list(tmp_path.iterdir()) == []
+        path.write_text("before\n")
+        with pytest.raises(error):
+            write(path)
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_text() == "before\n"

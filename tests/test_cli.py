@@ -22,6 +22,7 @@ from conftest import noisy_disc, read_manifest, read_pgm
 import tilscore
 from tilscore import bagio, concord, foreground, milnet, pnm, survstats
 from tilscore.cli import build_parser, main
+from tilscore.folds import save_manifest
 from tilscore.milnet import (HyperParams, ModelParams, init_params,
                              load_checkpoint, save_checkpoint)
 from tilscore.pnm import write_ppm
@@ -511,6 +512,75 @@ def test_synth_bag_past_the_ceiling_exits_2(tmp_path):
     assert not out.exists()
 
 
+class TestInputErrorsByName:
+    """Inputs that each exit 2 with one whole message, before --out is made."""
+
+    @pytest.fixture
+    def expect(self, tmp_path, capsys):
+        def check(command, *argv, message):
+            out = tmp_path / "o"
+            assert run(command, *argv, "--out", out) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not out.exists()
+        return check
+
+    @staticmethod
+    def checkpoints(directory: Path, n: int) -> list[str]:
+        hyper = HyperParams(enc_out=4, attn_hidden=2)
+        names = [f"fold{i:03d}.ckpt" for i in range(n)]
+        for i, name in enumerate(names):
+            save_checkpoint(init_params(i, hyper, dim=8), hyper, directory / name)
+        return names
+
+    def test_checkpoint_of_unsupported_version(self, tmp_path, expect):
+        (name,) = self.checkpoints(tmp_path, 1)
+        ckpt = tmp_path / name
+        ckpt.write_bytes(ckpt.read_bytes()[:4] + struct.pack("<H", 2) + ckpt.read_bytes()[6:])
+        expect("predict", "--model", ckpt, "--bags", tmp_path,
+               message=f"{ckpt}: unsupported checkpoint version 2")
+
+    def test_ppm_header_ending_early(self, tmp_path, expect):
+        slide = tmp_path / "slide.ppm"
+        slide.write_bytes(b"P6\n700 600\n")
+        expect("tile", slide, "--mpp", 0.5, message=f"{slide}: truncated header")
+
+    def test_bags_directory_without_a_bag(self, tmp_path, expect):
+        (tmp_path / "clinical.csv").write_text(PROBE_CLINICAL)
+        (tmp_path / "bags").mkdir()
+        (tmp_path / "bags" / "s0.txt").write_text("not a bag\n")
+        expect("train", "--bags", tmp_path / "bags", "--clinical", tmp_path / "clinical.csv",
+               "--plan", "loco", message=f"no .bag files in {tmp_path / 'bags'}")
+
+    def test_clinical_table_sharing_no_slide_with_the_bags(self, tmp_path, expect):
+        (tmp_path / "clinical.csv").write_text(PROBE_COHORT["clinical.csv"].replace("\ns", "\nt"))
+        (tmp_path / "bags").mkdir()
+        for name, bag in PROBE_COHORT.items():
+            if isinstance(bag, bagio.FeatureBag):
+                bagio.write_bag(bag, tmp_path / name)
+        expect("train", "--bags", tmp_path / "bags", "--clinical", tmp_path / "clinical.csv",
+               "--plan", "loco", message="no overlap between clinical slide_ids and bag files")
+
+    def test_predictions_sharing_no_slide_with_the_clinical_table(self, tmp_path, expect):
+        (tmp_path / "clinical.csv").write_text(PROBE_CLINICAL)
+        bagio.write_predictions([(f"t{i}", 0.5) for i in range(4)], tmp_path / "preds.csv")
+        expect("evaluate", "--predictions", tmp_path / "preds.csv",
+               "--clinical", tmp_path / "clinical.csv",
+               message="no slide_ids shared between predictions and clinical table")
+
+    def test_config_holding_a_json_list(self, tmp_path, expect):
+        (tmp_path / "cfg.json").write_text('[{"hyper": {}}]')
+        expect("train", "--bags", tmp_path, "--clinical", tmp_path / "c.csv", "--plan", "loco",
+               "--config", tmp_path / "cfg.json",
+               message="--config must hold a JSON object, not list")
+
+    def test_heatmap_of_an_ensemble(self, tmp_path, expect):
+        model = tmp_path / "model"
+        model.mkdir()
+        save_manifest(model, self.checkpoints(model, 3))
+        expect("heatmap", "--model", model, "--bag", tmp_path / "a.bag",
+               message="heatmap needs a single checkpoint, not an ensemble")
+
+
 @pytest.mark.parametrize("command", ["evaluate", "survival"])
 @pytest.mark.parametrize("bad", ["preds.csv", "clinical.csv"])
 def test_csv_error_names_its_file(command, bad, tmp_path, capsys):
@@ -602,7 +672,7 @@ class TestTile:
         pixels, _ = noisy_disc(n=2048, radius=800.0)
         img = tmp_path / "blob.ppm"
         write_ppm(img, pixels)
-        one_strip = foreground.compute_foreground(foreground.PpmSlide(img)).bits  # 12.6 MB: one strip
+        one_strip = foreground.compute_foreground(foreground.PpmSlide(img))  # 12.6 MB: one strip
         monkeypatch.setattr(pnm, "STRIP_BYTES", 1 << 20)  # 1 MiB: 13 strips
         out = tmp_path / "out"
         tracemalloc.start()
@@ -1032,6 +1102,21 @@ class TestTrainStreaming:
         assert err == (f"error: fold 0: bag '{sid}' has dim {self.DIM - 1}, "
                        f"the first training bag {self.DIM}\n")
         assert steps == []
+
+    def test_stacked_rows_past_the_ceiling_exit_2_before_out(self, tmp_path, monkeypatch, capsys):
+        # batch_size 4 of the 5-tile bags stacks 20 rows of 256 + 8 float64
+        # values, 42240 bytes, checked after the scan
+        self.write_cohort(tmp_path, 8, n_tiles=5)
+        monkeypatch.setattr(milnet, "MAX_STACK_BYTES", 2**15)
+        steps = []
+        monkeypatch.setattr(milnet, "adam_step", lambda *args: steps.append(args))
+        out = tmp_path / "run"
+        assert self.train(tmp_path, out) == 2
+        assert capsys.readouterr().err == (
+            "error: batch_size 4 with a largest bag of 5 tiles at dim 256 and enc_out 8 stacks "
+            "20 rows of features and embeddings, 3.93e-05 GiB, over the 3.05176e-05 GiB "
+            "ceiling\n")
+        assert not out.exists() and steps == []
         assert not (tmp_path / "run" / "fold000.ckpt").exists()
 
 

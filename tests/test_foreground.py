@@ -12,7 +12,6 @@ from conftest import mask_iou, noisy_disc, noisy_disc_slide, ppm_slide, read_man
 from tilscore import TilscoreError, concord, foreground, pnm
 from tilscore.foreground import (
     FesiParams,
-    ForegroundMask,
     _split_means,
     compute_foreground,
     filter_tiles,
@@ -29,15 +28,15 @@ def uniform_slide(directory, value=255, n=512):
 class TestComputeForeground:
     def test_white_slide_all_zero(self, tmp_path):
         mask = compute_foreground(uniform_slide(tmp_path, 255, 2048))
-        assert not mask.bits.any()
+        assert not mask.any()
 
     def test_fully_textured_all_one(self, tmp_path):
-        assert compute_foreground(textured_slide(tmp_path)).bits.all()
+        assert compute_foreground(textured_slide(tmp_path)).all()
 
     def test_noise_disc_iou(self, disc_slide):
         slide, truth_at = disc_slide
         mask = compute_foreground(slide)
-        assert mask_iou(mask.bits, truth_at(8)) >= 0.95
+        assert mask_iou(mask, truth_at(8)) >= 0.95
 
     @pytest.mark.parametrize("cx", [150.0, 0.0, -100.0])
     def test_tissue_cut_by_the_edge_stays_in_the_mask(self, tmp_path, cx):
@@ -53,7 +52,7 @@ class TestComputeForeground:
         pixels[disc] = rng.integers(60, 230, size=(int(disc.sum()), 3), dtype=np.uint8)
         cells = (np.arange(n // f) + 0.5) * f
         dist = np.hypot(cells[None, :] - cx, cells[:, None] - n / 2)
-        bits = compute_foreground(ppm_slide(tmp_path, pixels)).bits
+        bits = compute_foreground(ppm_slide(tmp_path, pixels))
         assert bits[dist <= r].all()
         assert not bits[dist > r + 16 * f].any()  # the mask grows about 12 cells past the rim
 
@@ -61,8 +60,8 @@ class TestComputeForeground:
         slide, _ = disc_slide
         a = compute_foreground(slide)
         b = compute_foreground(slide)
-        assert np.array_equal(a.bits, b.bits)
-        assert (a.width, a.height, a.scale) == (b.width, b.height, b.scale)
+        assert np.array_equal(a, b)
+        assert (a.shape, a.dtype) == (b.shape, b.dtype)
 
     def test_tiny_image_rejected(self, tmp_path):
         with pytest.raises(TilscoreError, match=r"uniform\.ppm: slide 4x4 is smaller than one "
@@ -71,8 +70,8 @@ class TestComputeForeground:
 
     def test_mask_geometry(self, tmp_path):
         mask = compute_foreground(uniform_slide(tmp_path, 255, 520))
-        assert (mask.width, mask.height) == (65, 65)
-        assert mask.scale == 1.0 / 8.0
+        assert mask.shape == (65, 65)
+        assert mask.dtype == bool
 
 
 def textured_slide(directory, n=1024):
@@ -172,9 +171,9 @@ class TestBlockLuminance:
         slide = ppm_slide(tmp_path, pixels)
         small = foreground._block_luminance([pixels], 8, mask_buffer(pixels, 8))
         np.testing.assert_allclose(small, float_block_luminance(pixels, 8), rtol=1e-12, atol=0)
-        bits = compute_foreground(slide).bits
+        bits = compute_foreground(slide)
         monkeypatch.setattr(foreground, "_block_luminance", float_luminance_of_share)
-        assert np.array_equal(bits, compute_foreground(slide).bits)
+        assert np.array_equal(bits, compute_foreground(slide))
 
     @pytest.fixture(scope="class")
     def odd_disc(self):
@@ -290,7 +289,7 @@ class TestWorkers:
                 masks = []
                 for workers in (1, 2, 3):
                     monkeypatch.setattr(foreground, "_workers", lambda n=workers: n)
-                    bits = compute_foreground(slide, params).bits
+                    bits = compute_foreground(slide, params)
                     masks.append((bits.shape, bits.tobytes()))
                 assert masks[1] == masks[0] and masks[2] == masks[0]
         finally:
@@ -472,20 +471,19 @@ class TestGridTiles:
             grid_tiles(100, 100, mpp=0.0)
 
 
-def full_mask(w, h, value=True, scale=1.0 / 8.0):
-    return ForegroundMask(width=w, height=h, scale=scale,
-                          bits=np.full((h, w), value, dtype=bool))
+def full_mask(w, h, value=True):
+    return np.full((h, w), value, dtype=bool)
 
 
 class TestFilterTiles:
     def test_all_zero_mask_keeps_nothing(self):
         grid = grid_tiles(1024, 1024, mpp=0.5)
-        out = filter_tiles(grid, full_mask(128, 128, False))
+        out = filter_tiles(grid, full_mask(128, 128, False), 8)
         assert out.kept.sum() == 0
 
     def test_all_one_mask_keeps_everything(self):
         grid = grid_tiles(1024, 1024, mpp=0.5)
-        out = filter_tiles(grid, full_mask(128, 128, True))
+        out = filter_tiles(grid, full_mask(128, 128, True), 8)
         assert out.kept.all()
 
     def test_single_tile_footprint(self):
@@ -493,7 +491,7 @@ class TestFilterTiles:
         grid = grid_tiles(1024, 1024, mpp=0.5)
         bits = np.zeros((128, 128), dtype=bool)
         bits[64:128, 64:128] = True
-        out = filter_tiles(grid, ForegroundMask(width=128, height=128, scale=1 / 8, bits=bits))
+        out = filter_tiles(grid, bits, 8)
         assert out.kept.tolist() == [False, False, False, True]
 
     def test_monotone_in_foreground(self):
@@ -501,19 +499,19 @@ class TestFilterTiles:
         grid = grid_tiles(2048, 2048, mpp=0.5)
         small = rng.random((256, 256)) < 0.02
         big = small | (rng.random((256, 256)) < 0.05)
-        kept_small = filter_tiles(grid, ForegroundMask(256, 256, 1 / 8, small)).kept
-        kept_big = filter_tiles(grid, ForegroundMask(256, 256, 1 / 8, big)).kept
+        kept_small = filter_tiles(grid, small, 8).kept
+        kept_big = filter_tiles(grid, big, 8).kept
         assert not (kept_small & ~kept_big).any()
 
     def test_geometry_mismatch(self):
         grid = grid_tiles(1024, 1024, mpp=0.5)
         with pytest.raises(TilscoreError, match="mask 64x64 does not cover slide 1024x1024"):
-            filter_tiles(grid, full_mask(64, 64))
+            filter_tiles(grid, full_mask(64, 64), 8)
 
     def test_blob_keeps_tiles_over_blob(self, disc_slide):
         slide, truth_at = disc_slide
         mask = compute_foreground(slide)
-        grid = filter_tiles(grid_tiles(slide.width_px, slide.height_px, 0.5), mask)
+        grid = filter_tiles(grid_tiles(slide.width_px, slide.height_px, 0.5), mask, 8)
         truth = truth_at(8)
         # every tile whose footprint overlaps the true disc interior...
         for (x, y), k in zip(grid.tiles, grid.kept):
@@ -525,7 +523,7 @@ class TestFilterTiles:
     def test_manifest_round_trip(self, tmp_path, disc_slide):
         slide, _ = disc_slide
         mask = compute_foreground(slide)
-        grid = filter_tiles(grid_tiles(slide.width_px, slide.height_px, 0.5), mask)
+        grid = filter_tiles(grid_tiles(slide.width_px, slide.height_px, 0.5), mask, 8)
         path = tmp_path / "tiles.tsv"
         write_manifest(grid, path)
         tile_size, rescale, tiles, kept = read_manifest(path)

@@ -872,6 +872,24 @@ class TestTrain:
         assert steps == []
 
 
+    def test_stacked_rows_past_the_ceiling_named(self, monkeypatch):
+        # the stacked rows are max(largest bag, the batch's largest bags'
+        # tiles): 3 + 5 training tiles of 28 float64 values each, 1792 bytes
+        rng = np.random.default_rng(0)
+        bags = [make_bag(rng, n, 12, f"b{i}") for i, n in enumerate([3, 5, 4, 2])]
+        monkeypatch.setattr(milnet, "MAX_STACK_BYTES", 1700)
+        steps = []
+        monkeypatch.setattr(milnet, "adam_step", lambda *args: steps.append(args))
+        hyper = dataclasses.replace(SMALL, batch_size=2)
+        with raises_error("batch_size 2 with a largest bag of 5 tiles at dim 12 and enc_out 16 "
+                          "stacks 8 rows of features and embeddings, 1.67e-06 GiB, over the "
+                          "1.58325e-06 GiB ceiling"):
+            train(bags, [0.1, 0.5, 0.3, 0.7], [0, 1], [2, 3], hyper, seed=0)
+        assert steps == []
+        monkeypatch.setattr(milnet, "MAX_STACK_BYTES", 1792)
+        train(bags, [0.1, 0.5, 0.3, 0.7], [0, 1], [2, 3], dataclasses.replace(hyper, max_epochs=1))
+        assert len(steps) == 1
+
 class TestCheckpoint:
     def test_layout_tables_match_the_dataclasses(self):
         # the hyper block is astuple(hyper) + dim, and the tensors follow
@@ -948,3 +966,47 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes() + b"\x00" * 3)
         with raises_error(f"{path}: checkpoint has 3 trailing bytes"):
             load_checkpoint(path)
+
+    def test_load_holds_one_copy_of_the_tensors(self, tmp_path):
+        # each tensor is read into the parameters' own buffer; reading the
+        # file whole and then casting it held two copies
+        path = tmp_path / "paper.ckpt"
+        save_checkpoint(init_params(0, HyperParams(), dim=2048), HyperParams(), path)
+        tracemalloc.start()
+        try:
+            params, _ = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * params.flat.nbytes, f"peak {peak} of {params.flat.nbytes} bytes"
+        assert params.flat.dtype == np.float64 and params.flat.flags.writeable
+
+    def test_header_past_the_file_allocates_nothing(self, tmp_path):
+        # a corrupt header that declares terabytes of tensors is truncation
+        path = tmp_path / "huge.ckpt"
+        save_checkpoint(init_params(5, SMALL, dim=7), dataclasses.replace(SMALL, enc_out=2**31),
+                        path)
+        tracemalloc.start()
+        try:
+            with raises_error(f"{path}: checkpoint truncated in tensor enc_w "
+                              f"(3400 of {8 * 2**31 * 7} bytes)"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"peak {peak} bytes"
+
+    def test_failed_save_leaves_the_target_as_it_was(self, tmp_path):
+        # a count past uint32 fails after the magic and version are written,
+        # which once left a 6-byte checkpoint
+        path = tmp_path / "fold000.ckpt"
+        params, bad = init_params(5, SMALL, dim=7), dataclasses.replace(SMALL, patience=2**32)
+        with pytest.raises(struct.error):
+            save_checkpoint(params, bad, path)
+        assert list(tmp_path.iterdir()) == []
+        save_checkpoint(params, SMALL, path)
+        before = path.read_bytes()
+        with pytest.raises(struct.error):
+            save_checkpoint(params, bad, path)
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == before
