@@ -219,10 +219,7 @@ def cmd_train(args) -> int:
     paths = _bag_paths(Path(args.bags))
     scanned = [bagio.BagFile.scan(p) for p in paths]
     _check_unique_ids(paths, [bag.slide_id for bag in scanned])
-    dim, sizes = max(bag.dim for bag in scanned), sorted(bag.n_tiles for bag in scanned)
-    milnet.check_state_bytes(hyper, dim)
-    # no fold's batch or bag is larger than the largest ones scanned
-    milnet.check_stack_bytes(hyper, dim, sizes[-1], sum(sizes[-hyper.batch_size:]))
+    milnet.check_state_bytes(hyper, max(bag.dim for bag in scanned))
     bags_by_id = {bag.slide_id: bag for bag in scanned}
     records = [r for r in records if r.slide_id in bags_by_id]
     if not records:
@@ -232,6 +229,10 @@ def cmd_train(args) -> int:
 
     ordered = sorted(records, key=lambda r: r.slide_id)
     bags = [bags_by_id[r.slide_id] for r in ordered]
+    # no fold's batch or bag is larger than the largest ones with a record
+    sizes = sorted(bag.n_tiles for bag in bags)
+    milnet.check_stack_bytes(hyper, max(bag.dim for bag in bags), sizes[-1],
+                             sum(sizes[-hyper.batch_size:]))
     labels = np.array([r.til_score_pct for r in ordered]) / 100.0
     fold_of = np.array([plan.fold_of(r.slide_id) for r in ordered])
     for fold in range(plan.k):  # before any fold trains

@@ -18,9 +18,9 @@ for a fixed seed; the parameters are views into one buffer in checkpoint order.
 from __future__ import annotations
 
 import math
-import os
 import struct
 from dataclasses import astuple, dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -557,35 +557,29 @@ def save_checkpoint(params: ModelParams, hyper: HyperParams, path) -> None:
 
 def load_checkpoint(path) -> tuple[ModelParams, HyperParams]:
     """Read a checkpoint written by `save_checkpoint`; a bad magic, version
-    or length, or a non-finite value, raises TilscoreError naming the file.
-    Each tensor is read straight into the one buffer the parameters view."""
+    or length, or a non-finite value, raises TilscoreError naming the file."""
+    data = Path(path).read_bytes()
     header = 6 + struct.calcsize(_CKPT_HYPER)
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        head = fh.read(header)
-        if head[:4] != CKPT_MAGIC:
-            raise TilscoreError(f"{path}: bad checkpoint magic {head[:4]!r}")
-        if len(head) < header:
-            raise TilscoreError(f"{path}: checkpoint truncated in its header "
-                                f"({len(head)} of {header} bytes)")
-        (version,) = struct.unpack_from("<H", head, 4)
-        if version != CKPT_VERSION:
-            raise TilscoreError(f"{path}: unsupported checkpoint version {version}")
-        *values, dim = struct.unpack_from(_CKPT_HYPER, head, 6)
-        hyper = HyperParams(*values)
-        shapes = param_shapes(hyper, dim)
-        # never more entries than the file holds, whatever its header says
-        flat = np.empty(min(sum(map(math.prod, shapes.values())), (size - header) // 8), "<f8")
-        offset = 0
-        for name, shape in shapes.items():
-            count, left = math.prod(shape), size - header - 8 * offset
-            if 8 * count > left:
-                raise TilscoreError(f"{path}: checkpoint truncated in tensor {name} "
-                                    f"({left} of {8 * count} bytes)")
-            fh.readinto(flat[offset : offset + count])
-            if not np.isfinite(flat[offset : offset + count]).all():
-                raise TilscoreError(f"{path}: checkpoint tensor {name} holds non-finite values")
-            offset += count
-    if left := size - header - 8 * offset:
-        raise TilscoreError(f"{path}: checkpoint has {left} trailing bytes")
-    return ModelParams(flat.astype(float, copy=False), shapes), hyper
+    if data[:4] != CKPT_MAGIC:
+        raise TilscoreError(f"{path}: bad checkpoint magic {data[:4]!r}")
+    if len(data) < header:
+        raise TilscoreError(f"{path}: checkpoint truncated in its header "
+                            f"({len(data)} of {header} bytes)")
+    (version,) = struct.unpack_from("<H", data, 4)
+    if version != CKPT_VERSION:
+        raise TilscoreError(f"{path}: unsupported checkpoint version {version}")
+    *values, dim = struct.unpack_from(_CKPT_HYPER, data, 6)
+    hyper = HyperParams(*values)
+    shapes = param_shapes(hyper, dim)
+    offset = header
+    for name, shape in shapes.items():
+        count = math.prod(shape)
+        if offset + 8 * count > len(data):
+            raise TilscoreError(f"{path}: checkpoint truncated in tensor {name} "
+                                f"({len(data) - offset} of {8 * count} bytes)")
+        if not np.isfinite(np.frombuffer(data, dtype="<f8", count=count, offset=offset)).all():
+            raise TilscoreError(f"{path}: checkpoint tensor {name} holds non-finite values")
+        offset += count * 8
+    if offset != len(data):
+        raise TilscoreError(f"{path}: checkpoint has {len(data) - offset} trailing bytes")
+    return ModelParams(np.frombuffer(data, "<f8", offset=header).astype(float), shapes), hyper

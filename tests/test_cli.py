@@ -1102,6 +1102,7 @@ class TestTrainStreaming:
         assert err == (f"error: fold 0: bag '{sid}' has dim {self.DIM - 1}, "
                        f"the first training bag {self.DIM}\n")
         assert steps == []
+        assert not (tmp_path / "run" / "fold000.ckpt").exists()
 
     def test_stacked_rows_past_the_ceiling_exit_2_before_out(self, tmp_path, monkeypatch, capsys):
         # batch_size 4 of the 5-tile bags stacks 20 rows of 256 + 8 float64
@@ -1117,7 +1118,16 @@ class TestTrainStreaming:
             "20 rows of features and embeddings, 3.93e-05 GiB, over the 3.05176e-05 GiB "
             "ceiling\n")
         assert not out.exists() and steps == []
-        assert not (tmp_path / "run" / "fold000.ckpt").exists()
+
+    def test_stacked_rows_count_only_bags_with_a_record(self, tmp_path, monkeypatch):
+        # a 50-tile bag would stack 105600 bytes, but no clinical row names
+        # it, so no fold stacks it: the 20 rows of the rest fit under 2**16
+        self.write_cohort(tmp_path, 8, n_tiles=5)
+        extra = bagio.FeatureBag(slide_id="s999", features=np.ones((50, self.DIM), np.float32),
+                                 tile_xy=np.zeros((50, 2)), mpp=0.5)
+        bagio.write_bag(extra, tmp_path / "bags" / "s999.bag")
+        monkeypatch.setattr(milnet, "MAX_STACK_BYTES", 2**16)
+        assert self.train(tmp_path, tmp_path / "run") == 0
 
 
 # ways to spoil the bytes of a bag whose slide id has 4 characters, and what

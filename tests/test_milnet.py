@@ -871,7 +871,6 @@ class TestTrain:
             train(bags, labels, np.arange(4), np.arange(4, 6), SMALL, seed=0)
         assert steps == []
 
-
     def test_stacked_rows_past_the_ceiling_named(self, monkeypatch):
         # the stacked rows are max(largest bag, the batch's largest bags'
         # tiles): 3 + 5 training tiles of 28 float64 values each, 1792 bytes
@@ -889,6 +888,7 @@ class TestTrain:
         monkeypatch.setattr(milnet, "MAX_STACK_BYTES", 1792)
         train(bags, [0.1, 0.5, 0.3, 0.7], [0, 1], [2, 3], dataclasses.replace(hyper, max_epochs=1))
         assert len(steps) == 1
+
 
 class TestCheckpoint:
     def test_layout_tables_match_the_dataclasses(self):
@@ -966,20 +966,6 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes() + b"\x00" * 3)
         with raises_error(f"{path}: checkpoint has 3 trailing bytes"):
             load_checkpoint(path)
-
-    def test_load_holds_one_copy_of_the_tensors(self, tmp_path):
-        # each tensor is read into the parameters' own buffer; reading the
-        # file whole and then casting it held two copies
-        path = tmp_path / "paper.ckpt"
-        save_checkpoint(init_params(0, HyperParams(), dim=2048), HyperParams(), path)
-        tracemalloc.start()
-        try:
-            params, _ = load_checkpoint(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.2 * params.flat.nbytes, f"peak {peak} of {params.flat.nbytes} bytes"
-        assert params.flat.dtype == np.float64 and params.flat.flags.writeable
 
     def test_header_past_the_file_allocates_nothing(self, tmp_path):
         # a corrupt header that declares terabytes of tensors is truncation
